@@ -75,17 +75,6 @@ Runs a battery of pinned-seed benchmarks and emits one JSON document:
   search phase by the section's ``min_speedup_required`` (both runs
   single-core, ``n_jobs=1`` -- the speedup is pruning, not
   parallelism).
-* **backends** -- the PR-7 compiled-kernel section: per-kernel
-  numpy-vs-backend micro-benches (parity asserted before any speedup
-  row), the tracked gate workload searched once per backend with
-  bit-identity asserted for float64 engines and the 1e-6 MI tolerance
-  for the float32 tier, and the batched delta-ring scorer timed per
-  engine.  When a *compiled* numba suite is active the section
-  additionally enforces the PR's floors: >= 1.5x batched-scorer
-  throughput over the legacy engine, and float32 >= 1.2x over
-  float64-numba.  Without numba the rows record the numpy-reference
-  engine (speedups ~1.0) and the floors are not asserted -- parity
-  always is.
 
 Usage::
 
@@ -139,15 +128,8 @@ from repro.analysis.screen_state import (  # noqa: E402
 from repro.analysis.segmented import search_segmented  # noqa: E402
 from repro.core.config import TycosConfig  # noqa: E402
 from repro.core.segmentation import segment_spans  # noqa: E402
-from repro.core.thresholds import BatchScorer  # noqa: E402
 from repro.core.tycos import Tycos, tycos_lm, tycos_lmn  # noqa: E402
-from repro.core.window import PairView, TimeDelayWindow  # noqa: E402
-from repro.mi.backends import numpy_backend  # noqa: E402
-from repro.mi.backends.dispatch import (  # noqa: E402
-    backend_metadata,
-    get_kernels,
-    numba_version,
-)
+from repro.core.window import PairView  # noqa: E402
 from repro.mi.digamma import digamma_direct, shared_digamma_table  # noqa: E402
 from repro.mi.ksg import KSGEstimator  # noqa: E402
 from repro.mi.neighbors import (  # noqa: E402
@@ -157,12 +139,6 @@ from repro.mi.neighbors import (  # noqa: E402
 )
 
 SCHEMA = "tycos-bench-pr10/1"
-
-#: Throughput floor of every dispatched micro-kernel row relative to its
-#: legacy/reference path.  The dispatcher must never serve a slower
-#: kernel (the PR-8 numpy grid_knn slot ran at 0.53x and was rerouted);
-#: the floor sits below 1.0 only to absorb timing noise on equal paths.
-_DISPATCH_KERNEL_FLOOR = 0.8
 
 #: Cache knobs of the scoring ablations.  Keys are TycosConfig fields.
 _ALL_CACHES_OFF = {
@@ -187,8 +163,8 @@ def make_collection(n_series: int, length: int, seed: int) -> Dict[str, Any]:
 
     Half the series are lag-shifted noisy copies of shared random walks
     (so the scan finds real windows and exercises the full search), the
-    rest are independent noise (so the pre-filter and early exits are
-    exercised too).
+    rest are independent noise (so the search's early exits are exercised
+    too).
     """
     rng = np.random.default_rng(seed)
     series: Dict[str, Any] = {}
@@ -1163,235 +1139,6 @@ def bench_cascade_stage3(
     }
 
 
-#: Gate-search engines of the backends section: (row label, backend,
-#: precision).  The first row is the float64 bit-identity reference.
-_BACKEND_ROWS: List[Tuple[str, str, str]] = [
-    ("numpy_legacy", "numpy", "float64"),
-    ("numba_float64", "numba", "float64"),
-    ("numba_float32", "numba", "float32"),
-]
-
-#: Throughput floors enforced only when a compiled numba suite is active.
-_NUMBA_SCORER_FLOOR = 1.5
-_F32_OVER_F64_FLOOR = 1.2
-_F32_MI_TOLERANCE = 1e-6
-
-
-def bench_backends(repeats: int, seed: int) -> Dict[str, Any]:
-    """Compiled backend vs legacy numpy: parity gated, then timed.
-
-    Every row asserts its correctness contract *before* any timing is
-    recorded: float64 engines must reproduce the legacy search
-    bit-identically, the float32 tier must stay within
-    ``_F32_MI_TOLERANCE`` of the float64 MI on identical windows, and
-    each micro-benched kernel must match the legacy/numpy reference on
-    its pinned inputs.  The numba throughput floors are enforced only
-    when a compiled suite is actually active (``engine == "numba"``);
-    on a numba-less host the numba rows are served by the numpy
-    reference and the floors would measure nothing.
-    """
-    rng = np.random.default_rng(seed)
-    out: Dict[str, Any] = {"metadata": backend_metadata("numba", "float64")}
-    kernels = get_kernels("numba", "float64")
-    compiled = kernels is not None and kernels.compiled
-
-    # -- per-kernel micro-benches: numpy reference vs served engine ----- #
-    m, k = 257, 4
-    base = np.cumsum(rng.normal(size=m))
-    x = np.ascontiguousarray(base + rng.normal(scale=0.1, size=m))
-    y = np.ascontiguousarray(np.roll(base, 3) + rng.normal(scale=0.1, size=m))
-    micro: Dict[str, Any] = {}
-
-    assert kernels is not None  # backend="numba" always resolves
-    served_nx, served_ny = kernels.window_counts(x, y, k)
-    ref_nx, ref_ny = numpy_backend.window_counts(x, y, k)
-    if not (np.array_equal(served_nx, ref_nx) and np.array_equal(served_ny, ref_ny)):
-        raise AssertionError("backend window_counts diverged from the numpy reference")
-    calls = 50
-    micro["window_counts"] = _kernel_row(
-        samples=m,
-        calls=calls,
-        seconds_on=_timed_loop(repeats, calls, lambda: kernels.window_counts(x, y, k)),
-        seconds_off=_timed_loop(repeats, calls, lambda: numpy_backend.window_counts(x, y, k)),
-    )
-
-    radii = np.abs(rng.normal(scale=0.3, size=m)) + 1e-3
-    order = np.sort(x)
-    served_counts = kernels.marginal(x, radii, False, order)
-    ref_counts = numpy_backend.marginal_counts_ref(x, radii, False, order)
-    if not np.array_equal(served_counts, ref_counts):
-        raise AssertionError("backend marginal_counts diverged from the numpy reference")
-    calls = 200
-    micro["marginal_counts"] = _kernel_row(
-        samples=m,
-        calls=calls,
-        seconds_on=_timed_loop(repeats, calls, lambda: kernels.marginal(x, radii, False, order)),
-        seconds_off=_timed_loop(
-            repeats, calls, lambda: numpy_backend.marginal_counts_ref(x, radii, False, order)
-        ),
-    )
-
-    offsets = np.arange(0, 120, 8, dtype=np.int64)
-    sizes = np.full(offsets.size, 64, dtype=np.int64)
-    ks = np.full(offsets.size, k, dtype=np.int64)
-    served_cluster = kernels.cluster_counts(x, y, offsets, sizes, ks)
-    ref_cluster = numpy_backend.cluster_counts(x, y, offsets, sizes, ks)
-    if not (
-        np.array_equal(served_cluster[0], ref_cluster[0])
-        and np.array_equal(served_cluster[1], ref_cluster[1])
-    ):
-        raise AssertionError("backend cluster_counts diverged from the numpy reference")
-    calls = 50
-    micro["cluster_counts"] = _kernel_row(
-        samples=int(sizes.sum()),
-        calls=calls,
-        seconds_on=_timed_loop(
-            repeats, calls, lambda: kernels.cluster_counts(x, y, offsets, sizes, ks)
-        ),
-        seconds_off=_timed_loop(
-            repeats, calls, lambda: numpy_backend.cluster_counts(x, y, offsets, sizes, ks)
-        ),
-    )
-
-    legacy_grid = chebyshev_knn_bruteforce(x, y, k)
-    served_grid = kernels.grid_knn(x, y, k)
-    if not (
-        np.array_equal(served_grid[0], legacy_grid.kth_distance)
-        and np.array_equal(served_grid[1], legacy_grid.eps_x)
-        and np.array_equal(served_grid[2], legacy_grid.eps_y)
-    ):
-        raise AssertionError("backend grid_knn diverged from the legacy geometry")
-    calls = 20
-    micro["grid_knn"] = _kernel_row(
-        samples=m,
-        calls=calls,
-        seconds_on=_timed_loop(repeats, calls, lambda: kernels.grid_knn(x, y, k)),
-        seconds_off=_timed_loop(repeats, calls, lambda: chebyshev_knn_bruteforce(x, y, k)),
-    )
-    # No dispatched kernel may run slower than the legacy/reference path
-    # it replaces -- the whole point of routing through the dispatcher.
-    for kernel_name, row in micro.items():
-        if row["speedup"] < _DISPATCH_KERNEL_FLOOR:
-            raise AssertionError(
-                f"dispatched {kernel_name} ran at {row['speedup']:.2f}x its "
-                f"reference path (< required {_DISPATCH_KERNEL_FLOOR}x); the "
-                "dispatcher must never serve a slower kernel"
-            )
-    out["kernel_floor"] = _DISPATCH_KERNEL_FLOOR
-    out["kernels"] = micro
-
-    # -- batched delta-ring scorer throughput per engine ---------------- #
-    # A same-delay cluster batch, the unit the fused cluster kernel
-    # accelerates.  Fresh scorer per timed call so the LRU cache cannot
-    # serve later repeats for free.
-    pair = PairView(x, y, jitter=1e-6, seed=seed)
-    scorer_config = TycosConfig(s_min=8, s_max=48, td_max=6)
-    batch = [
-        TimeDelayWindow(start=s, end=s + 40, delay=2) for s in range(8, 180, 6)
-    ]
-
-    def scorer_values(backend: str, precision: str) -> List[float]:
-        config = scorer_config.scaled(backend=backend, precision=precision)
-        return BatchScorer(pair, config).value_many(batch)
-
-    legacy_values = scorer_values("numpy", "float64")
-    scorer_rows: Dict[str, Any] = {}
-    scorer_seconds: Dict[str, float] = {}
-    for label, backend, precision in _BACKEND_ROWS:
-        values = scorer_values(backend, precision)
-        if precision == "float64":
-            if values != legacy_values:
-                raise AssertionError(f"scorer engine {label!r} changed batched values")
-        else:
-            worst = max(abs(a - b) for a, b in zip(values, legacy_values))
-            if worst > _F32_MI_TOLERANCE:
-                raise AssertionError(
-                    f"float32 scorer drifted {worst:.2e} (> {_F32_MI_TOLERANCE})"
-                )
-        seconds = best_of(repeats, lambda b=backend, p=precision: scorer_values(b, p))
-        scorer_seconds[label] = seconds
-        scorer_rows[label] = {
-            "windows": len(batch),
-            "seconds": round(seconds, 4),
-            "windows_per_second": round(len(batch) / seconds, 1),
-        }
-        if label != "numpy_legacy":
-            scorer_rows[label]["speedup_vs_legacy"] = round(
-                scorer_seconds["numpy_legacy"] / seconds, 3
-            )
-    out["scorer"] = scorer_rows
-
-    # -- tracked gate workload per engine ------------------------------- #
-    length = 400
-    gx, gy = make_scoring_pair(length, seed + 1)
-    gate_rows: Dict[str, Any] = {}
-    reference_windows: Optional[List[Tuple[int, int, int, float, float]]] = None
-    for label, backend, precision in _BACKEND_ROWS:
-        config = TycosConfig(
-            sigma=0.3, s_min=8, s_max=40, td_max=8, jitter=1e-6, seed=seed,
-            backend=backend, precision=precision,
-        )
-        box: List[Any] = []
-
-        def run(c: TycosConfig = config) -> None:
-            box.append(Tycos(c).search(gx, gy))
-
-        seconds = best_of(repeats, run)
-        result = box[-1]
-        snapshot = [
-            (r.window.start, r.window.end, r.window.delay, r.mi, r.nmi)
-            for r in result.windows
-        ]
-        row: Dict[str, Any] = {
-            "seconds": round(seconds, 4),
-            "windows": len(result.windows),
-            "windows_evaluated": result.stats.windows_evaluated,
-            "windows_per_second": round(result.stats.windows_evaluated / seconds, 1),
-        }
-        if reference_windows is None:
-            reference_windows = snapshot
-        elif precision == "float64":
-            if snapshot != reference_windows:
-                raise AssertionError(f"gate engine {label!r} diverged from legacy")
-            row["identical_to_legacy"] = True  # asserted above
-        else:
-            if [w[:3] for w in snapshot] != [w[:3] for w in reference_windows]:
-                raise AssertionError(f"gate engine {label!r} changed the window set")
-            worst = max(
-                abs(a[3] - b[3]) for a, b in zip(snapshot, reference_windows)
-            )
-            if worst > _F32_MI_TOLERANCE:
-                raise AssertionError(
-                    f"float32 gate MI drifted {worst:.2e} (> {_F32_MI_TOLERANCE})"
-                )
-            row["max_mi_delta_vs_float64"] = float(f"{worst:.3e}")
-        gate_rows[label] = row
-    out["gate"] = gate_rows
-
-    # -- compiled-only throughput floors -------------------------------- #
-    out["compiled"] = compiled
-    if compiled:
-        scorer_speedup = scorer_seconds["numpy_legacy"] / scorer_seconds["numba_float64"]
-        if scorer_speedup < _NUMBA_SCORER_FLOOR:
-            raise AssertionError(
-                f"compiled batched scorer speedup {scorer_speedup:.2f}x "
-                f"< required {_NUMBA_SCORER_FLOOR}x"
-            )
-        f32_speedup = scorer_seconds["numba_float64"] / scorer_seconds["numba_float32"]
-        if f32_speedup < _F32_OVER_F64_FLOOR:
-            raise AssertionError(
-                f"float32 scorer speedup {f32_speedup:.2f}x over float64-numba "
-                f"< required {_F32_OVER_F64_FLOOR}x"
-            )
-        out["floors"] = {
-            "scorer_speedup_vs_legacy": round(scorer_speedup, 3),
-            "scorer_floor": _NUMBA_SCORER_FLOOR,
-            "f32_speedup_vs_f64": round(f32_speedup, 3),
-            "f32_floor": _F32_OVER_F64_FLOOR,
-        }
-    return out
-
-
 def check_regression(
     document: Dict[str, Any], baseline_path: str, max_regression: float
 ) -> Optional[str]:
@@ -1498,7 +1245,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             "numpy": np.__version__,
             "platform": platform.platform(),
             "cpu_count": os.cpu_count(),
-            "numba": numba_version() or "absent",
         },
         "config": {
             "sigma": config.sigma,
@@ -1556,7 +1302,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             use_noise=stage3_noise,
             seed=2024,
         ),
-        "backends": bench_backends(repeats, args.seed),
         "notes": (
             "Timings are best-of-repeats wall clock.  Multi-worker speedup "
             "scales with host cores (see host.cpu_count); on a single-core "
@@ -1585,12 +1330,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             "cascade_stage3 row asserts identical correlated-pair sets "
             "between the plain and plan-driven stage 3 and enforces the "
             "search-phase speedup floor (min_speedup_required) on a "
-            "single core.  "
-            "Backend rows assert kernel parity "
-            "and search bit-identity (float32: the 1e-6 MI tolerance) "
-            "before any speedup is recorded; the numba throughput floors "
-            "apply only when host.numba is a real version and the suite "
-            "compiled (backends.compiled)."
+            "single core."
         ),
     }
 

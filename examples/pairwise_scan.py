@@ -2,8 +2,9 @@
 
 The paper's energy study runs TYCOS over every pair of 72 plugs.  This
 example reproduces that workflow on the simulated household: all device
-pairs are scanned (a cheap MI pre-filter skips obviously unrelated ones)
-and the correlated pairs are ranked.
+pairs go through the prescreen cascade (cheap linear and coarse-MI
+screens prune obviously unrelated pairs before any full search) and the
+correlated pairs are ranked.
 
 Run with::
 
@@ -11,7 +12,7 @@ Run with::
 """
 
 from repro import TycosConfig
-from repro.analysis import scan_pairs
+from repro.analysis import cascade_scan
 from repro.data.energy import simulate_energy
 
 data = simulate_energy(days=2, seed=0, minutes_per_sample=4, event_density=2.0)
@@ -30,11 +31,11 @@ config = TycosConfig(
     seed=0,
 )
 
-# A conservative pre-filter: sparse event data needs a low bar, because
-# the probe windows may land between events.  On a multi-core machine,
-# add n_jobs=-1 to fan the pairs over worker processes -- the report is
-# byte-identical for every worker count.
-report = scan_pairs(series, config, prefilter_threshold=0.05)
+# The cascade's default margin keeps the screens conservative, which
+# sparse event data needs: a screen window may land between events.  On
+# a multi-core machine, add n_jobs=-1 to fan the pairs over worker
+# processes -- the report is byte-identical for every worker count.
+report = cascade_scan(series, config)
 print(report.to_text())
 print()
 resolution = data.minutes_per_sample

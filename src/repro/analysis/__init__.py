@@ -35,7 +35,6 @@ from repro.analysis.pairwise import (
     PairFailure,
     PairFinding,
     PairwiseReport,
-    prefilter_score,
     scan_pairs,
 )
 from repro.analysis.multiscale import search_multiscale
@@ -56,7 +55,6 @@ __all__ = [
     "PairwiseReport",
     "PairFinding",
     "PairFailure",
-    "prefilter_score",
     "cascade_scan",
     "coarse_nmi_score",
     "fft_screen_score",

@@ -20,9 +20,7 @@ cost and most pairs are obviously unrelated.  This module prunes pairs
    with scores bit-identical to calling :func:`fft_screen_score` per
    pair, at every block size and worker count.
 2. **Coarse NMI screen** (:func:`coarse_nmi_score`): the repository's
-   one coarse-NMI filtering mechanism (formerly
-   ``pairwise.prefilter_score``, which now wraps this), run only on
-   stage-1 survivors.
+   one coarse-NMI filtering mechanism, run only on stage-1 survivors.
 3. **Full TYCOS search**: :func:`repro.analysis.pairwise.scan_pairs`
    (serial or pooled) on pairs that passed both screens, in the
    original pair order.
@@ -88,13 +86,12 @@ def coarse_nmi_score(
 ) -> float:
     """A cheap relatedness score: best normalized MI over coarse probes.
 
-    The cascade's stage-2 screen (and the implementation behind the
-    deprecated :func:`repro.analysis.pairwise.prefilter_score` wrapper).
-    Not a substitute for the search -- it only sees a few window
-    positions -- but a pair whose every probe is flat noise is unlikely
-    to reward a full TYCOS run.  When ``td_max`` is positive every delay
-    in ``[-td_max, td_max]`` is probed at each position, because a
-    lagged coupling carries *no* aligned information at all.
+    The cascade's stage-2 screen.  Not a substitute for the search -- it
+    only sees a few window positions -- but a pair whose every probe is
+    flat noise is unlikely to reward a full TYCOS run.  When ``td_max``
+    is positive every delay in ``[-td_max, td_max]`` is probed at each
+    position, because a lagged coupling carries *no* aligned information
+    at all.
 
     Args:
         x: first series.
@@ -362,7 +359,7 @@ def cascade_scan(
             windows suppress the spurious-maximum noise floor of the
             screen (it shrinks like ``sqrt(log(K)/m)``) at the cost of
             diluting couplings much shorter than the window; see GUIDE
-            §14 for tuning.
+            §13 for tuning.
         engine: optional preconfigured engine for stage 3.
         n_jobs: worker processes for both the stage-1 screen blocks and
             the stage-3 searches (see
@@ -454,7 +451,6 @@ def cascade_scan(
             series,
             config,
             pairs=survivors,
-            prefilter_threshold=0.0,
             engine=engine,
             n_jobs=n_jobs,
             store_path=None if store_path is None else str(store_path),
@@ -578,8 +574,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--n-jobs", type=int, default=1,
         help="worker processes for the full searches (-1: all cores)",
     )
-    parser.add_argument("--backend", choices=["auto", "numpy", "numba"], default="numpy")
-    parser.add_argument("--precision", choices=["float64", "float32"], default="float64")
     args = parser.parse_args(argv)
 
     config = TycosConfig(
@@ -591,8 +585,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         jitter=args.jitter,
         significance_permutations=args.permutations,
         seed=args.seed,
-        backend=args.backend,
-        precision=args.precision,
     )
 
     from repro.analysis.csvio import read_csv_series

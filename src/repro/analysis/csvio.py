@@ -98,8 +98,6 @@ def _build_config(args: argparse.Namespace) -> TycosConfig:
         n_segments=args.n_segments,
         coarse_factor=args.coarse_factor,
         refine_margin=args.refine_margin,
-        backend=args.backend,
-        precision=args.precision,
     )
 
 
@@ -153,10 +151,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--delay-step", type=int, default=None)
     parser.add_argument(
-        "--prefilter", type=float, default=0.0,
-        help="skip pairs whose quick relatedness probe scores below this",
-    )
-    parser.add_argument(
         "--n-jobs", type=int, default=1,
         help="worker processes: pairs for --all-pairs, timeline segments for "
              "--x/--y with --n-segments (-1: all cores; default: serial)",
@@ -178,20 +172,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="full-resolution samples added around each coarse hit before "
              "refinement (default: s_max + td_max, one maximal window "
              "footprint)",
-    )
-    parser.add_argument(
-        "--backend", choices=["auto", "numpy", "numba"], default="numpy",
-        help="kernel engine for the KSG hot loops: numpy keeps the legacy "
-             "vectorized paths (default), numba requests the compiled "
-             "canonical kernels (served by their bit-identical numpy "
-             "reference when numba is unavailable), auto compiles when "
-             "fully available",
-    )
-    parser.add_argument(
-        "--precision", choices=["float64", "float32"], default="float64",
-        help="kernel floating-point tier: float32 prunes neighbor "
-             "candidates in float32 and re-ranks them in float64 "
-             "(tolerance-gated against float64; see docs/GUIDE.md)",
     )
     parser.add_argument(
         "--profile", action="store_true",
@@ -241,13 +221,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.all_pairs:
         series = read_csv_series(args.csv)
-        report = scan_pairs(
-            series,
-            config,
-            prefilter_threshold=args.prefilter,
-            n_jobs=args.n_jobs,
-            plan=args.plan,
-        )
+        report = scan_pairs(series, config, n_jobs=args.n_jobs, plan=args.plan)
         print(report.to_text())
         return 0
 

@@ -8,15 +8,15 @@ pairs by their strongest extracted correlation, and reports per-pair
 window counts and delay ranges -- the raw material of a Table-3-style
 summary over an entire dataset.
 
-A cheap pre-filter (normalized MI over coarse aligned windows) can skip
-pairs that are obviously unrelated, which matters when the number of
-pairs is quadratic in the number of sensors.
+Pruning obviously unrelated pairs before the search, which matters when
+the number of pairs is quadratic in the number of sensors, is the job of
+:func:`repro.analysis.cascade.cascade_scan`, which runs its screens and
+then this scan on the survivors.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import (
@@ -35,7 +35,6 @@ from repro._types import FloatArray
 from repro.core.config import TycosConfig
 from repro.core.tycos import Tycos, TycosResult
 from repro.experiments.reporting import format_table, title
-from repro.mi.backends.dispatch import backend_metadata
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (planner imports
     # the parallel module, which imports this one, so the runtime imports
@@ -48,7 +47,6 @@ __all__ = [
     "PairwiseReport",
     "scan_pairs",
     "resolve_plan",
-    "prefilter_score",
     "timed",
 ]
 
@@ -113,15 +111,16 @@ class PairwiseReport:
     ``notes`` records execution advisories that don't affect the results
     themselves -- e.g. that a parallel request was served serially on a
     single-core host -- so a scan's performance is attributable from the
-    report alone.  ``metadata`` records the execution environment of the
-    scan (kernel backend, precision tier, numba version) so a saved report
-    states *how* its numbers were produced; see
-    :func:`repro.mi.backends.dispatch.backend_metadata` for the keys.
+    report alone.  ``metadata`` records which search plan produced the
+    findings (``plan`` / ``plan_fingerprint``) when a plan ran, and is
+    empty otherwise.
 
     The ``pairs_*`` counters are the pruning ledger of a cascade scan
     (:func:`repro.analysis.cascade.cascade_scan`): how many pairs the
     screens looked at, how many each stage rejected, and how many reached
-    the full TYCOS search.  A plain :func:`scan_pairs` leaves them at 0.
+    the full TYCOS search.  ``skipped`` lists the pairs the screens
+    pruned, in scan order.  A plain :func:`scan_pairs` leaves all of them
+    empty.
 
     ``phase_seconds`` is the wall-clock side of that ledger: per-phase
     durations (``"screen"``, ``"search"``) a cascade records so
@@ -174,8 +173,9 @@ class PairwiseReport:
             delays = "-" if f.delay_range is None else f"[{f.delay_range[0]}, {f.delay_range[1]}]"
             rows.append([f"{f.source} -> {f.target}", f.windows, f"{f.best_nmi:.2f}", delays])
         body = format_table(headers, rows)
-        skipped = f"\n({len(self.skipped)} pairs skipped by the pre-filter)" if self.skipped else ""
-        failed = f"\n({len(self.failures)} pairs failed; see report.failures)" if self.failures else ""
+        failed = (
+            f"\n({len(self.failures)} pairs failed; see report.failures)" if self.failures else ""
+        )
         cascade = (
             f"\n(cascade: {self.pairs_screened} pairs screened, "
             f"{self.pairs_pruned_fft} pruned by the FFT screen, "
@@ -195,52 +195,8 @@ class PairwiseReport:
             )
         return (
             title("Pairwise correlation scan")
-            + "\n" + body + skipped + failed + cascade + notes + timings
+            + "\n" + body + failed + cascade + notes + timings
         )
-
-
-def prefilter_score(
-    x: FloatArray,
-    y: FloatArray,
-    probe: int = 128,
-    stride: int = 3,
-    td_max: int = 0,
-) -> float:
-    """A cheap relatedness score: best normalized MI over coarse probes.
-
-    .. deprecated:: PR 8
-        This is now a thin wrapper over
-        :func:`repro.analysis.cascade.coarse_nmi_score`, the cascade's
-        stage-2 screen -- the one coarse-NMI filtering mechanism in the
-        repository.  Call that directly in new code; this alias stays for
-        compatibility, returns identical values, and emits a
-        ``DeprecationWarning`` on every call.
-
-    Not a substitute for the search -- it only sees a few window positions
-    -- but a pair whose every probe is flat noise is unlikely to reward a
-    full TYCOS run.  When ``td_max`` is positive every delay in
-    ``[-td_max, td_max]`` is probed at each position, because a lagged
-    coupling carries *no* aligned information at all.
-
-    Args:
-        x: first series.
-        y: second series.
-        probe: probe window size.
-        stride: number of probe positions (evenly spaced).
-        td_max: largest |delay| to probe.
-
-    Returns:
-        The maximum normalized MI over all probes.
-    """
-    from repro.analysis.cascade import coarse_nmi_score
-
-    warnings.warn(
-        "prefilter_score is deprecated; call "
-        "repro.analysis.cascade.coarse_nmi_score instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return coarse_nmi_score(x, y, probe=probe, stride=stride, td_max=td_max)
 
 
 def _evaluate_pair(
@@ -248,31 +204,20 @@ def _evaluate_pair(
     target: str,
     x: FloatArray,
     y: FloatArray,
-    config: TycosConfig,
     engine: Tycos,
-    prefilter_threshold: float,
     plan: Optional["SearchPlan"] = None,
     context: Optional["ExecutionContext"] = None,
-) -> Tuple[str, Optional[PairFinding]]:
-    """Score one pair: pre-filter, then search.
+) -> PairFinding:
+    """Search one pair and summarize its windows.
 
     Shared by the serial loop and the parallel workers so both paths apply
-    the identical decision procedure.  Without a ``plan`` the pair runs
+    the identical procedure.  Without a ``plan`` the pair runs
     ``engine.search`` (the legacy argument-surface dispatch); with one,
     the plan executes through
     :func:`repro.analysis.planner.execute_plan`, reusing the scan-wide
     ``context`` so pair-independent setup (the parsed plan, the derived
     engines) is paid once per scan rather than once per pair.
-
-    Returns:
-        ``("skipped", None)`` when the pre-filter rejects the pair, else
-        ``("finding", PairFinding)``.
     """
-    if prefilter_threshold > 0.0:
-        from repro.analysis.cascade import coarse_nmi_score
-
-        if coarse_nmi_score(x, y, td_max=config.td_max) < prefilter_threshold:
-            return ("skipped", None)
     if plan is not None:
         from repro.analysis.planner import execute_plan
 
@@ -282,15 +227,12 @@ def _evaluate_pair(
     else:
         result = engine.search(x, y)
     best = max((r.nmi for r in result.windows), default=0.0)
-    return (
-        "finding",
-        PairFinding(
-            source=source,
-            target=target,
-            windows=len(result.windows),
-            best_nmi=best,
-            delay_range=result.delay_range(),
-        ),
+    return PairFinding(
+        source=source,
+        target=target,
+        windows=len(result.windows),
+        best_nmi=best,
+        delay_range=result.delay_range(),
     )
 
 
@@ -328,7 +270,6 @@ def scan_pairs(
     series: Dict[str, FloatArray],
     config: TycosConfig,
     pairs: Optional[Iterable[Tuple[str, str]]] = None,
-    prefilter_threshold: float = 0.0,
     engine: Optional[Tycos] = None,
     n_jobs: Optional[int] = None,
     store_path: Optional[str] = None,
@@ -341,8 +282,6 @@ def scan_pairs(
         config: search parameters applied to every pair.
         pairs: explicit (source, target) pairs; default: all unordered
             combinations of the collection's names.
-        prefilter_threshold: skip pairs whose :func:`prefilter_score` falls
-            below this (0 disables the pre-filter).
         engine: optional preconfigured engine (default: TYCOS_LMN).
         n_jobs: worker processes.  ``None`` or ``1`` scans serially in this
             process; ``-1`` uses every available core; ``N > 1`` fans the
@@ -394,14 +333,13 @@ def scan_pairs(
             series,
             config,
             pairs=pair_list,
-            prefilter_threshold=prefilter_threshold,
             engine=engine,
             n_jobs=n_jobs,
             store_path=store_path,
             plan=resolved,
         )
 
-    report = PairwiseReport(metadata=backend_metadata(config.backend, config.precision))
+    report = PairwiseReport()
     context: Optional["ExecutionContext"] = None
     if resolved is not None:
         from repro.analysis.planner import ExecutionContext
@@ -411,14 +349,12 @@ def scan_pairs(
         report.metadata["plan_fingerprint"] = resolved.fingerprint()
     for source, target in pair_list:
         try:
-            tag, finding = _evaluate_pair(
+            finding = _evaluate_pair(
                 source,
                 target,
                 series[source],
                 series[target],
-                config,
                 engine,
-                prefilter_threshold,
                 plan=resolved,
                 context=context,
             )
@@ -427,8 +363,5 @@ def scan_pairs(
                 PairFailure(source=source, target=target, error=f"{type(exc).__name__}: {exc}")
             )
             continue
-        if tag == "skipped" or finding is None:
-            report.skipped.append((source, target))
-        else:
-            report.findings.append(finding)
+        report.findings.append(finding)
     return report

@@ -13,9 +13,9 @@ transfer cost exactly once:
   only pair *names*.  (A pickle fallback covers platforms or sandboxes
   where POSIX shared memory is unavailable.)
 * Pairs are dispatched in chunks to amortise task overhead, and results
-  are merged by original submission index, so the report -- findings,
-  skipped pairs, and failures, each in order -- is byte-identical to the
-  serial scan for every worker count.
+  are merged by original submission index, so the report -- findings
+  and failures, each in order -- is byte-identical to the serial scan
+  for every worker count.
 * Collections that live in a :class:`repro.analysis.store.SeriesStore`
   skip the copy entirely: pass ``store_path`` and each worker attaches
   read-only memory-mapped views of the on-disk matrix, so the kernel
@@ -48,11 +48,10 @@ from typing import (
 import numpy as np
 
 from repro._types import FloatArray
-from repro.analysis.pairwise import PairFailure, PairwiseReport, _evaluate_pair
+from repro.analysis.pairwise import PairFailure, PairFinding, PairwiseReport, _evaluate_pair
 from repro.analysis.store import SeriesStore
 from repro.core.config import TycosConfig
 from repro.core.tycos import Tycos
-from repro.mi.backends.dispatch import backend_metadata
 
 if TYPE_CHECKING:  # pragma: no cover - cycle guard: the planner imports
     # this module for its pool transport, so plan types are annotation-only
@@ -311,10 +310,8 @@ def pooled_map(
             shm.unlink()
 
 
-# Task result payload: (submission index, tag, payload) where the tag is
-# "finding" (payload: PairFinding), "skipped" (payload: the pair), or
-# "failed" (payload: PairFailure).
-_ChunkResult = List[Tuple[int, str, Any]]
+# Task result payload: (submission index, the pair's finding or failure).
+_ChunkResult = List[Tuple[int, Union[PairFinding, PairFailure]]]
 
 
 def _scan_chunk(chunk: Sequence[Tuple[int, str, str]]) -> _ChunkResult:
@@ -322,7 +319,6 @@ def _scan_chunk(chunk: Sequence[Tuple[int, str, str]]) -> _ChunkResult:
     state = worker_state()
     series: Dict[str, FloatArray] = state["series"]
     engine: Tycos = state["engine"]
-    threshold: float = state["prefilter_threshold"]
     plan = state.get("plan")
     context = state.get("plan_context")
     if plan is not None and context is None:
@@ -336,14 +332,12 @@ def _scan_chunk(chunk: Sequence[Tuple[int, str, str]]) -> _ChunkResult:
     results: _ChunkResult = []
     for index, source, target in chunk:
         try:
-            tag, finding = _evaluate_pair(
+            finding = _evaluate_pair(
                 source,
                 target,
                 series[source],
                 series[target],
-                engine.config,
                 engine,
-                threshold,
                 plan=plan,
                 context=context,
             )
@@ -351,12 +345,9 @@ def _scan_chunk(chunk: Sequence[Tuple[int, str, str]]) -> _ChunkResult:
             failure = PairFailure(
                 source=source, target=target, error=f"{type(exc).__name__}: {exc}"
             )
-            results.append((index, "failed", failure))
+            results.append((index, failure))
             continue
-        if tag == "skipped" or finding is None:
-            results.append((index, "skipped", (source, target)))
-        else:
-            results.append((index, "finding", finding))
+        results.append((index, finding))
     return results
 
 
@@ -364,7 +355,6 @@ def scan_pairs_parallel(
     series: Dict[str, FloatArray],
     config: TycosConfig,
     pairs: Optional[Iterable[Tuple[str, str]]] = None,
-    prefilter_threshold: float = 0.0,
     engine: Optional[Tycos] = None,
     n_jobs: int = -1,
     chunk_size: Optional[int] = None,
@@ -383,8 +373,6 @@ def scan_pairs_parallel(
         config: search parameters applied to every pair.
         pairs: explicit (source, target) pairs; default: all unordered
             combinations of the collection's names.
-        prefilter_threshold: skip pairs whose prefilter score falls below
-            this (0 disables the pre-filter).
         engine: optional preconfigured engine (default: TYCOS_LMN).  It is
             shipped to the workers once, at pool start.
         n_jobs: worker processes (``-1``: every available core).
@@ -408,9 +396,9 @@ def scan_pairs_parallel(
             serial planned scan.
 
     Returns:
-        A :class:`PairwiseReport` identical to the serial scan's: findings,
-        skipped pairs, and failures each in submission order.  When the
-        single-core fallback fired, ``report.notes`` records it.
+        A :class:`PairwiseReport` identical to the serial scan's: findings
+        and failures each in submission order.  When the single-core
+        fallback fired, ``report.notes`` records it.
     """
     names = list(series)
     lengths = {series[name].size for name in names}
@@ -440,7 +428,6 @@ def scan_pairs_parallel(
             series,
             config,
             pairs=pair_list,
-            prefilter_threshold=prefilter_threshold,
             engine=engine,
             plan=plan,
         )
@@ -456,11 +443,8 @@ def scan_pairs_parallel(
         chunk_size = max(1, math.ceil(len(tasks) / (workers * 4)))
     chunks = [tasks[i : i + chunk_size] for i in range(0, len(tasks), chunk_size)]
 
-    slots: List[Optional[Tuple[str, Any]]] = [None] * len(tasks)
-    extra_state: Dict[str, Any] = {
-        "engine": engine,
-        "prefilter_threshold": prefilter_threshold,
-    }
+    slots: List[Optional[Union[PairFinding, PairFailure]]] = [None] * len(tasks)
+    extra_state: Dict[str, Any] = {"engine": engine}
     if plan is not None:
         extra_state["plan"] = plan
     for chunk_result in pooled_map(
@@ -472,21 +456,18 @@ def scan_pairs_parallel(
         use_shared_memory=use_shared_memory,
         store_path=store_path,
     ):
-        for index, tag, payload in chunk_result:
-            slots[index] = (tag, payload)
+        for index, outcome in chunk_result:
+            slots[index] = outcome
 
-    report = PairwiseReport(metadata=backend_metadata(config.backend, config.precision))
+    report = PairwiseReport()
     if plan is not None:
         report.metadata["plan"] = plan.spec()
         report.metadata["plan_fingerprint"] = plan.fingerprint()
     for slot in slots:
         if slot is None:  # pragma: no cover - map() either fills all or raises
             raise RuntimeError("parallel scan lost a pair result")
-        tag, payload = slot
-        if tag == "finding":
-            report.findings.append(payload)
-        elif tag == "skipped":
-            report.skipped.append(payload)
+        if isinstance(slot, PairFinding):
+            report.findings.append(slot)
         else:
-            report.failures.append(payload)
+            report.failures.append(slot)
     return report

@@ -54,7 +54,7 @@ state *which* plan produced it (``PairwiseReport.metadata``).
 
 **Auto-selection.**  :func:`auto_plan` picks a strategy from workload
 shape -- series length, pair count, core count -- using the decision
-table documented in GUIDE section 15.  The cascade
+table documented in GUIDE section 14.  The cascade
 (:mod:`repro.analysis.cascade`) calls it on the prescreen's *survivors*,
 which is how PR 5's evaluation pruning finally reaches the all-pairs
 workload.
@@ -76,13 +76,12 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import (
     Any,
     Callable,
     Dict,
-    Iterable,
     List,
     Optional,
     Sequence,
@@ -635,7 +634,7 @@ def auto_plan(
     n_cores: int,
     config: TycosConfig,
 ) -> SearchPlan:
-    """Pick a strategy from the workload shape (GUIDE section 15 table).
+    """Pick a strategy from the workload shape (GUIDE section 14 table).
 
     The decision in priority order:
 
@@ -708,7 +707,7 @@ class ExecutionContext:
     so survivors after the first pay only the search itself.  Scorers
     and their distance workspaces bind the pair's samples and are
     rebuilt per pair by construction; what *is* shared across pairs
-    (the process-wide digamma table, compiled kernels) already lives in
+    (the process-wide digamma table) already lives in
     process-wide caches.  Reusing a context never changes results: every
     memoized object is a pure function of the plan and the config.
     """

@@ -175,7 +175,9 @@ class SeriesStore:
             raise ValueError(f"{source}: manifest must be a JSON object")
         schema = manifest.get("schema")
         if schema != STORE_SCHEMA:
-            raise ValueError(f"{source}: unknown store schema {schema!r} (expected {STORE_SCHEMA!r})")
+            raise ValueError(
+                f"{source}: unknown store schema {schema!r} (expected {STORE_SCHEMA!r})"
+            )
         if manifest.get("dtype") != "float64":
             raise ValueError(f"{source}: unsupported dtype {manifest.get('dtype')!r}")
         if manifest.get("order") != "C":

@@ -14,11 +14,6 @@ from typing import Any, List, Optional, Tuple
 
 __all__ = ["TycosConfig", "ENERGY_CONFIG", "SMARTCITY_CONFIG"]
 
-# Kept as literals (mirrored by repro.mi.backends.dispatch) so the config
-# layer does not import the backend machinery it merely selects.
-_BACKENDS = ("auto", "numpy", "numba")
-_PRECISIONS = ("float64", "float32")
-
 
 @dataclass(frozen=True)
 class TycosConfig:
@@ -140,21 +135,6 @@ class TycosConfig:
             stacked spectra).  Block boundaries never change results:
             batched scores are bit-identical to the per-pair screen at
             every block size.
-        backend: which kernel engine serves the KSG hot loops
-            (:mod:`repro.mi.backends`).  ``"numpy"`` (the default) keeps
-            the legacy vectorized paths bit-for-bit unchanged;
-            ``"numba"`` requests the compiled canonical kernels (served
-            by their bit-identical numpy reference when numba is absent
-            or a kernel fails to compile); ``"auto"`` uses the compiled
-            kernels when fully available and the legacy paths otherwise.
-        precision: floating-point tier of the backend kernels.
-            ``"float64"`` (the default) is exact; ``"float32"`` is an
-            opt-in bandwidth optimization that prunes neighbor
-            candidates in float32 and re-ranks them in float64, so radii
-            and marginal counts stay float64 quantities (tolerance-gated
-            against float64 on the tracked workloads).  Any backend may
-            combine with it; ``backend="numpy"`` with
-            ``precision="float32"`` runs the numpy *canonical* kernels.
     """
 
     sigma: float = 0.3
@@ -183,16 +163,8 @@ class TycosConfig:
     init_delay_step: Optional[int] = None
     screen_margin: float = 0.25
     screen_block: int = 256
-    backend: str = "numpy"
-    precision: str = "float64"
 
     def __post_init__(self) -> None:
-        if self.backend not in _BACKENDS:
-            raise ValueError(f"backend must be one of {_BACKENDS}, got {self.backend!r}")
-        if self.precision not in _PRECISIONS:
-            raise ValueError(
-                f"precision must be one of {_PRECISIONS}, got {self.precision!r}"
-            )
         if self.init_delay_step is not None and self.init_delay_step < 1:
             raise ValueError(f"init_delay_step must be >= 1, got {self.init_delay_step}")
         if self.significance_permutations < 0:

@@ -19,16 +19,12 @@ from __future__ import annotations
 import heapq
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
-
-import numpy as np
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import contracts
 from repro._types import FloatArray, WindowKey
 from repro.core.config import TycosConfig
 from repro.core.window import PairView, TimeDelayWindow
-from repro.mi.backends.dispatch import get_kernels
-from repro.mi.digamma import shared_digamma_table
 from repro.mi.entropy import binned_joint_entropy
 from repro.mi.ksg import KSGEstimator
 from repro.mi.incremental import SlidingKSG
@@ -78,14 +74,7 @@ class BatchScorer:
     def __init__(self, pair: PairView, config: TycosConfig) -> None:
         self._pair = pair
         self._config = config
-        # None for the default engine (legacy numpy paths, untouched);
-        # otherwise the canonical backend suite serves the hot kernels
-        # and the delta-ring lattice runs through the fused cluster
-        # kernel instead of the Python-side workspace machinery.
-        self._kernels = get_kernels(config.backend, config.precision)
-        self._estimator = KSGEstimator(
-            k=config.k, use_digamma_table=config.use_digamma_table, kernels=self._kernels
-        )
+        self._estimator = KSGEstimator(k=config.k, use_digamma_table=config.use_digamma_table)
         self._cache: "OrderedDict[WindowKey, WindowScore]" = OrderedDict()
         self._cache_capacity = config.cache_capacity
         # Per-delay workspace LRU: delay -> (span_lo, span_hi, workspace).
@@ -247,8 +236,7 @@ class BatchScorer:
         the ring's O(u^2) broadcasts instead of paying O(m^2) each.
         """
         if (
-            self._kernels is None
-            and self._config.workspace_cache_size > 0
+            self._config.workspace_cache_size > 0
             and self._estimator.resolved_backend(window.size) == "bruteforce"
         ):
             entry = self._workspaces.get(window.delay)
@@ -330,9 +318,6 @@ class BatchScorer:
         out: List[Optional[WindowScore]],
     ) -> None:
         """Score one same-delay cluster through a shared workspace."""
-        if self._kernels is not None:
-            self._score_cluster_kernels(windows, cluster, out)
-            return
         lo = min(windows[i].start for i in cluster)
         hi = max(windows[i].end for i in cluster)
         delay = windows[cluster[0]].delay
@@ -366,79 +351,6 @@ class BatchScorer:
                 xw, yw, knn, k, digamma_table=table, sorted_x=sorted_x, sorted_y=sorted_y
             )
             out[i] = self._finish(w, mi, xw, yw, sorted_x=sorted_x, sorted_y=sorted_y)
-
-    def _score_cluster_kernels(
-        self,
-        windows: Sequence[TimeDelayWindow],
-        cluster: List[int],
-        out: List[Optional[WindowScore]],
-    ) -> None:
-        """Score one same-delay cluster through the fused backend kernel.
-
-        One ``cluster_counts`` call computes every window's k-NN radii
-        and marginal counts directly from the raw union slices -- no
-        O(u^2) distance workspace is materialized -- and the digamma
-        reduction stays in numpy (see ``KSGEstimator.mi_from_counts``),
-        so scores are bit-identical to the scalar backend path.  Cache
-        bookkeeping mirrors the workspace path: repeated windows inside
-        one batch count as cache hits, not evaluations.
-        """
-        kernels = self._kernels
-        assert kernels is not None
-        delay = windows[cluster[0]].delay
-        lo = min(windows[i].start for i in cluster)
-        hi = max(windows[i].end for i in cluster)
-        px = self._pair.x
-        py = self._pair.y
-        x_union = px[lo : hi + 1]
-        y_union = py[lo + delay : hi + delay + 1]
-        base_k = self._estimator.k
-        pending: List[Tuple[int, TimeDelayWindow, int]] = []
-        deferred: List[Tuple[int, WindowKey]] = []
-        pending_keys: Set[WindowKey] = set()
-        for i in cluster:
-            w = windows[i]
-            key = w.key()
-            hit = self._cache_get(key)
-            if hit is not None:
-                self.cache_hits += 1
-                out[i] = hit
-            elif key in pending_keys:
-                deferred.append((i, key))
-            else:
-                pending_keys.add(key)
-                size = w.end - w.start + 1
-                k = base_k if size > base_k else size - 1  # == effective_k(size)
-                pending.append((i, w, k))
-        if pending:
-            offsets = np.array([w.start - lo for _, w, _ in pending], dtype=np.int64)
-            sizes = np.array([w.size for _, w, _ in pending], dtype=np.int64)
-            ks = np.array([k for _, _, k in pending], dtype=np.int64)
-            n_x, n_y = kernels.cluster_counts(x_union, y_union, offsets, sizes, ks)
-            table = (
-                shared_digamma_table().kernel_view(int(sizes.max()))
-                if self._config.use_digamma_table
-                else None
-            )
-            pos = 0
-            for i, w, k in pending:
-                size = w.size
-                mi = self._estimator.mi_from_counts(
-                    n_x[pos : pos + size],
-                    n_y[pos : pos + size],
-                    k,
-                    size,
-                    digamma_table=table,
-                )
-                pos += size
-                xw = px[w.start : w.end + 1]
-                yw = py[w.start + delay : w.end + delay + 1]
-                out[i] = self._finish(w, mi, xw, yw)
-        for i, key in deferred:
-            hit = self._cache_get(key)
-            assert hit is not None
-            self.cache_hits += 1
-            out[i] = hit
 
     def _finish(
         self,
@@ -500,7 +412,6 @@ class IncrementalScorer(BatchScorer):
             k=config.k,
             use_digamma_table=config.use_digamma_table,
             use_sorted_marginals=config.use_sorted_marginals,
-            kernels=self._kernels,
         )
         self._base: Optional[TimeDelayWindow] = None
         self._trajectory_delay: Optional[int] = None

@@ -20,10 +20,6 @@ quantify statistical dependence between two windows of time series data:
   every estimator draws from (the only sanctioned scipy digamma call site).
 * :mod:`repro.mi.kdtree` -- the k-d tree neighbor backend the paper's
   Lemma-2 analysis invokes (Bentley 1975).
-* :mod:`repro.mi.backends` -- optional compiled (numba) kernel backend
-  behind the bit-exactness gate, selected via
-  :func:`repro.mi.backends.dispatch.get_kernels`; the numba import is
-  lazy, so the default numpy path never pays for the accelerator.
 * :mod:`repro.mi.histogram` / :mod:`repro.mi.kde` -- the classical MI
   estimators the paper's Section 3.1 compares KSG against.
 """

@@ -76,6 +76,11 @@ class DigammaTable:
         ``prefix(n)[i - 1]`` for any ``1 <= i <= n``.  This is the shape
         :meth:`repro.mi.ksg.KSGEstimator.mi_from_geometry` accepts as its
         ``digamma_table`` argument.
+
+        Workspaces hold the returned array across many calls, so it is a
+        C-contiguous read-only float64 array that is never mutated: growth
+        allocates a fresh array and rebinds the table, leaving every
+        array handed out earlier valid for the ``n`` it was sized for.
         """
         if n > self._table.size:
             grown = self._table.size
@@ -83,27 +88,6 @@ class DigammaTable:
                 grown *= 2
             self._table = _evaluate(grown)
         return self._table
-
-    def kernel_view(self, n: int) -> FloatArray:
-        """A stable, contiguous, read-only view for kernel hand-off.
-
-        Backend kernels hold the returned array across many calls, so
-        its guarantees are part of the dispatch contract:
-
-        * contiguous C-order float64, read-only (``writeable`` false) --
-          nothing needs to be copied per kernel call;
-        * *stable under growth*: :meth:`prefix` growth allocates a fresh
-          array and rebinds ``self._table``, so an array handed out here
-          is never reallocated or mutated afterwards.  A scorer that
-          received a view mid-search keeps indexing valid ``digamma``
-          values for every ``i <= n`` it was sized for, even if the
-          shared table has since doubled.
-        """
-        table = self.prefix(n)
-        # _evaluate() already returns a C-contiguous read-only array;
-        # assert rather than copy so the no-copy guarantee is machine-checked.
-        assert table.flags["C_CONTIGUOUS"] and not table.flags.writeable
-        return table
 
     def value(self, n: int) -> float:
         """``digamma(n)`` for a positive integer ``n``."""

@@ -35,7 +35,7 @@ the same formula.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -43,9 +43,6 @@ from repro import contracts
 from repro.mi.digamma import shared_digamma_table
 from repro.mi.ksg import KSGEstimator
 from repro.mi.neighbors import KnnResult, MarginalIndex
-
-if TYPE_CHECKING:
-    from repro.mi.backends.dispatch import KernelSet
 
 __all__ = ["SlidingKSG"]
 
@@ -77,12 +74,6 @@ class SlidingKSG:
             table (exact scipy values; off only for benchmark ablations).
         use_sorted_marginals: maintain sorted x/y projections incrementally
             (Lemmas 5/6) instead of re-sorting both on every :meth:`mi`.
-        kernels: optional backend kernel suite
-            (:func:`repro.mi.backends.dispatch.get_kernels`); routes the
-            estimator's marginal counts through the backend.  The
-            neighbor-set maintenance itself stays on the legacy numpy
-            path -- its state is path-dependent, so a compiled rewrite
-            could not be gated on bit-equality window by window.
 
     Attributes:
         full_searches: number of from-scratch k-NN searches performed
@@ -97,14 +88,12 @@ class SlidingKSG:
         algorithm: int = 2,
         use_digamma_table: bool = True,
         use_sorted_marginals: bool = True,
-        kernels: Optional["KernelSet"] = None,
     ) -> None:
         self._estimator = KSGEstimator(
             k=k,
             algorithm=algorithm,
             backend="bruteforce",
             use_digamma_table=use_digamma_table,
-            kernels=kernels,
         )
         self.k = k
         self.algorithm = algorithm

@@ -20,8 +20,8 @@ values; callers that need a dependence score should clamp (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -34,9 +34,6 @@ from repro.mi.neighbors import (
     chebyshev_knn_grid,
     marginal_counts,
 )
-
-if TYPE_CHECKING:
-    from repro.mi.backends.dispatch import KernelSet
 
 __all__ = ["KSGEstimator", "ksg_mi"]
 
@@ -61,20 +58,12 @@ class KSGEstimator:
             scipy per estimate.  Table entries are exact scipy evaluations,
             so this never changes an estimate; the switch exists only so
             benchmarks can measure the table against direct calls.
-        kernels: optional resolved backend kernel suite
-            (:func:`repro.mi.backends.dispatch.get_kernels`).  When set,
-            whole-window estimates use the fused canonical kernels and
-            marginal counts route through the kernel suite; counts and
-            radii semantics are unchanged (canonical selection equals the
-            legacy selection wherever distances are tie-free).  ``None``
-            (the default) keeps the legacy vectorized paths untouched.
     """
 
     k: int = 4
     algorithm: int = 2
     backend: str = "auto"
     use_digamma_table: bool = True
-    kernels: Optional["KernelSet"] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.k < 1:
@@ -93,7 +82,7 @@ class KSGEstimator:
     def _knn(self, x: FloatArray, y: FloatArray, k: int) -> KnnResult:
         backend = self.resolved_backend(x.size)
         if backend == "grid":
-            return chebyshev_knn_grid(x, y, k, kernels=self.kernels)
+            return chebyshev_knn_grid(x, y, k)
         if backend == "kdtree":
             from repro.mi.kdtree import chebyshev_knn_kdtree
 
@@ -129,15 +118,6 @@ class KSGEstimator:
         if contracts.checks_enabled():
             contracts.check_series_shape(x, y, where="KSGEstimator.mi")
         k = self.effective_k(m)
-        if (
-            self.kernels is not None
-            and self.algorithm == 2
-            and self.resolved_backend(m) == "bruteforce"
-        ):
-            # Fused canonical kernel: k-NN radii and marginal counts in
-            # one pass, no O(m^2) workspace materialized in Python.
-            n_x, n_y = self.kernels.window_counts(x, y, k)
-            return self.mi_from_counts(n_x, n_y, k, m)
         knn = self._knn(x, y, k)
         return self.mi_from_geometry(x, y, knn, k)
 
@@ -176,23 +156,12 @@ class KSGEstimator:
             sorted_y: same for ``y``.
         """
         if self.algorithm == 2:
-            n_x = self._marginal(x, knn.eps_x, False, sorted_x)
-            n_y = self._marginal(y, knn.eps_y, False, sorted_y)
+            n_x = marginal_counts(x, knn.eps_x, strict=False, presorted=sorted_x)
+            n_y = marginal_counts(y, knn.eps_y, strict=False, presorted=sorted_y)
         else:
-            n_x = self._marginal(x, knn.kth_distance, True, sorted_x)
-            n_y = self._marginal(y, knn.kth_distance, True, sorted_y)
+            n_x = marginal_counts(x, knn.kth_distance, strict=True, presorted=sorted_x)
+            n_y = marginal_counts(y, knn.kth_distance, strict=True, presorted=sorted_y)
         return self.mi_from_counts(n_x, n_y, k, x.size, digamma_table=digamma_table)
-
-    def _marginal(
-        self,
-        values: FloatArray,
-        radii: FloatArray,
-        strict: bool,
-        presorted: Optional[FloatArray],
-    ) -> IntArray:
-        if self.kernels is not None:
-            return self.kernels.marginal(values, radii, strict, presorted)
-        return marginal_counts(values, radii, strict=strict, presorted=presorted)
 
     def mi_from_counts(
         self,
@@ -203,11 +172,6 @@ class KSGEstimator:
         digamma_table: Optional[FloatArray] = None,
     ) -> float:
         """Finish an MI estimate from raw marginal strip counts.
-
-        The digamma gather and the pairwise-sum reduction stay in numpy
-        regardless of the active kernel backend: the kernels emit only
-        exact integer counts, so the floating-point summation order --
-        and hence the estimate -- is bit-identical across engines.
 
         ``n_x``/``n_y`` are raw :func:`marginal_counts` outputs for the
         algorithm configured on this estimator (loose radii counts for

@@ -21,14 +21,11 @@ Marginal counts are computed with sorted projections and binary search
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from repro._types import AnyArray, FloatArray, IntArray
-
-if TYPE_CHECKING:
-    from repro.mi.backends.dispatch import KernelSet
 
 __all__ = [
     "KnnResult",
@@ -207,22 +204,13 @@ class PairDistanceWorkspace:
         sel_y = self._order_y[(self._order_y >= offset) & (self._order_y < hi)]
         return self._x[sel_x], self._y[sel_y]
 
-    def knn(
-        self, offset: int, m: int, k: int, kernels: Optional["KernelSet"] = None
-    ) -> KnnResult:
+    def knn(self, offset: int, m: int, k: int) -> KnnResult:
         """k-NN geometry of the ``m``-sample window at ``offset`` in the union.
 
         Args:
             offset: index of the window's first sample within the union.
             m: window size (``offset + m <= size``).
             k: number of neighbors (``1 <= k < m``).
-            kernels: optional backend kernel suite
-                (:func:`repro.mi.backends.dispatch.get_kernels`); routes
-                the single-gather top-k through the canonical backend
-                kernel.  Distances, radii and -- on tie-free inputs --
-                the selected neighbor sets match the legacy path; only
-                the tie resolution and the row order of ``indices``
-                become the canonical (lexicographic, ascending) ones.
 
         Returns:
             The same :class:`KnnResult` :func:`chebyshev_knn_bruteforce`
@@ -242,9 +230,6 @@ class PairDistanceWorkspace:
         # identical tie resolution), and one broadcast gather + one max
         # replace three of each.
         sub = np.ascontiguousarray(self._full[:, sel, sel])
-        if kernels is not None:
-            kth, eps_x, eps_y, indices = kernels.topk(sub[0], sub[1], sub[2], k)
-            return KnnResult(kth_distance=kth, eps_x=eps_x, eps_y=eps_y, indices=indices)
         neighbor_idx = sub[0].argpartition(k - 1, axis=1)[:, :k]
         gathered = sub[:, self._rows[:m], neighbor_idx].max(axis=2)
         return KnnResult(
@@ -358,21 +343,10 @@ class GridIndex:
         return best_idx, best_dist
 
 
-def chebyshev_knn_grid(
-    x: AnyArray, y: AnyArray, k: int, kernels: Optional["KernelSet"] = None
-) -> KnnResult:
-    """Grid-index based k-NN search; same contract as the brute-force backend.
-
-    With a backend kernel suite the whole ring search runs inside the
-    canonical ``grid_knn`` kernel (one call for all points instead of a
-    Python loop over buckets); distances, radii and tie-free neighbor
-    sets match the legacy path.
-    """
+def chebyshev_knn_grid(x: AnyArray, y: AnyArray, k: int) -> KnnResult:
+    """Grid-index based k-NN search; same contract as the brute-force backend."""
     x, y = _validate_xy(x, y, k)
     m = x.size
-    if kernels is not None:
-        kth, eps_x, eps_y, indices = kernels.grid_knn(x, y, k)
-        return KnnResult(kth_distance=kth, eps_x=eps_x, eps_y=eps_y, indices=indices)
     index = GridIndex(x, y)
     kth_distance = np.empty(m)
     eps_x = np.empty(m)

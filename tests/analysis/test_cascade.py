@@ -11,13 +11,8 @@ the plain scan exactly.
 import numpy as np
 import pytest
 
-from repro.analysis.cascade import (
-    cascade_scan,
-    coarse_nmi_score,
-    fft_screen_score,
-    main,
-)
-from repro.analysis.pairwise import prefilter_score, scan_pairs
+from repro.analysis.cascade import cascade_scan, fft_screen_score, main
+from repro.analysis.pairwise import scan_pairs
 from repro.core.config import TycosConfig
 
 
@@ -106,6 +101,23 @@ class TestCounterAccounting:
         assert f"{report.pairs_screened} pairs screened" in text
         assert f"{report.pairs_pruned_fft} pruned by the FFT screen" in text
 
+    def test_pruned_pairs_are_not_credited_to_a_pre_filter(self, rng):
+        # Four series, only a/b coupled: the screens prune the other pairs,
+        # and the ledger line is the report's only account of them.
+        n = 240
+        base = np.cumsum(rng.normal(size=n))
+        series = {
+            "a": base + rng.normal(scale=0.1, size=n),
+            "b": np.roll(base, 4) + rng.normal(scale=0.1, size=n),
+            "c": rng.normal(size=n),
+            "d": rng.normal(size=n),
+        }
+        report = cascade_scan(series, _config(), screen_window=120)
+        assert len(report.skipped) == 5
+        text = report.to_text()
+        assert "pre-filter" not in text
+        assert f"{report.pairs_pruned_fft} pruned by the FFT screen" in text
+
     def test_explicit_pairs_and_margin_zero(self, collection):
         pairs = [("noise0", "noise1"), ("coupled0", "coupled1")]
         report = cascade_scan(
@@ -170,11 +182,6 @@ class TestScreens:
         report = cascade_scan(series, config, screen_window=50)
         assert report.skipped == []
         assert report.pairs_searched == 1
-
-    def test_prefilter_score_wraps_coarse_nmi(self, rng):
-        x = np.cumsum(rng.normal(size=400))
-        y = np.roll(x, 3) + rng.normal(scale=0.1, size=400)
-        assert prefilter_score(x, y, td_max=4) == coarse_nmi_score(x, y, td_max=4)
 
 
 class TestCli:

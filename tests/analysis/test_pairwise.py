@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.analysis.pairwise import prefilter_score, scan_pairs
+from repro.analysis.cascade import coarse_nmi_score
+from repro.analysis.pairwise import scan_pairs
 from repro.core.config import TycosConfig
 
 
@@ -66,13 +67,6 @@ class TestScanPairs:
         with pytest.raises(ValueError, match="share a length"):
             scan_pairs(series, _config())
 
-    def test_prefilter_skips_noise_pairs(self, sensor_collection):
-        report = scan_pairs(sensor_collection, _config(), prefilter_threshold=0.3)
-        skipped = {frozenset(p) for p in report.skipped}
-        assert frozenset(("c", "d")) in skipped
-        # The coupled pair survives the pre-filter.
-        assert any({f.source, f.target} == {"a", "b"} for f in report.findings)
-
     def test_report_rendering(self, sensor_collection):
         report = scan_pairs(sensor_collection, _config(), pairs=[("a", "b")])
         text = report.to_text()
@@ -85,41 +79,26 @@ class TestScanPairs:
 
 
 class TestPrefilter:
-    def test_emits_deprecation_warning(self, rng):
-        x = rng.normal(size=300)
-        y = rng.normal(size=300)
-        with pytest.warns(DeprecationWarning, match="coarse_nmi_score"):
-            prefilter_score(x, y)
-
-    def test_internal_prefiltering_does_not_warn(self, rng, recwarn):
-        # scan_pairs' own pre-filtering calls coarse_nmi_score directly;
-        # only the deprecated public alias warns.
-        series = {"a": rng.normal(size=200), "b": rng.normal(size=200)}
-        config = TycosConfig(
-            sigma=0.5, s_min=24, s_max=48, td_max=2, jitter=1e-6, seed=1,
-            significance_permutations=0,
-        )
-        scan_pairs(series, config, prefilter_threshold=0.9)
-        assert not [w for w in recwarn if w.category is DeprecationWarning]
+    """The coarse-NMI score the cascade pre-filters pairs with."""
 
     def test_related_scores_higher(self, rng):
         x = rng.uniform(0, 1, 400)
         related = x + 0.05 * rng.normal(size=400)
         unrelated = rng.uniform(0, 1, 400)
-        assert prefilter_score(x, related) > prefilter_score(x, unrelated)
+        assert coarse_nmi_score(x, related) > coarse_nmi_score(x, unrelated)
 
     def test_lagged_coupling_needs_delay_probes(self, rng):
         x = rng.uniform(0, 1, 400)
         y = np.empty(400)
         y[6:] = x[:-6]
         y[:6] = rng.uniform(0, 1, 6)
-        assert prefilter_score(x, y, td_max=0) < 0.2
-        assert prefilter_score(x, y, td_max=8) > 0.5
+        assert coarse_nmi_score(x, y, td_max=0) < 0.2
+        assert coarse_nmi_score(x, y, td_max=8) > 0.5
 
     def test_short_series_handled(self, rng):
         x = rng.normal(size=30)
         y = rng.normal(size=30)
-        assert prefilter_score(x, y, probe=128) >= 0.0
+        assert coarse_nmi_score(x, y, probe=128) >= 0.0
 
     def test_tiny_series_scores_zero(self, rng):
-        assert prefilter_score(rng.normal(size=4), rng.normal(size=4)) == 0.0
+        assert coarse_nmi_score(rng.normal(size=4), rng.normal(size=4)) == 0.0

@@ -2,8 +2,8 @@
 
 The contract under test: for any worker count, transport, and chunking,
 ``scan_pairs(..., n_jobs=N)`` returns a report byte-identical to the
-serial scan -- findings, skipped pairs, and failures, each in submission
-order -- and one poisoned pair never aborts the scan.
+serial scan -- findings and failures, each in submission order -- and
+one poisoned pair never aborts the scan.
 """
 
 import numpy as np
@@ -39,19 +39,18 @@ def collection():
 
 @pytest.fixture(scope="module")
 def serial_report(collection):
-    return scan_pairs(collection, _config(), prefilter_threshold=0.05)
+    return scan_pairs(collection, _config())
 
 
 class TestParallelDeterminism:
     def test_two_workers_match_serial(self, collection, serial_report):
-        parallel = scan_pairs(collection, _config(), prefilter_threshold=0.05, n_jobs=2)
+        parallel = scan_pairs(collection, _config(), n_jobs=2)
         assert _snapshot(parallel) == _snapshot(serial_report)
 
     def test_pickle_transport_matches_serial(self, collection, serial_report):
         parallel = scan_pairs_parallel(
             collection,
             _config(),
-            prefilter_threshold=0.05,
             n_jobs=2,
             use_shared_memory=False,
             force_parallel=True,
@@ -62,7 +61,6 @@ class TestParallelDeterminism:
         parallel = scan_pairs_parallel(
             collection,
             _config(),
-            prefilter_threshold=0.05,
             n_jobs=2,
             chunk_size=1,
             force_parallel=True,
@@ -123,7 +121,7 @@ class TestNJobsHandling:
             resolve_n_jobs(-2)
 
     def test_n_jobs_one_is_the_serial_path(self, collection, serial_report):
-        report = scan_pairs(collection, _config(), prefilter_threshold=0.05, n_jobs=1)
+        report = scan_pairs(collection, _config(), n_jobs=1)
         assert _snapshot(report) == _snapshot(serial_report)
 
     def test_empty_pair_list(self, collection):
@@ -152,13 +150,12 @@ class TestNJobsHandling:
         report = scan_pairs_parallel(
             collection,
             _config(),
-            prefilter_threshold=0.05,
             pairs=pairs,
             n_jobs=6,
             force_parallel=True,
         )
         assert recorded == [2]
-        serial = scan_pairs(collection, _config(), prefilter_threshold=0.05, pairs=pairs)
+        serial = scan_pairs(collection, _config(), pairs=pairs)
         assert _snapshot(report) == _snapshot(serial)
 
     def test_single_pair_with_many_workers_runs_serially(self, collection, monkeypatch):
@@ -171,9 +168,9 @@ class TestNJobsHandling:
         monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", fail)
         pairs = [("a", "b")]
         report = scan_pairs_parallel(
-            collection, _config(), prefilter_threshold=0.05, pairs=pairs, n_jobs=4
+            collection, _config(), pairs=pairs, n_jobs=4
         )
-        serial = scan_pairs(collection, _config(), prefilter_threshold=0.05, pairs=pairs)
+        serial = scan_pairs(collection, _config(), pairs=pairs)
         assert _snapshot(report) == _snapshot(serial)
 
 
@@ -212,7 +209,7 @@ class TestOneCoreSerialFallback:
         self._one_core(monkeypatch)
         with caplog.at_level("WARNING", logger="repro.analysis.parallel"):
             report = scan_pairs_parallel(
-                collection, _config(), prefilter_threshold=0.05, n_jobs=2
+                collection, _config(), n_jobs=2
             )
         assert _snapshot(report) == _snapshot(serial_report)
         assert any("1-core host" in note for note in report.notes)

@@ -46,30 +46,30 @@ def test_prefix_is_read_only():
         table.prefix(4)[0] = 0.0
 
 
-def test_kernel_view_contract():
+def test_prefix_contract():
     table = DigammaTable(initial=8)
-    view = table.kernel_view(8)
+    view = table.prefix(8)
     assert view.flags["C_CONTIGUOUS"]
     assert not view.flags.writeable
     assert np.array_equal(view[:8], scipy_digamma(np.arange(1.0, 9.0)))
 
 
-def test_kernel_view_survives_growth_unmutated():
-    """Growth never invalidates or mutates views already handed out.
+def test_prefix_survives_growth_unmutated():
+    """Growth never invalidates or mutates arrays already handed out.
 
-    A backend kernel holds its digamma view across many scorer calls; if
-    ``prefix`` growth reallocated in place, that view would dangle or
+    A distance workspace holds its digamma prefix across many scorer
+    calls; if growth reallocated in place, that array would dangle or
     silently change values.  Growth must instead rebind a fresh array,
     leaving the old one intact byte for byte.
     """
     table = DigammaTable(initial=8)
-    view = table.kernel_view(8)
+    view = table.prefix(8)
     snapshot = view.copy()
     table.prefix(10_000)  # forces several doublings
     assert table.size >= 10_000
-    assert np.array_equal(view, snapshot)  # old view: same values
+    assert np.array_equal(view, snapshot)  # old array: same values
     assert not view.flags.writeable  # ...and still read-only
-    grown = table.kernel_view(10_000)
+    grown = table.prefix(10_000)
     assert grown is not view  # growth rebound, not resized
     assert np.array_equal(grown[: view.size], snapshot)
 

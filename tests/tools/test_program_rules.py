@@ -388,71 +388,6 @@ class TestTY114:
 
 
 # --------------------------------------------------------------------- #
-# TY115 numba / backend-internal confinement
-
-
-class TestTY115:
-    def test_fires_on_numba_imports_outside_backends(self, tmp_path):
-        found = lint_tree(
-            tmp_path,
-            {
-                "src/repro/core/fast.py": "import numba\n" + ALL_EXPORTS,
-                "src/repro/mi/jit.py": "from numba import njit\n" + ALL_EXPORTS,
-            },
-            ["TY115"],
-        )
-        assert [v.code for v in found] == ["TY115", "TY115"]
-        messages = " ".join(v.message for v in found)
-        assert "BACKEND_MODULES" in messages
-
-    def test_fires_on_backend_internal_imports(self, tmp_path):
-        found = lint_tree(
-            tmp_path,
-            {
-                "src/repro/core/a.py": "import repro.mi.backends.numba_backend\n"
-                + ALL_EXPORTS,
-                "src/repro/core/b.py": "from repro.mi.backends._kernels import make_topk_block\n"
-                + ALL_EXPORTS,
-                "src/repro/core/c.py": "from repro.mi.backends import numba_backend\n"
-                + ALL_EXPORTS,
-            },
-            ["TY115"],
-        )
-        assert [v.code for v in found] == ["TY115", "TY115", "TY115"]
-        messages = " ".join(v.message for v in found)
-        assert "dispatch.get_kernels" in messages
-
-    def test_silent_in_registered_backend_modules_and_on_dispatch_use(self, tmp_path):
-        found = lint_tree(
-            tmp_path,
-            {
-                # The registered backend modules own the numba import and
-                # the kernel internals.
-                "src/repro/mi/backends/numba_backend.py": "import numba\n" + ALL_EXPORTS,
-                "src/repro/mi/backends/dispatch.py": """
-                    from repro.mi.backends import _kernels
-
-                    def get_kernels(backend):
-                        return _kernels
-                    __all__ = ["get_kernels"]
-                    """,
-                # Consumers go through the dispatch doorway: sanctioned.
-                "src/repro/core/thresholds.py": """
-                    from repro.mi.backends.dispatch import get_kernels
-
-                    def scorer():
-                        return get_kernels("auto")
-                    __all__ = ["scorer"]
-                    """,
-                # Tests may exercise internals directly.
-                "tests/mi/test_backends.py": "from numba import njit\n",
-            },
-            ["TY115"],
-        )
-        assert found == []
-
-
-# --------------------------------------------------------------------- #
 # TY116 mmap / store-file confinement
 
 

@@ -264,8 +264,8 @@ def test_ty008_allows_plain_reshape_and_plain_mean():
 
 ALL_CODES = [
     "TY001", "TY002", "TY003", "TY004", "TY005", "TY006", "TY007", "TY008",
-    "TY101", "TY102", "TY103", "TY111", "TY112", "TY113", "TY114", "TY115",
-    "TY116", "TY117", "TY121",
+    "TY101", "TY102", "TY103", "TY111", "TY112", "TY113", "TY114", "TY116",
+    "TY117", "TY121",
 ]
 
 

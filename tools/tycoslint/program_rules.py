@@ -15,12 +15,6 @@ built by pass 1, so they can see relationships no single AST contains:
   sort kind; environment reads at import time freeze configuration
   before tests/CLIs can set it; wall-clock calls inside report-building
   modules make two byte-identical runs serialize differently.
-* **TY115 backend confinement** -- ``numba`` imports and compiled-kernel
-  internals only belong to the modules registered in
-  :data:`~tools.tycoslint.registry.BACKEND_MODULES`; everything else
-  selects an engine through ``repro.mi.backends.dispatch.get_kernels``,
-  which keeps the optional dependency optional and the bit-exactness
-  gate the single doorway to compiled code.
 * **TY120s gate coverage** -- every module registered as a fast path in
   :data:`~tools.tycoslint.registry.FAST_PATH_GATES` owes the repository
   a test that imports it and asserts equality against its reference.
@@ -39,7 +33,6 @@ from typing import Iterator, List, Optional, Set, Tuple
 from tools.tycoslint.engine import ProjectRule, Violation, register
 from tools.tycoslint.project import ModuleInfo, ProjectModel
 from tools.tycoslint.registry import (
-    BACKEND_MODULES,
     CACHE_MODULES,
     FAST_PATH_GATES,
     PARALLEL_MODULES,
@@ -59,7 +52,6 @@ __all__ = [
     "UnstableArgsortRule",
     "ImportTimeEnvReadRule",
     "WallClockInReportRule",
-    "NumbaOutsideBackendsRule",
     "MmapOutsideStoreRule",
     "PlanConstructionOutsidePlannerRule",
     "MissingExactnessGateRule",
@@ -626,83 +618,6 @@ class WallClockInReportRule(ProjectRule):
                         "search layer if needed)",
                         path,
                     )
-
-
-@register
-class NumbaOutsideBackendsRule(ProjectRule):
-    """TY115: numba and compiled-kernel internals only in backend modules.
-
-    ``numba`` is an *optional* dependency: the library must import, run,
-    and produce identical results without it.  That only holds when the
-    import lives behind the lazy probe in
-    ``repro.mi.backends.dispatch`` -- a direct ``import numba`` anywhere
-    else turns the accelerator into a hard requirement.  The compiled
-    internals (``repro.mi.backends.numba_backend``,
-    ``repro.mi.backends._kernels``) are likewise off-limits outside the
-    modules registered in ``registry.BACKEND_MODULES``: consumers select
-    an engine through ``dispatch.get_kernels``, which is where warm-up,
-    fallback, and the bit-exactness contract are enforced.
-    """
-
-    code = "TY115"
-    name = "numba-outside-backends"
-    description = "numba import or backend internals outside registered backend modules"
-
-    #: Backend internals nothing outside BACKEND_MODULES may import.
-    _internal_modules = frozenset(
-        {"repro.mi.backends.numba_backend", "repro.mi.backends._kernels"}
-    )
-
-    def check_project(self, project: ProjectModel) -> Iterator[Violation]:
-        for info in project.modules.values():
-            if not _repro_module(info) or info.name in BACKEND_MODULES:
-                continue
-            path = _path_of(info)
-            for node in ast.walk(info.tree):
-                if isinstance(node, ast.Import):
-                    for alias in node.names:
-                        if alias.name.split(".")[0] == "numba":
-                            yield self.violation(
-                                node,
-                                f"imports {alias.name}; numba is optional and "
-                                "belongs to the modules in "
-                                "tools.tycoslint.registry.BACKEND_MODULES "
-                                "(select kernels via dispatch.get_kernels)",
-                                path,
-                            )
-                        elif alias.name in self._internal_modules:
-                            yield self.violation(
-                                node,
-                                f"imports backend internals {alias.name}; "
-                                "consumers select an engine through "
-                                "repro.mi.backends.dispatch.get_kernels",
-                                path,
-                            )
-                elif isinstance(node, ast.ImportFrom):
-                    module = node.module or ""
-                    if module.split(".")[0] == "numba":
-                        yield self.violation(
-                            node,
-                            f"imports from {module}; numba is optional and "
-                            "belongs to the modules in "
-                            "tools.tycoslint.registry.BACKEND_MODULES "
-                            "(select kernels via dispatch.get_kernels)",
-                            path,
-                        )
-                    elif module in self._internal_modules or (
-                        module == "repro.mi.backends"
-                        and any(
-                            f"{module}.{alias.name}" in self._internal_modules
-                            for alias in node.names
-                        )
-                    ):
-                        yield self.violation(
-                            node,
-                            f"imports backend internals from {module}; "
-                            "consumers select an engine through "
-                            "repro.mi.backends.dispatch.get_kernels",
-                            path,
-                        )
 
 
 @register

@@ -25,11 +25,6 @@ Registering a module is a claim with obligations:
   test module that imports it and asserts equality.  The mapped string
   names the reference the gate compares against (documentation, shown in
   the violation message).
-* ``BACKEND_MODULES`` -- the modules allowed to import ``numba`` and to
-  host compiled-kernel internals (TY115).  Everything else selects an
-  engine through ``repro.mi.backends.dispatch.get_kernels`` only, so the
-  optional dependency stays optional and the bit-exactness gate stays
-  the single doorway to compiled code.
 * ``STORE_MODULES`` -- the modules allowed to open memory maps and to
   spell the series-store file names (TY116).  Mmap lifetimes are easy to
   leak and the store manifest is a format contract, so both get a single
@@ -57,7 +52,6 @@ __all__ = [
     "REPORT_MODULES",
     "FAST_PATH_GATES",
     "POOL_SPAWNERS",
-    "BACKEND_MODULES",
     "STORE_MODULES",
     "STORE_FILENAMES",
     "PLANNER_MODULES",
@@ -79,15 +73,6 @@ CACHE_MODULES: FrozenSet[str] = frozenset(
         # _WORKER_STATE: the per-worker attachment registry, repopulated
         # from scratch by every pool initializer.
         "repro.analysis.parallel",
-        # _KERNEL_CACHE / _NUMBA_MODULE: append-only memos of the resolved
-        # kernel set per (backend, precision) and of the numba import
-        # probe; every entry is deterministic from the installed
-        # environment, so a worker re-resolving after fork gets an
-        # identical answer.
-        "repro.mi.backends.dispatch",
-        # _COMPILED: the one-time njit compilation memo; recompiling in a
-        # worker yields the same machine code for the same kernels.
-        "repro.mi.backends.numba_backend",
     }
 )
 
@@ -118,8 +103,6 @@ FAST_PATH_GATES: Dict[str, str] = {
     "repro.analysis.parallel": "the serial pairwise scan",
     "repro.analysis.segmented": "the sequential reference stitcher",
     "repro.analysis.multiscale": "the exhaustive full-resolution search",
-    "repro.mi.backends.dispatch": "the legacy numpy scoring paths",
-    "repro.mi.backends.numpy_backend": "interpreted canonical kernels and legacy selection",
     "repro.baselines.pearson": "the per-delay sliding_pcc loop",
     "repro.analysis.cascade": "the unscreened scan_pairs reference",
     "repro.analysis.screen_state": "the per-pair fft_screen_score reference",
@@ -129,20 +112,6 @@ FAST_PATH_GATES: Dict[str, str] = {
 #: Callables whose invocation marks "a pool has been spawned" for TY103.
 POOL_SPAWNERS: FrozenSet[str] = frozenset(
     {"ProcessPoolExecutor", "Pool", "pooled_map", "scan_pairs_parallel"}
-)
-
-#: Modules allowed to import ``numba`` or compiled-kernel internals
-#: (``repro.mi.backends.numba_backend`` / ``._kernels``).  TY115 confines
-#: the optional dependency here; everything else obtains kernels through
-#: ``repro.mi.backends.dispatch.get_kernels``.
-BACKEND_MODULES: FrozenSet[str] = frozenset(
-    {
-        "repro.mi.backends",
-        "repro.mi.backends.dispatch",
-        "repro.mi.backends.numba_backend",
-        "repro.mi.backends.numpy_backend",
-        "repro.mi.backends._kernels",
-    }
 )
 
 #: Modules allowed to open memory maps and to spell the store file names

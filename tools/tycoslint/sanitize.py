@@ -29,7 +29,6 @@ Usage::
     python -m tools.tycoslint.sanitize --smoke           # CI gate
     python -m tools.tycoslint.sanitize                   # full workload
     python -m tools.tycoslint.sanitize --smoke --inject  # must FAIL
-    python -m tools.tycoslint.sanitize --smoke --backend numba
 """
 
 from __future__ import annotations
@@ -88,9 +87,7 @@ def _make_series(length: int, seed: int) -> Dict[str, Any]:
     return {"a": x, "b": y, "c": noise}
 
 
-def _make_config(
-    seed: int, backend: str = "numpy", precision: str = "float64"
-) -> Any:
+def _make_config(seed: int) -> Any:
     from repro.core.config import TycosConfig
 
     return TycosConfig(
@@ -102,8 +99,6 @@ def _make_config(
         init_delay_step=1,
         significance_permutations=10,
         seed=seed,
-        backend=backend,
-        precision=precision,
     )
 
 
@@ -113,8 +108,6 @@ def build_payload(
     n_segments: int,
     n_jobs: int,
     inject: bool,
-    backend: str = "numpy",
-    precision: str = "float64",
 ) -> Dict[str, Any]:
     """Run the pinned workload and distill a canonical, clock-free payload.
 
@@ -126,21 +119,13 @@ def build_payload(
     from repro.analysis.segmented import search_segmented
 
     series = _make_series(length, seed)
-    config = _make_config(seed=3, backend=backend, precision=precision)
+    config = _make_config(seed=3)
     # n_jobs is deliberately NOT recorded: like PYTHONHASHSEED it is a
     # knob the report must not depend on.  n_segments stays because it
-    # legitimately shapes the result (see module docstring); so do
-    # backend/precision -- the matrix runs one engine, all its variants
-    # must agree, and the params name which engine that was.
+    # legitimately shapes the result (see module docstring).
     payload: Dict[str, Any] = {
         "format": FORMAT,
-        "params": {
-            "length": length,
-            "seed": seed,
-            "n_segments": n_segments,
-            "backend": backend,
-            "precision": precision,
-        },
+        "params": {"length": length, "seed": seed, "n_segments": n_segments},
     }
     if inject:
         # Artificial nondeterminism: list() over a set of strings follows
@@ -240,8 +225,6 @@ def _run_child(
     n_jobs: int,
     hashseed: str,
     inject: bool,
-    backend: str,
-    precision: str,
 ) -> None:
     command = [
         sys.executable,
@@ -258,10 +241,6 @@ def _run_child(
         str(n_segments),
         "--n-jobs",
         str(n_jobs),
-        "--backend",
-        backend,
-        "--precision",
-        precision,
     ]
     if inject:
         command.append("--inject")
@@ -279,26 +258,18 @@ def run_matrix(
     seed: int,
     inject: bool,
     work_dir: Path,
-    backend: str = "numpy",
-    precision: str = "float64",
 ) -> Tuple[bool, List[str]]:
     """Run every variant; returns ``(ok, human-readable problem lines)``.
 
     Byte-compares payloads within each ``n_segments`` class, and the
-    scan section (segment-independent) across every variant.  The whole
-    matrix runs one ``backend``/``precision`` engine: determinism must
-    hold *per engine*, so CI drives the sanitizer once per backend of
-    interest rather than diffing engines against each other.
+    scan section (segment-independent) across every variant.
     """
     problems: List[str] = []
     payloads: Dict[Tuple[int, str, int], bytes] = {}
     for n_segments in SEGMENT_CLASSES:
         for hashseed, n_jobs in VARIANTS:
             out = work_dir / f"report-s{n_segments}-h{hashseed}-j{n_jobs}.json"
-            _run_child(
-                out, length, seed, n_segments, n_jobs, hashseed, inject,
-                backend, precision,
-            )
+            _run_child(out, length, seed, n_segments, n_jobs, hashseed, inject)
             payloads[(n_segments, hashseed, n_jobs)] = out.read_bytes()
 
     for n_segments in SEGMENT_CLASSES:
@@ -358,19 +329,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         default=None,
         help="write the per-variant payloads here (kept for inspection)",
     )
-    parser.add_argument(
-        "--backend",
-        choices=["auto", "numpy", "numba"],
-        default="numpy",
-        help="kernel engine the whole matrix runs under (determinism is "
-        "checked per engine; default: numpy)",
-    )
-    parser.add_argument(
-        "--precision",
-        choices=["float64", "float32"],
-        default="float64",
-        help="kernel precision tier the whole matrix runs under",
-    )
     # Internal: single-variant child mode.
     parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     parser.add_argument("--out", default=None, help=argparse.SUPPRESS)
@@ -386,13 +344,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if options.out is None:
             parser.error("--worker requires --out")
         payload = build_payload(
-            length,
-            options.seed,
-            options.n_segments,
-            options.n_jobs,
-            options.inject,
-            backend=options.backend,
-            precision=options.precision,
+            length, options.seed, options.n_segments, options.n_jobs, options.inject
         )
         Path(options.out).write_bytes(canonical_bytes(payload))
         return 0
@@ -402,18 +354,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(
             f"sanitize: {total} variants, length={length}, "
             f"segment classes {SEGMENT_CLASSES}, "
-            f"hashseed/n_jobs {VARIANTS}, "
-            f"backend={options.backend}/{options.precision}"
+            f"hashseed/n_jobs {VARIANTS}"
             + (" [INJECTED NONDETERMINISM]" if options.inject else "")
         )
-        ok, problems = run_matrix(
-            length,
-            options.seed,
-            options.inject,
-            work_dir,
-            backend=options.backend,
-            precision=options.precision,
-        )
+        ok, problems = run_matrix(length, options.seed, options.inject, work_dir)
         if ok:
             print("sanitize: all reports byte-identical within their class")
             return 0
