@@ -19,14 +19,16 @@ Runs a battery of pinned-seed benchmarks and emits one JSON document:
   ablation must return the same windows and MI values; only the time
   may change.
 * **segmented** -- one long pair searched whole, then with its timeline
-  sharded into overlapping segments: the sequential reference stitcher
-  and the process-pool path at the same segment count.  Every parallel
-  row must reproduce its sequential reference byte-exactly (windows, MI
-  floats, and order) before its speedup is reported -- the n_segments=2
-  row doubles as a worker-pickling canary in CI smoke runs.
-* **multiscale** -- the PR-5 coarse-to-fine search on a pinned AR(1)
-  pair with long planted delayed-copy episodes, exhaustive first and
-  then per ``coarse_factor``.  Every multiscale row must recover 100%
+  sharded into overlapping segments (``SearchPlan(segments=K)``): the
+  sequential reference stitcher and the process-pool path at the same
+  segment count.  Every parallel row must reproduce its sequential
+  reference byte-exactly (windows, MI floats, and order) before its
+  speedup is reported -- the n_segments=2 row doubles as a
+  worker-pickling canary in CI smoke runs.
+* **multiscale** -- the coarse-to-fine search
+  (``SearchPlan(coarse=F)``) on a pinned AR(1) pair with long planted
+  delayed-copy episodes, exhaustive first and then per coarse factor
+  F.  Every multiscale row must recover 100%
   of the exhaustive search's windows at bit-identical MI/NMI floats
   *before* its pruning ratio or speedup is reported, and the largest
   factor must cut ``full_windows_evaluated`` by at least the section's
@@ -51,25 +53,13 @@ Runs a battery of pinned-seed benchmarks and emits one JSON document:
   and the screen phase must cost less than the search phase.  A
   recall, accounting, or throughput regression fails the benchmark
   instead of flattering it.
-* **planner** -- the PR-10 execution-planner section: every plan shape
-  (plain, segmented, coarse-to-fine, and the composed
-  coarse-inside-each-segment strategy) executed through
-  ``execute_plan`` on a pinned episodic pair.  Parity is asserted
-  before any timing is recorded: the plain/segmented/coarse rows must
-  be byte-identical to their legacy wrapper counterparts
-  (``Tycos.search`` with the equivalent arguments), and the composed
-  row must be byte-identical to its sequential definition (each
-  segment span searched coarse-to-fine by a jitter-free segment
-  engine, merged by the planner's stitcher).  The timings are
-  single-run and advisory -- the regression reference is the gate row,
-  and the plan-driven throughput floor lives in the cascade_stage3
-  section.
 * **cascade_stage3** -- the PR-10 plan-driven cascade refinement: an
   episodic-coupling collection (couplings planted as long delayed-copy
   episodes at pinned positions, so the FFT screen catches the coupled
   pairs while the quiet stretches between episodes are exactly what a
   coarse pre-pass prunes) scanned by ``cascade_scan`` twice -- stage 3
-  plain (the PR-9 behavior) and stage 3 through ``plan="coarse=8"``.
+  plain (the default) and stage 3 through
+  ``plan=SearchPlan(coarse=8)``.
   The correlated-pair sets must be identical before any timing is
   reported, and the multiscale stage 3 must beat the plain stage 3's
   search phase by the section's ``min_speedup_required`` (both runs
@@ -109,27 +99,15 @@ import numpy as np
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
 from repro.analysis.cascade import cascade_scan, fft_screen_score  # noqa: E402
-from repro.analysis.multiscale import search_multiscale  # noqa: E402
 from repro.analysis.pairwise import scan_pairs  # noqa: E402
-from repro.analysis.planner import (  # noqa: E402
-    _segment_engine,
-    _stitch,
-    composed_plan,
-    execute_plan,
-    multiscale_plan,
-    plain_plan,
-    segmented_plan,
-)
+from repro.analysis.planner import SearchPlan, execute_plan  # noqa: E402
 from repro.analysis.screen_state import (  # noqa: E402
     ScreenGeometry,
     batched_screen_scores,
     build_screen_states,
 )
-from repro.analysis.segmented import search_segmented  # noqa: E402
 from repro.core.config import TycosConfig  # noqa: E402
-from repro.core.segmentation import segment_spans  # noqa: E402
 from repro.core.tycos import Tycos, tycos_lm, tycos_lmn  # noqa: E402
-from repro.core.window import PairView  # noqa: E402
 from repro.mi.digamma import digamma_direct, shared_digamma_table  # noqa: E402
 from repro.mi.ksg import KSGEstimator  # noqa: E402
 from repro.mi.neighbors import (  # noqa: E402
@@ -232,7 +210,14 @@ def make_multiscale_pair(seed: int) -> Tuple[np.ndarray, np.ndarray]:
     would be *below* a coarse level's resolution by construction -- that
     boundary is documented, not benchmarked.
     """
-    return make_episode_pair(_MULTISCALE_LENGTH, _MULTISCALE_EPISODES, seed)
+    rng = np.random.default_rng(seed)
+    x = _ar1_walk(rng, _MULTISCALE_LENGTH)
+    y = _ar1_walk(rng, _MULTISCALE_LENGTH)
+    for start, ep_length, delay in _MULTISCALE_EPISODES:
+        y[start + delay : start + delay + ep_length] = (
+            x[start : start + ep_length] + 0.2 * rng.normal(size=ep_length)
+        )
+    return x, y
 
 
 def _ar1_walk(rng: np.random.Generator, n: int, phi: float = 0.9) -> np.ndarray:
@@ -244,25 +229,6 @@ def _ar1_walk(rng: np.random.Generator, n: int, phi: float = 0.9) -> np.ndarray:
         acc = phi * acc + shocks[i]
         out[i] = acc
     return out
-
-
-def make_episode_pair(
-    length: int, episodes: List[Tuple[int, int, int]], seed: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """An AR(1) pair with ``(start, length, delay)`` episodes planted in y.
-
-    The parameterized form of :func:`make_multiscale_pair`: the planner
-    section runs it at full size in full mode and on a shorter pinned
-    layout in smoke mode.
-    """
-    rng = np.random.default_rng(seed)
-    x = _ar1_walk(rng, length)
-    y = _ar1_walk(rng, length)
-    for start, ep_length, delay in episodes:
-        y[start + delay : start + delay + ep_length] = (
-            x[start : start + ep_length] + 0.2 * rng.normal(size=ep_length)
-        )
-    return x, y
 
 
 def make_episodic_collection(
@@ -589,7 +555,9 @@ def bench_segmented(
     for n_segments, n_jobs in rows:
         def run() -> None:
             box.append(
-                search_segmented(x, y, config, n_segments=n_segments, n_jobs=n_jobs)
+                execute_plan(
+                    x, y, config, plan=SearchPlan(segments=n_segments), n_jobs=n_jobs
+                )
             )
 
         seconds = best_of(repeats, run)
@@ -631,7 +599,7 @@ def bench_multiscale(
     """Coarse-to-fine search vs exhaustive: recall parity asserted first.
 
     The pinned pair is searched exhaustively once, then once per
-    ``coarse_factor``.  Each multiscale row is accepted only if it
+    coarse factor.  Each multiscale row is accepted only if it
     recovers every exhaustive window at bit-identical (MI, NMI) floats;
     only then are its pruning ratio and speedup recorded.  The largest
     factor must additionally cut ``full_windows_evaluated`` by at least
@@ -678,7 +646,7 @@ def bench_multiscale(
     for factor in factors:
 
         def run() -> None:
-            box.append(search_multiscale(x, y, engine=engine, coarse_factor=factor))
+            box.append(execute_plan(x, y, engine=engine, plan=SearchPlan(coarse=factor)))
 
         seconds = best_of(repeats, run)
         result = box[-1]
@@ -924,113 +892,6 @@ def bench_cascade(
     }
 
 
-def bench_planner(
-    length: int,
-    episodes: List[Tuple[int, int, int]],
-    use_noise: bool,
-    seed: int,
-) -> Dict[str, Any]:
-    """Every plan shape through ``execute_plan``: parity gated, then timed.
-
-    Each row asserts its correctness contract before its wall clock is
-    recorded: the plain, segmented, and coarse rows must reproduce the
-    legacy wrapper (``Tycos.search`` with the equivalent arguments)
-    byte-exactly -- same windows, MI/NMI floats, and order -- and the
-    composed ``segments=4,coarse=8`` row must reproduce its sequential
-    definition: the timeline sharded into spans, every span searched
-    coarse-to-fine by a jitter-free segment engine, the per-span
-    results merged by the planner's stitcher.  The timings are
-    single-run and advisory (the regression reference is the gate row);
-    what this section attests is that routing every strategy through
-    one plan executor costs nothing in correctness.
-    """
-    config = TycosConfig(
-        sigma=0.75,
-        s_min=32,
-        s_max=96,
-        td_max=8,
-        jitter=1e-6,
-        seed=3,
-        init_delay_step=1,
-        coarse_sigma_ratio=0.85,
-    )
-    engine = (tycos_lmn if use_noise else tycos_lm)(config)
-    x, y = make_episode_pair(length, episodes, seed)
-
-    def snapshot(result: Any) -> List[Tuple[Any, float, float]]:
-        return [(r.window, r.mi, r.nmi) for r in result.windows]
-
-    out: Dict[str, Any] = {
-        "series_length": length,
-        "episodes": len(episodes),
-        "variant": "lmn" if use_noise else "lm",
-    }
-
-    wrapper_rows: List[Tuple[str, Any, Callable[[], Any]]] = [
-        ("plain", plain_plan(), lambda: engine.search(x, y)),
-        (
-            "segments=4",
-            segmented_plan(4),
-            lambda: engine.search(x, y, n_segments=4),
-        ),
-        (
-            "coarse=8",
-            multiscale_plan(8),
-            lambda: engine.search(x, y, coarse_factor=8),
-        ),
-    ]
-    for label, plan, legacy in wrapper_rows:
-        reference = legacy()
-        start = time.perf_counter()
-        planned = execute_plan(x, y, engine=engine, plan=plan)
-        seconds = time.perf_counter() - start
-        if snapshot(planned) != snapshot(reference):
-            raise AssertionError(
-                f"plan {label!r} diverged from its legacy wrapper"
-            )
-        if planned.stats.plan != plan.spec():
-            raise AssertionError(
-                f"plan {label!r} recorded stats.plan={planned.stats.plan!r}"
-            )
-        out[label] = {
-            "fingerprint": plan.fingerprint(),
-            "seconds": round(seconds, 4),
-            "windows": len(planned.windows),
-            "windows_evaluated": planned.stats.windows_evaluated,
-            "identical_to_wrapper": True,  # asserted above
-        }
-
-    # -- composed: coarse-to-fine inside each segment ------------------- #
-    plan = composed_plan(4, 8)
-    start = time.perf_counter()
-    composed = execute_plan(x, y, engine=engine, plan=plan)
-    seconds = time.perf_counter() - start
-    pair = PairView(x, y, jitter=config.jitter, seed=config.seed)
-    spans = segment_spans(pair.n, 4, config.segment_overlap())
-    seg_engine = _segment_engine(engine)
-    per_segment = [
-        execute_plan(
-            pair.x[lo:hi], pair.y[lo:hi], engine=seg_engine, plan=multiscale_plan(8)
-        )
-        for lo, hi in spans
-    ]
-    reference = _stitch(engine, pair, spans, per_segment, started=0.0)
-    if snapshot(composed) != snapshot(reference):
-        raise AssertionError(
-            "composed plan diverged from its sequential definition"
-        )
-    out["segments=4,coarse=8"] = {
-        "fingerprint": plan.fingerprint(),
-        "seconds": round(seconds, 4),
-        "windows": len(composed.windows),
-        "windows_evaluated": composed.stats.windows_evaluated,
-        "coarse_windows_evaluated": composed.stats.coarse_windows_evaluated,
-        "cells_pruned": composed.stats.cells_pruned,
-        "identical_to_sequential_definition": True,  # asserted above
-    }
-    return out
-
-
 def bench_cascade_stage3(
     n_series: int,
     length: int,
@@ -1047,7 +908,7 @@ def bench_cascade_stage3(
     (``n_jobs=1``, so the speedup is pruning, not parallelism): once
     with the default plain stage 3 (the PR-9 behavior, byte-compatible
     by construction since ``plan=None`` changes nothing) and once with
-    stage 3 refining every survivor through ``plan="coarse=8"``.  The
+    stage 3 refining every survivor through ``SearchPlan(coarse=8)``.  The
     gates, in order: both runs' correlated-pair sets must be identical
     and non-empty, the screens must actually prune (otherwise the
     section measures nothing), the planned report must carry the plan
@@ -1076,7 +937,7 @@ def bench_cascade_stage3(
         config,
         screen_window=screen_window,
         engine=variant(config),
-        plan="coarse=8",
+        plan=SearchPlan(coarse=8),
     )
 
     plain_pairs = sorted((f.source, f.target) for f in plain.correlated())
@@ -1101,9 +962,7 @@ def bench_cascade_stage3(
             "stage-3 screens pruned nothing; the workload must leave a "
             "survivor set smaller than the collection"
         )
-    if planned.metadata.get("plan") != "coarse=8" or "plan_fingerprint" not in (
-        planned.metadata
-    ):
+    if planned.metadata.get("plan") != "coarse=8":
         raise AssertionError("planned cascade report is missing plan provenance")
 
     plain_search = plain.phase_seconds.get("search", 0.0)
@@ -1125,7 +984,6 @@ def bench_cascade_stage3(
         "correlated_pairs": len(plain_pairs),
         "identical_pair_sets": True,  # asserted above
         "plan": planned.metadata["plan"],
-        "plan_fingerprint": planned.metadata["plan_fingerprint"],
         "plain_stage3": {
             "search_seconds": round(plain_search, 4),
             "pairs_searched": plain.pairs_searched,
@@ -1204,11 +1062,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         # headroom against CI noise.
         cascade_series, cascade_length, cascade_window, cascade_floor = 24, 240, 120, 0.5
         cascade_coupled, cascade_speedup_floor = 3, 1.5
-        # Smoke keeps every planner parity assertion on a shorter pinned
-        # episode layout; the stage-3 floor drops to 1.2x because shorter
-        # quiet stretches leave the coarse pre-pass less to prune.
-        planner_length = 3000
-        planner_episodes = [(500, 250, 5), (2000, 260, -3)]
+        # The stage-3 floor drops to 1.2x because shorter quiet stretches
+        # leave the coarse pre-pass less to prune.
         stage3_series, stage3_length, stage3_coupled = 8, 4000, 3
         stage3_episodes = [(500, 240), (2900, 260)]
         stage3_noise, stage3_floor = True, 1.2
@@ -1225,13 +1080,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         # any screening speedup at ~1.34x -- see make_cascade_collection.)
         cascade_series, cascade_length, cascade_window, cascade_floor = 80, 400, 200, 0.70
         cascade_coupled, cascade_speedup_floor = 6, 3.0
-        # Full mode runs the planner parity rows on the multiscale
-        # section's tuned 8000-sample layout, and the stage-3 comparison
-        # on the lm variant (like the multiscale section: noise pruning
-        # already skips quiet stretches, so lmn understates what the
-        # coarse pre-pass buys an exhaustive stage 3).
-        planner_length = _MULTISCALE_LENGTH
-        planner_episodes = list(_MULTISCALE_EPISODES)
+        # Full mode runs the stage-3 comparison on the lm variant (like
+        # the multiscale section: noise pruning already skips quiet
+        # stretches, so lmn understates what the coarse pre-pass buys an
+        # exhaustive stage 3).
         stage3_series, stage3_length, stage3_coupled = 10, 8000, 3
         stage3_episodes = [(1200, 300), (4200, 280), (6800, 320)]
         stage3_noise, stage3_floor = False, 1.5
@@ -1285,13 +1137,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             args.seed,
             n_coupled=cascade_coupled,
         ),
-        # Both PR-10 sections pin their workload seeds (not --seed): the
-        # parity and pair-set assertions document behavior on *these*
-        # tuned layouts, and a different draw would change what the
-        # committed numbers attest to.
-        "planner": bench_planner(
-            planner_length, planner_episodes, use_noise=True, seed=11
-        ),
+        # The stage-3 section pins its workload seed (not --seed): the
+        # pair-set assertion documents behavior on *this* tuned layout,
+        # and a different draw would change what the committed numbers
+        # attest to.
         "cascade_stage3": bench_cascade_stage3(
             stage3_series,
             stage3_length,
@@ -1323,10 +1172,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             "scan, full counter accounting, the FFT-stage pruning "
             "floor (min_prune_required), the end-to-end speedup floor "
             "(min_speedup_required), and screen_seconds < search_seconds "
-            "before its numbers are recorded.  "
-            "Planner rows assert byte-identity against the legacy "
-            "wrappers (composed: against the sequential definition) "
-            "before their single-run timings are recorded.  The "
+            "before its numbers are recorded.  The "
             "cascade_stage3 row asserts identical correlated-pair sets "
             "between the plain and plan-driven stage 3 and enforces the "
             "search-phase speedup floor (min_speedup_required) on a "

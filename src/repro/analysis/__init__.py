@@ -4,11 +4,9 @@
   (the outer loop of the paper's 72-plug energy study).
 * :mod:`repro.analysis.parallel` -- fan the pairwise scan over a process
   pool with shared-memory series transfer.
-* :mod:`repro.analysis.segmented` -- shard one pair's timeline into
-  overlapping segments searched in parallel and stitched deterministically.
-* :mod:`repro.analysis.multiscale` -- coarse-to-fine search: locate
-  structure on a PAA-downsampled level, refine only the promising cells
-  at full resolution.
+* :mod:`repro.analysis.planner` -- how one pair is searched: plain, with
+  its timeline sharded into stitched segments (``segments=K``), or
+  coarse-to-fine (``coarse=F``: locate on a PAA level, refine exactly).
 * :mod:`repro.analysis.chunked` -- chunked search over series too long for
   one in-memory pass.
 * :mod:`repro.analysis.cascade` -- all-pairs prescreen cascade (FFT +
@@ -37,9 +35,8 @@ from repro.analysis.pairwise import (
     PairwiseReport,
     scan_pairs,
 )
-from repro.analysis.multiscale import search_multiscale
 from repro.analysis.parallel import scan_pairs_parallel
-from repro.analysis.segmented import search_segmented
+from repro.analysis.planner import SearchPlan, execute_plan
 from repro.analysis.store import SeriesStore
 from repro.analysis.serialization import (
     load_result,
@@ -59,8 +56,8 @@ __all__ = [
     "coarse_nmi_score",
     "fft_screen_score",
     "SeriesStore",
-    "search_segmented",
-    "search_multiscale",
+    "SearchPlan",
+    "execute_plan",
     "search_chunked",
     "chunk_pair",
     "default_chunk_overlap",

@@ -539,16 +539,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--plan", default=None, metavar="SPEC",
-        help="execution plan of the stage-3 searches: 'plain', "
-             "'segments=K', 'coarse=F', a composition "
-             "('segments=K,coarse=F' runs coarse-to-fine inside each "
-             "segment), or 'auto' to pick from the post-screen workload "
-             "shape (default: the plain search, byte-identical to "
-             "pre-planner scans)",
+        help="execution plan of the stage-3 searches: 'plain' (the "
+             "default), 'segments=K', 'coarse=F', or 'auto' to pick from "
+             "the post-screen workload shape",
     )
     parser.add_argument(
         "--explain-plan", action="store_true",
-        help="print the chosen stage-3 plan (stages, parameters, "
+        help="print the chosen stage-3 plan (steps, parameters, "
              "rationale) without running the scan; with --plan auto the "
              "explanation is computed against the all-pairs count, since "
              "the screen has not run",
@@ -606,15 +603,13 @@ def main(argv: Optional[List[str]] = None) -> int:
             store_path = args.store
 
     if args.explain_plan:
-        from repro.analysis.planner import explain_plan, plan_from_config
+        from repro.analysis.planner import SearchPlan, explain_plan
 
         names = list(series)
         n_pairs = len(names) * (len(names) - 1) // 2
         series_len = series[names[0]].size if names else 0
         chosen = resolve_plan(args.plan, config, series_len, n_pairs, args.n_jobs)
-        if chosen is None:
-            chosen = plan_from_config(config)
-        print(explain_plan(chosen, config))
+        print(explain_plan(chosen or SearchPlan(), config))
         return 0
 
     if args.screen:

@@ -9,8 +9,9 @@ straddling a chunk boundary can be missed -- the same containment lemma
 that underwrites the in-memory segmented engine (see
 :mod:`repro.core.segmentation`); :func:`default_chunk_overlap` computes
 the safe value for a config.  For a pair that *does* fit in memory,
-prefer :mod:`repro.analysis.segmented`, which additionally runs the
-pieces in parallel and stitches with whole-series rescoring.
+prefer the ``segments=K`` plan of :mod:`repro.analysis.planner`, which
+additionally runs the pieces in parallel and stitches with whole-series
+rescoring.
 
 The chunk source is an iterator of arrays, so callers can stream from
 disk, a database cursor, or an mmap without materializing the series.

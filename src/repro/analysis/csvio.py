@@ -7,9 +7,8 @@ a full pairwise scan from the command line::
 
     tycos-search data.csv --x temperature --y consumption --sigma 0.3
     tycos-search plugs.csv --all-pairs --td-max 48 --s-max 240
-    tycos-search long.csv --x a --y b --n-segments 4 --n-jobs 4
-    tycos-search long.csv --x a --y b --coarse-factor 8 --profile
-    tycos-search long.csv --x a --y b --plan segments=4,coarse=8
+    tycos-search long.csv --x a --y b --plan segments=4 --n-jobs 4
+    tycos-search long.csv --x a --y b --plan coarse=8 --profile
     tycos-search long.csv --x a --y b --plan auto --explain-plan
 
 Only the standard library's ``csv`` module is used -- no dataframe
@@ -27,9 +26,9 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro._types import FloatArray
-from repro.analysis.pairwise import scan_pairs
+from repro.analysis.pairwise import resolve_plan, scan_pairs
 from repro.core.config import TycosConfig
-from repro.core.tycos import SearchStats, Tycos
+from repro.core.tycos import SearchStats
 
 __all__ = ["read_csv_series", "main"]
 
@@ -95,8 +94,6 @@ def _build_config(args: argparse.Namespace) -> TycosConfig:
         significance_permutations=args.permutations,
         seed=args.seed,
         init_delay_step=args.delay_step,
-        n_segments=args.n_segments,
-        coarse_factor=args.coarse_factor,
         refine_margin=args.refine_margin,
     )
 
@@ -153,25 +150,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--n-jobs", type=int, default=1,
         help="worker processes: pairs for --all-pairs, timeline segments for "
-             "--x/--y with --n-segments (-1: all cores; default: serial)",
-    )
-    parser.add_argument(
-        "--n-segments", type=int, default=1,
-        help="shard a single pair's timeline into this many overlapping "
-             "segments searched independently and stitched (default: 1)",
-    )
-    parser.add_argument(
-        "--coarse-factor", type=int, default=1,
-        help="PAA aggregation factor of the coarse-to-fine pre-pass: first "
-             "locate structure on a 1/N-resolution level, then refine only "
-             "the promising regions at full resolution (default: 1, i.e. "
-             "exhaustive; reported scores are always full-resolution)",
+             "--x/--y with --plan segments=K (-1: all cores; default: serial)",
     )
     parser.add_argument(
         "--refine-margin", type=int, default=None,
         help="full-resolution samples added around each coarse hit before "
-             "refinement (default: s_max + td_max, one maximal window "
-             "footprint)",
+             "a --plan coarse=F search refines it (default: s_max + td_max, "
+             "one maximal window footprint)",
     )
     parser.add_argument(
         "--profile", action="store_true",
@@ -180,15 +165,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--plan", default=None, metavar="SPEC",
-        help="execution plan: 'plain', 'segments=K', 'coarse=F', a "
-             "composition ('segments=K,coarse=F' runs coarse-to-fine "
-             "inside each segment; 'coarse=F,segments=K' shards the "
-             "coarse pre-pass), or 'auto' to pick from the workload "
-             "shape; overrides --n-segments/--coarse-factor",
+        help="execution plan: 'plain' (the default), 'segments=K' "
+             "(shard the timeline into K stitched segments), 'coarse=F' "
+             "(locate on a 1/F-resolution level, then refine at full "
+             "resolution), or 'auto' to pick from the workload shape",
     )
     parser.add_argument(
         "--explain-plan", action="store_true",
-        help="print the chosen plan (stages, parameters, rationale) "
+        help="print the chosen plan (steps, parameters, rationale) "
              "without running the search",
     )
     args = parser.parse_args(argv)
@@ -201,8 +185,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     config = _build_config(args)
 
     if args.explain_plan:
-        from repro.analysis.pairwise import resolve_plan
-        from repro.analysis.planner import explain_plan, plan_from_config
+        from repro.analysis.planner import SearchPlan, explain_plan
 
         if args.all_pairs:
             series = read_csv_series(args.csv)
@@ -214,9 +197,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             n_pairs = 1
             series_len = series[args.x].size
         chosen = resolve_plan(args.plan, config, series_len, n_pairs, args.n_jobs)
-        if chosen is None:
-            chosen = plan_from_config(config)
-        print(explain_plan(chosen, config))
+        print(explain_plan(chosen or SearchPlan(), config))
         return 0
 
     if args.all_pairs:
@@ -225,19 +206,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(report.to_text())
         return 0
 
-    series = read_csv_series(args.csv, columns=[args.x, args.y])
-    if args.plan is not None:
-        from repro.analysis.pairwise import resolve_plan
-        from repro.analysis.planner import execute_plan
+    from repro.analysis.planner import execute_plan
 
-        plan = resolve_plan(args.plan, config, series[args.x].size, 1, args.n_jobs)
-        result = execute_plan(
-            series[args.x], series[args.y], config, plan=plan, n_jobs=args.n_jobs
-        )
-    else:
-        result = Tycos(config).search(
-            series[args.x], series[args.y], n_jobs=args.n_jobs
-        )
+    series = read_csv_series(args.csv, columns=[args.x, args.y])
+    plan = resolve_plan(args.plan, config, series[args.x].size, 1, args.n_jobs)
+    result = execute_plan(
+        series[args.x], series[args.y], config, plan=plan, n_jobs=args.n_jobs
+    )
     segmented = f" over {result.stats.segments} segments" if result.stats.segments else ""
     coarse = (
         f", {result.stats.coarse_windows_evaluated} coarse"

@@ -39,7 +39,7 @@ from repro.experiments.reporting import format_table, title
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (planner imports
     # the parallel module, which imports this one, so the runtime imports
     # of planner names below are deferred into the functions that use them)
-    from repro.analysis.planner import ExecutionContext, SearchPlan
+    from repro.analysis.planner import SearchPlan
 
 __all__ = [
     "PairFinding",
@@ -112,8 +112,8 @@ class PairwiseReport:
     themselves -- e.g. that a parallel request was served serially on a
     single-core host -- so a scan's performance is attributable from the
     report alone.  ``metadata`` records which search plan produced the
-    findings (``plan`` / ``plan_fingerprint``) when a plan ran, and is
-    empty otherwise.
+    findings (``plan``, the plan's spec) when a plan ran, and is empty
+    otherwise.
 
     The ``pairs_*`` counters are the pruning ledger of a cascade scan
     (:func:`repro.analysis.cascade.cascade_scan`): how many pairs the
@@ -206,24 +206,18 @@ def _evaluate_pair(
     y: FloatArray,
     engine: Tycos,
     plan: Optional["SearchPlan"] = None,
-    context: Optional["ExecutionContext"] = None,
 ) -> PairFinding:
     """Search one pair and summarize its windows.
 
     Shared by the serial loop and the parallel workers so both paths apply
     the identical procedure.  Without a ``plan`` the pair runs
-    ``engine.search`` (the legacy argument-surface dispatch); with one,
-    the plan executes through
-    :func:`repro.analysis.planner.execute_plan`, reusing the scan-wide
-    ``context`` so pair-independent setup (the parsed plan, the derived
-    engines) is paid once per scan rather than once per pair.
+    ``engine.search``; with one, the plan executes through
+    :func:`repro.analysis.planner.execute_plan`.
     """
     if plan is not None:
         from repro.analysis.planner import execute_plan
 
-        result: TycosResult = execute_plan(
-            x, y, engine=engine, plan=plan, context=context
-        )
+        result: TycosResult = execute_plan(x, y, engine=engine, plan=plan)
     else:
         result = engine.search(x, y)
     best = max((r.nmi for r in result.windows), default=0.0)
@@ -245,25 +239,24 @@ def resolve_plan(
 ) -> Optional["SearchPlan"]:
     """Resolve a ``plan=`` argument to a concrete plan (or ``None``).
 
-    ``None`` passes through (the legacy ``engine.search`` dispatch); the
-    string ``"auto"`` asks :func:`repro.analysis.planner.auto_plan` to
-    pick from the workload shape; any other string is parsed as the CLI
-    plan shorthand (:func:`repro.analysis.planner.parse_plan_spec`); a
-    :class:`~repro.analysis.planner.SearchPlan` is validated and used
-    as-is.
+    ``None`` passes through (the plain ``engine.search``); the string
+    ``"auto"`` asks :func:`repro.analysis.planner.auto_plan` to pick from
+    the workload shape; any other string is parsed as the CLI plan
+    spelling (:func:`repro.analysis.planner.parse_plan_spec`); a
+    :class:`~repro.analysis.planner.SearchPlan` is used as-is.
     """
     if plan is None:
         return None
     from repro.analysis.planner import SearchPlan, auto_plan, parse_plan_spec
 
     if isinstance(plan, SearchPlan):
-        return plan.validate()
+        return plan
     if plan.strip().lower() == "auto":
         from repro.analysis.parallel import resolve_n_jobs
 
         cores = 1 if n_jobs is None or n_jobs == 1 else resolve_n_jobs(n_jobs)
         return auto_plan(series_len, n_pairs, cores, config)
-    return parse_plan_spec(plan, config)
+    return parse_plan_spec(plan)
 
 
 def scan_pairs(
@@ -297,16 +290,15 @@ def scan_pairs(
             workers then memory-map the store instead of receiving a
             shared-memory copy.  Ignored by the serial path (the views
             are already zero-copy there).
-        plan: how each pair is searched.  ``None`` (the default) runs the
-            legacy ``engine.search`` dispatch and leaves the report
-            byte-identical to pre-planner scans.  A
+        plan: how each pair is searched.  ``None`` (the default) runs
+            ``engine.search`` and leaves ``report.metadata`` empty.  A
             :class:`~repro.analysis.planner.SearchPlan` runs every pair
             through :func:`repro.analysis.planner.execute_plan`; the
             string ``"auto"`` picks a plan from the workload shape
             (:func:`repro.analysis.planner.auto_plan`) and any other
-            string is the CLI plan shorthand (e.g. ``"coarse=8"``).
-            When a plan runs, its spec and fingerprint land in
-            ``report.metadata`` (``plan`` / ``plan_fingerprint``).
+            string is the CLI plan spelling (e.g. ``"coarse=8"``).
+            When a plan runs, its spec lands in
+            ``report.metadata["plan"]``.
 
     Returns:
         A :class:`PairwiseReport` with one finding per scanned pair.  A
@@ -340,13 +332,8 @@ def scan_pairs(
         )
 
     report = PairwiseReport()
-    context: Optional["ExecutionContext"] = None
     if resolved is not None:
-        from repro.analysis.planner import ExecutionContext
-
-        context = ExecutionContext()
         report.metadata["plan"] = resolved.spec()
-        report.metadata["plan_fingerprint"] = resolved.fingerprint()
     for source, target in pair_list:
         try:
             finding = _evaluate_pair(
@@ -356,7 +343,6 @@ def scan_pairs(
                 series[target],
                 engine,
                 plan=resolved,
-                context=context,
             )
         except Exception as exc:  # noqa: BLE001 - containment is the point
             report.failures.append(

@@ -320,15 +320,6 @@ def _scan_chunk(chunk: Sequence[Tuple[int, str, str]]) -> _ChunkResult:
     series: Dict[str, FloatArray] = state["series"]
     engine: Tycos = state["engine"]
     plan = state.get("plan")
-    context = state.get("plan_context")
-    if plan is not None and context is None:
-        # One ExecutionContext per worker process, built on first use and
-        # kept in the worker-state registry so every chunk this worker
-        # scans reuses the parsed plan and its derived engines.
-        from repro.analysis.planner import ExecutionContext
-
-        context = ExecutionContext()
-        state["plan_context"] = context
     results: _ChunkResult = []
     for index, source, target in chunk:
         try:
@@ -339,7 +330,6 @@ def _scan_chunk(chunk: Sequence[Tuple[int, str, str]]) -> _ChunkResult:
                 series[target],
                 engine,
                 plan=plan,
-                context=context,
             )
         except Exception as exc:  # noqa: BLE001 - containment is the point
             failure = PairFailure(
@@ -388,12 +378,9 @@ def scan_pairs_parallel(
             attach read-only memory maps instead of receiving a copy
             (``series`` should be the same store's views).
         plan: optional :class:`~repro.analysis.planner.SearchPlan` every
-            pair executes instead of the legacy ``engine.search``
-            dispatch.  The plan ships to the workers once, at pool
-            start; each worker builds one
-            :class:`~repro.analysis.planner.ExecutionContext` and reuses
-            it across its chunks.  Results are bit-identical to the
-            serial planned scan.
+            pair executes instead of ``engine.search``.  The plan ships
+            to the workers once, at pool start.  Results are
+            bit-identical to the serial planned scan.
 
     Returns:
         A :class:`PairwiseReport` identical to the serial scan's: findings
@@ -462,7 +449,6 @@ def scan_pairs_parallel(
     report = PairwiseReport()
     if plan is not None:
         report.metadata["plan"] = plan.spec()
-        report.metadata["plan_fingerprint"] = plan.fingerprint()
     for slot in slots:
         if slot is None:  # pragma: no cover - map() either fills all or raises
             raise RuntimeError("parallel scan lost a pair result")

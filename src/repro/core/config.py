@@ -70,38 +70,24 @@ class TycosConfig:
             built per cluster, as before).  Memory per entry is
             O(u^2) float64 for the cached span, so the bound matters on
             big inputs; 8 covers a typical LAHC delay trajectory.
-        n_segments: number of timeline segments a single-pair search is
-            sharded into (:mod:`repro.analysis.segmented`).  1 (the
-            default) keeps the classic whole-series restart loop; larger
-            values split ``[0, n)`` into that many overlapping spans, run
-            an independent restart loop per span, and stitch the results
-            deterministically.  Segments can execute in parallel
-            (``Tycos.search(..., n_jobs=)``), which is the only way one
-            huge pair can use more than one core.
-        segment_margin: extra overlap between consecutive segments on top
+        segment_margin: extra overlap between consecutive segments of a
+            ``segments=K`` plan (:mod:`repro.analysis.planner`) on top
             of the ``s_max + td_max`` the containment lemma requires
             (:mod:`repro.core.segmentation`).  Defaults to ``s_min`` so
             noise probes and LAHC rings near a window's footprint keep
             some context past it.
-        coarse_factor: PAA aggregation factor of the coarse-to-fine
-            pre-pass (:mod:`repro.analysis.multiscale`).  1 (the default)
-            searches exhaustively at full resolution; larger values first
-            run the restart loop on a :mod:`repro.core.pyramid` level that
-            aggregates this many samples per cell, then refine only the
-            promising ``(region, delay band)`` cells at full resolution.
-            Reported scores are always full-resolution
-            :class:`~repro.core.thresholds.BatchScorer` values.
         refine_margin: full-resolution samples added on each side of a
-            coarse hit's footprint before refinement, absorbing coarse
+            coarse hit's footprint before a ``coarse=F`` plan
+            (:mod:`repro.analysis.planner`) refines it, absorbing coarse
             LAHC positioning error.  Defaults to ``s_max + td_max`` (one
             maximal window footprint), which empirically preserves 100%
             recall on the tracked bench; smaller values prune harder at
             some recall risk.
         coarse_sigma_ratio: fraction of ``sigma`` used as the acceptance
-            threshold of the coarse pre-pass.  Block-mean aggregation
-            dilutes MI, so the coarse pass must under-bid the final
-            threshold to avoid false dismissals; refinement re-applies the
-            full ``sigma``.
+            threshold of a ``coarse=F`` plan's locate pass.  Block-mean
+            aggregation dilutes MI, so the coarse pass must under-bid the
+            final threshold to avoid false dismissals; refinement
+            re-applies the full ``sigma``.
         delay_band: when set, restricts the search to delays in this
             inclusive ``(lo, hi)`` range (intersected with
             ``[-td_max, td_max]``).  The multiscale refinement uses it to
@@ -154,9 +140,7 @@ class TycosConfig:
     use_digamma_table: bool = True
     use_sorted_marginals: bool = True
     workspace_cache_size: int = 8
-    n_segments: int = 1
     segment_margin: Optional[int] = None
-    coarse_factor: int = 1
     refine_margin: Optional[int] = None
     coarse_sigma_ratio: float = 0.5
     delay_band: Optional[Tuple[int, int]] = None
@@ -200,12 +184,8 @@ class TycosConfig:
             raise ValueError(
                 f"workspace_cache_size must be >= 0, got {self.workspace_cache_size}"
             )
-        if self.n_segments < 1:
-            raise ValueError(f"n_segments must be >= 1, got {self.n_segments}")
         if self.segment_margin is not None and self.segment_margin < 0:
             raise ValueError(f"segment_margin must be >= 0, got {self.segment_margin}")
-        if self.coarse_factor < 1:
-            raise ValueError(f"coarse_factor must be >= 1, got {self.coarse_factor}")
         if self.refine_margin is not None and self.refine_margin < 0:
             raise ValueError(f"refine_margin must be >= 0, got {self.refine_margin}")
         if not 0 < self.coarse_sigma_ratio <= 1:

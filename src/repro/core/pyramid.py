@@ -10,8 +10,8 @@ downsampling of a jittered pair into coarse levels, plus the **exact
 coordinate mapping** that turns a coarse search hit back into a
 full-resolution search region.
 
-Every geometric claim the coarse-to-fine driver
-(:mod:`repro.analysis.multiscale`) relies on reduces to one fact, the
+Every geometric claim the coarse-to-fine search (the ``coarse=F`` plan
+of :mod:`repro.analysis.planner`) relies on reduces to one fact, the
 **pyramid containment lemma**:
 
     Coarse cell ``i`` at factor ``f`` aggregates exactly the
@@ -302,8 +302,7 @@ def coarse_config(config: TycosConfig, factor: int) -> TycosConfig:
     averaging mixture) -- the coarse pass must locate structure, not
     grade it.  Jitter is zeroed (the level was built from the already
     jittered pair) and the significance gate is disabled (the
-    full-resolution refinement re-applies it); ``coarse_factor`` is
-    reset to 1 so the pre-pass can never recurse.
+    full-resolution refinement re-applies it).
     """
     if factor < 1:
         raise ValueError(f"factor must be >= 1, got {factor}")
@@ -337,8 +336,6 @@ def coarse_config(config: TycosConfig, factor: int) -> TycosConfig:
         jitter=0.0,
         significance_permutations=0,
         init_delay_step=None if step is None else max(1, -(-step // factor)),
-        n_segments=1,
-        coarse_factor=1,
         refine_margin=None,
         delay_band=band_c,
     )

@@ -4,7 +4,8 @@ The paper scales TYCOS to *big* series, but a single long pair still runs
 one sequential restart loop.  This module supplies the geometry that lets
 one pair be sharded across cores: ``[0, n)`` is covered by ``n_segments``
 overlapping spans, an independent restart loop runs per span, and the
-results are stitched (see :mod:`repro.analysis.segmented`).
+results are stitched (the ``segments=K`` plan of
+:mod:`repro.analysis.planner`).
 
 The correctness of the sharding rests on one fact, the **containment
 lemma**:

@@ -68,24 +68,24 @@ class SearchStats:
         workspace_hits: clusters served from the per-delay workspace LRU
             (``TycosConfig.workspace_cache_size``).
         segments: timeline segments the search ran over (0 for a classic
-            unsegmented search, the span count for a segmented one; see
-            :mod:`repro.analysis.segmented`).
+            unsegmented search, the span count for a ``segments=K`` plan;
+            see :mod:`repro.analysis.planner`).
         stitch_dedups: duplicate windows dropped by the stitcher because
             two segments found the same window in an overlap zone.
         stitch_rescores: overlap-zone windows rescored on the whole
             series by the stitcher for cross-segment conflict resolution.
         coarse_windows_evaluated: windows scored on PAA-downsampled
-            levels during a coarse-to-fine pre-pass
-            (:mod:`repro.analysis.multiscale`); 0 for exhaustive search.
+            levels during the locate pass of a ``coarse=F`` plan
+            (:mod:`repro.analysis.planner`); 0 for exhaustive search.
         refined_cells: full-resolution ``(region, delay band)`` cells the
             refinement stage actually searched (after merging overlaps).
         cells_pruned: coarse timeline tiles the pre-pass ruled out, i.e.
             regions the exhaustive search would have scanned but the
-            multiscale search never touched at full resolution.
+            coarse-to-fine search never touched at full resolution.
         full_windows_evaluated: windows scored by the full-resolution
             estimator.  For exhaustive search this equals
-            ``windows_evaluated``; for multiscale it is the quantity the
-            pruning ratio is measured on.
+            ``windows_evaluated``; for a ``coarse=F`` plan it is the
+            quantity the pruning ratio is measured on.
         serial_fallback: True when a parallel request (``n_jobs > 1``)
             was served serially because the host has a single CPU and
             pool dispatch would only add overhead.
@@ -97,8 +97,8 @@ class SearchStats:
             spells the names as literals because core must not import
             the analysis layer; the planner tests pin the spellings.
         plan: compact spec of the executed
-            :class:`~repro.analysis.planner.SearchPlan` (e.g.
-            ``"segments=4,coarse=8"``), recorded by the plan executor;
+            :class:`~repro.analysis.planner.SearchPlan` (``"plain"``,
+            ``"segments=4"``, ``"coarse=8"``), recorded by the executor;
             empty for a direct ``_search_whole`` call.
         runtime_seconds: wall-clock time of the search.
     """
@@ -195,68 +195,26 @@ class Tycos:
 
     # ------------------------------------------------------------------ #
 
-    def search(
-        self,
-        x: AnyArray,
-        y: AnyArray,
-        *,
-        n_segments: Optional[int] = None,
-        n_jobs: int = 1,
-        coarse_factor: Optional[int] = None,
-        refine_margin: Optional[int] = None,
-    ) -> TycosResult:
+    def search(self, x: AnyArray, y: AnyArray) -> TycosResult:
         """Find all correlated time delay windows of a pair (Algorithm 1/2).
+
+        Runs the ``plain`` plan through
+        :func:`repro.analysis.planner.execute_plan`; pass that function a
+        :class:`~repro.analysis.planner.SearchPlan` to shard the timeline
+        (``segments=K``) or locate coarsely first (``coarse=F``).
 
         Args:
             x: first time series.
             y: second time series (same length).
-            n_segments: shard the timeline into this many overlapping
-                segments and run one independent restart loop per segment
-                (default: ``config.n_segments``).  1 is the classic
-                whole-series search; larger values change which restarts
-                are attempted (each segment rescans from its own start)
-                but never lose a feasible window to a boundary -- see the
-                containment lemma in :mod:`repro.core.segmentation`.
-            n_jobs: worker processes for the segments (``-1``: all
-                cores).  1 runs the segments sequentially in-process --
-                the reference stitcher whose output the parallel path
-                reproduces bit-exactly for every worker count.
-            coarse_factor: PAA aggregation factor of the coarse-to-fine
-                pre-pass (default: ``config.coarse_factor``).  1 searches
-                exhaustively; larger values first locate structure on a
-                downsampled level and refine only the promising cells at
-                full resolution (:mod:`repro.analysis.multiscale`).
-                Reported scores are always full-resolution.
-            refine_margin: samples added around each coarse hit before
-                refining (default: ``config.refinement_margin()``).
 
         Returns:
             A :class:`TycosResult` whose windows all score at least
             ``config.sigma`` and respect the overlap policy.
-
-        .. note::
-            Since the planner refactor this method is a thin wrapper: it
-            translates its legacy argument surface into a
-            :class:`~repro.analysis.planner.SearchPlan` (via
-            :func:`~repro.analysis.planner.plan_from_config`, which
-            reproduces the historical dispatch precedence exactly) and
-            hands execution to
-            :func:`~repro.analysis.planner.execute_plan`.  Outputs are
-            byte-identical to the pre-planner dispatch; pass a plan to
-            ``execute_plan`` directly to reach the composed strategies
-            this surface cannot spell.
         """
-        # Imported lazily: core stays importable without the analysis
-        # layer, exactly as the pre-planner strategy dispatch did.
-        from repro.analysis.planner import execute_plan, plan_from_config
+        # Imported lazily: core stays importable without the analysis layer.
+        from repro.analysis.planner import execute_plan
 
-        plan = plan_from_config(
-            self.config,
-            n_segments=n_segments,
-            coarse_factor=coarse_factor,
-            refine_margin=refine_margin,
-        )
-        return execute_plan(x, y, engine=self, plan=plan, n_jobs=n_jobs)
+        return execute_plan(x, y, engine=self)
 
     def _search_whole(
         self,
@@ -268,10 +226,10 @@ class Tycos:
 
         ``scan_hook`` lets a caller *skip* restart positions: it receives
         each prospective scan position and returns the next allowed one
-        (``None`` ends the scan).  The multiscale refinement uses it to
-        jump over coarse-pruned regions while keeping every surviving
+        (``None`` ends the scan).  The coarse-to-fine refinement uses it
+        to jump over coarse-pruned regions while keeping every surviving
         restart bit-identical to the exhaustive search's -- see
-        :mod:`repro.analysis.multiscale`.
+        :mod:`repro.analysis.planner`.
         """
         started = time.perf_counter()
         cfg = self.config

@@ -82,7 +82,7 @@ class TestCli:
         code = main([
             str(csv_file), "--x", "a", "--y", "b",
             "--sigma", "0.45", "--s-min", "20", "--s-max", "60",
-            "--td-max", "5", "--delay-step", "1", "--n-segments", "2",
+            "--td-max", "5", "--delay-step", "1", "--plan", "segments=2",
         ])
         assert code == 0
         out = capsys.readouterr().out

@@ -1,6 +1,6 @@
-"""Tests for the coarse-to-fine multiscale search.
+"""Tests for the ``coarse=F`` plan: coarse-to-fine multiscale search.
 
-The contract under test: ``coarse_factor=1`` reproduces the plain search
+The contract under test: ``coarse=1`` reproduces the plain search
 byte-exactly; with a real factor on the seeded bench-style workload the
 search recovers 100% of the plain search's findings at bit-identical
 scores while evaluating fewer full-resolution windows; and the stats
@@ -11,7 +11,7 @@ accounts for both stages.
 import numpy as np
 import pytest
 
-from repro.analysis.multiscale import _cell_scan_hook, search_multiscale
+from repro.analysis.planner import SearchPlan, _cell_scan_hook, execute_plan
 from repro.core.config import TycosConfig
 from repro.core.pyramid import RefinementCell
 from repro.core.tycos import Tycos, tycos_lm, tycos_lmn
@@ -64,6 +64,10 @@ def _signature(result):
     return [(r.window.key(), r.mi, r.nmi) for r in result.windows]
 
 
+def _coarse(x, y, engine, factor):
+    return execute_plan(x, y, engine=engine, plan=SearchPlan(coarse=factor))
+
+
 class TestFactorOneBypass:
     def test_factor_one_reproduces_plain_search_byte_exactly(self):
         rng = np.random.default_rng(2)
@@ -75,18 +79,10 @@ class TestFactorOneBypass:
         cfg = _config(sigma=0.3, s_min=8, s_max=60, td_max=6, significance_permutations=5)
         engine = tycos_lmn(cfg)
         plain = engine.search(x, y)
-        via_search = Tycos(cfg).search(x, y, coarse_factor=1)
-        direct = search_multiscale(x, y, engine=engine, coarse_factor=1)
-        assert _signature(via_search) == _signature(plain)
+        direct = _coarse(x, y, engine, 1)
         assert _signature(direct) == _signature(plain)
         assert direct.stats.windows_evaluated == plain.stats.windows_evaluated
         assert direct.stats.coarse_windows_evaluated == 0
-
-    def test_config_coarse_factor_dispatches_from_search(self):
-        x, y = _episode_pair(n=2000, episodes=((600, 250, 5),))
-        cfg = _config(coarse_factor=8)
-        result = Tycos(cfg, use_noise=False).search(x, y)
-        assert result.stats.coarse_windows_evaluated > 0
 
 
 class TestRecallParity:
@@ -104,7 +100,7 @@ class TestRecallParity:
     @pytest.mark.parametrize("factor", [2, 4, 8])
     def test_default_margin_recovers_every_plain_window(self, pair, plain, factor):
         engine = tycos_lmn(_config())
-        ms = search_multiscale(*pair, engine=engine, coarse_factor=factor)
+        ms = _coarse(*pair, engine, factor)
         plain_scores = {r.window.key(): (r.mi, r.nmi) for r in plain.windows}
         ms_scores = {r.window.key(): (r.mi, r.nmi) for r in ms.windows}
         missing = sorted(set(plain_scores) - set(ms_scores))
@@ -121,7 +117,7 @@ class TestRecallParity:
         )
 
     def test_factor_8_actually_prunes(self, pair, plain):
-        ms = search_multiscale(*pair, engine=tycos_lmn(_config()), coarse_factor=8)
+        ms = _coarse(*pair, tycos_lmn(_config()), 8)
         assert ms.stats.cells_pruned > 0
         assert ms.stats.full_windows_evaluated < plain.stats.full_windows_evaluated
 
@@ -131,7 +127,7 @@ class TestRecallParity:
         pruning upside (no noise theory to skip quiet stretches)."""
         engine = tycos_lm(_config())
         plain = engine.search(*pair)
-        ms = search_multiscale(*pair, engine=engine, coarse_factor=8)
+        ms = _coarse(*pair, engine, 8)
         assert {r.window.key() for r in plain.windows} == {
             r.window.key() for r in ms.windows
         }
@@ -148,7 +144,7 @@ class TestRecallParity:
 class TestStatsLedger:
     def test_ledger_accounts_for_both_stages(self):
         x, y = _episode_pair(n=3000, episodes=((800, 250, 5), (2100, 240, -3)))
-        ms = search_multiscale(x, y, engine=tycos_lmn(_config()), coarse_factor=8)
+        ms = _coarse(x, y, tycos_lmn(_config()), 8)
         s = ms.stats
         assert s.coarse_windows_evaluated > 0
         assert s.refined_cells >= 1
@@ -162,18 +158,18 @@ class TestStatsLedger:
         x, y = rng.normal(size=60), rng.normal(size=60)
         cfg = _config(sigma=0.3, s_min=8, s_max=40, td_max=4)
         plain = Tycos(cfg, use_noise=False).search(x, y)
-        ms = search_multiscale(x, y, engine=Tycos(cfg, use_noise=False), coarse_factor=8)
+        ms = _coarse(x, y, Tycos(cfg, use_noise=False), 8)
         assert _signature(ms) == _signature(plain)
         assert ms.stats.coarse_windows_evaluated == 0
 
     def test_validation(self):
         x = np.zeros(100)
-        with pytest.raises(ValueError, match="coarse_factor"):
-            search_multiscale(x, x, _config(), coarse_factor=0)
+        with pytest.raises(ValueError, match="coarse"):
+            SearchPlan(coarse=0)
         with pytest.raises(ValueError, match="refine_margin"):
-            search_multiscale(x, x, _config(), coarse_factor=2, refine_margin=-1)
+            _config(refine_margin=-1)
         with pytest.raises(ValueError, match="config or an engine"):
-            search_multiscale(x, x)
+            execute_plan(x, x, plan=SearchPlan(coarse=2))
 
 
 class TestScanHook:

@@ -1,17 +1,14 @@
 """Tests for the execution planner.
 
-The contracts under test: the plan grammar accepts exactly the five
-strategy shapes and rejects malformed stage sequences; plans round-trip
-through pickle and the versioned JSON form with stable fingerprints; the
-legacy entry points (``Tycos.search`` with ``n_segments`` /
-``coarse_factor``) are byte-identical to executing the equivalent
-explicit plan; the composed plan (coarse-to-fine inside each segment)
-equals its sequential definition; ``auto_plan`` picks the documented
-strategy at each workload boundary; and the per-stage provenance
-(canonical phase names, plan spec, report metadata) is recorded.
+The contracts under test: a plan is one of exactly three shapes --
+``plain``, ``segments=K``, ``coarse=F`` -- and composed shapes are
+rejected; plans pickle and their spec round-trips through
+``parse_plan_spec``; ``Tycos.search`` is the plain plan, byte for byte;
+``auto_plan`` picks the documented shape at each workload boundary; and
+the per-stage provenance (canonical phase names, plan spec, report
+metadata) is recorded.
 """
 
-import json
 import pickle
 
 import numpy as np
@@ -19,31 +16,16 @@ import pytest
 
 from repro.analysis.pairwise import resolve_plan, scan_pairs
 from repro.analysis.planner import (
-    CoarsenStage,
-    ExecutionContext,
     Phase,
-    RescoreStage,
-    ScanStage,
     SearchPlan,
-    SegmentStage,
-    StitchStage,
-    _segment_engine,
-    _stitch,
     auto_plan,
-    composed_plan,
     execute_plan,
     explain_plan,
-    multiscale_plan,
     ordered_phases,
     parse_plan_spec,
-    plain_plan,
-    plan_from_config,
-    segmented_plan,
 )
 from repro.core.config import TycosConfig
-from repro.core.segmentation import segment_spans
 from repro.core.tycos import Tycos, tycos_lmn
-from repro.core.window import PairView
 
 
 def _ar1(rng, n, phi=0.9):
@@ -89,151 +71,47 @@ def _signature(result):
 
 
 ALL_SHAPES = [
-    plain_plan(),
-    segmented_plan(4),
-    multiscale_plan(8),
-    multiscale_plan(8, n_segments=4),
-    composed_plan(4, 8),
-    multiscale_plan(8, refine_margin=64),
+    SearchPlan(),
+    SearchPlan(segments=4),
+    SearchPlan(coarse=8),
+    SearchPlan(coarse=8, reason="picked by auto_plan"),
 ]
 
 
 # --------------------------------------------------------------------- #
-# Grammar
+# Grammar: the three shapes of the record
 
 
 class TestPlanGrammar:
-    def test_builder_specs_cover_the_five_shapes(self):
-        assert plain_plan().spec() == "plain"
-        assert segmented_plan(4).spec() == "segments=4"
-        assert multiscale_plan(8).spec() == "coarse=8"
-        assert multiscale_plan(8, n_segments=4).spec() == "coarse=8,segments=4"
-        assert composed_plan(4, 8).spec() == "segments=4,coarse=8"
-
-    def test_stage_names_linearize_the_composition(self):
-        assert plain_plan().stage_names() == ["scan"]
-        assert segmented_plan(2).stage_names() == ["segment", "scan", "stitch"]
-        assert multiscale_plan(8).stage_names() == ["coarsen", "scan", "rescore"]
-        assert composed_plan(2, 8).stage_names() == [
-            "segment", "coarsen", "scan", "rescore", "stitch",
-        ]
-        assert multiscale_plan(8, n_segments=2).stage_names() == [
-            "coarsen", "segment", "scan", "stitch", "rescore",
-        ]
-
-    def test_rejects_missing_scan(self):
-        with pytest.raises(ValueError, match="exactly one scan"):
-            SearchPlan(stages=(SegmentStage(2), StitchStage())).validate()
-
-    def test_rejects_unclosed_opener(self):
-        with pytest.raises(ValueError, match="must be closed by stitch"):
-            SearchPlan(stages=(SegmentStage(2), ScanStage())).validate()
-
-    def test_rejects_mismatched_closer_order(self):
-        with pytest.raises(ValueError, match="must be closed by"):
-            SearchPlan(
-                stages=(
-                    SegmentStage(2),
-                    CoarsenStage(8),
-                    ScanStage(),
-                    StitchStage(),
-                    RescoreStage(),
-                )
-            ).validate()
-
-    def test_rejects_duplicate_opener(self):
-        with pytest.raises(ValueError, match="at most once"):
-            SearchPlan(
-                stages=(
-                    SegmentStage(2),
-                    SegmentStage(3),
-                    ScanStage(),
-                    StitchStage(),
-                    StitchStage(),
-                )
-            ).validate()
-
-    def test_rejects_trailing_stages(self):
-        with pytest.raises(ValueError, match="trailing stages"):
-            SearchPlan(stages=(ScanStage(), RescoreStage())).validate()
+    def test_specs_cover_the_three_shapes(self):
+        assert SearchPlan().spec() == "plain"
+        assert SearchPlan(segments=4).spec() == "segments=4"
+        assert SearchPlan(coarse=8).spec() == "coarse=8"
+        # A count of 1 is the plain search, whichever field carries it.
+        assert SearchPlan(segments=1, coarse=1).spec() == "plain"
+        assert SearchPlan(segments=1, coarse=8).spec() == "coarse=8"
 
     def test_stage_parameter_validation(self):
-        with pytest.raises(ValueError, match="n_segments"):
-            SegmentStage(0)
-        with pytest.raises(ValueError, match="factor"):
-            CoarsenStage(1)
-        with pytest.raises(ValueError, match="refine_margin"):
-            CoarsenStage(8, refine_margin=-1)
+        with pytest.raises(ValueError, match="segments"):
+            SearchPlan(segments=0)
+        with pytest.raises(ValueError, match="coarse"):
+            SearchPlan(coarse=0)
 
-    def test_plan_from_config_reproduces_legacy_precedence(self):
-        cfg = _config()
-        assert plan_from_config(cfg).spec() == "plain"
-        assert plan_from_config(cfg, n_segments=4).spec() == "segments=4"
-        assert plan_from_config(cfg, coarse_factor=8).spec() == "coarse=8"
-        # A real coarse factor wins; n_segments then shards the pre-pass.
-        assert (
-            plan_from_config(cfg, n_segments=4, coarse_factor=8).spec()
-            == "coarse=8,segments=4"
-        )
-        assert plan_from_config(_config(coarse_factor=8)).spec() == "coarse=8"
-        assert plan_from_config(_config(n_segments=4)).spec() == "segments=4"
-        with pytest.raises(ValueError, match="n_segments"):
-            plan_from_config(cfg, n_segments=0)
-        with pytest.raises(ValueError, match="coarse_factor"):
-            plan_from_config(cfg, coarse_factor=0)
-
-
-# --------------------------------------------------------------------- #
-# Serialization
+    def test_rejects_composed_shapes(self):
+        with pytest.raises(ValueError, match="at most one"):
+            SearchPlan(segments=2, coarse=8)
+        with pytest.raises(ValueError, match="at most one"):
+            parse_plan_spec("segments=2,coarse=8")
+        with pytest.raises(ValueError, match="at most one"):
+            parse_plan_spec("coarse=8,segments=2")
 
 
 class TestSerialization:
     @pytest.mark.parametrize("plan", ALL_SHAPES, ids=lambda p: p.spec())
-    def test_json_round_trip(self, plan):
-        clone = SearchPlan.from_json(plan.to_json())
-        assert clone == plan
-        assert clone.fingerprint() == plan.fingerprint()
-        assert clone.spec() == plan.spec()
-
-    @pytest.mark.parametrize("plan", ALL_SHAPES, ids=lambda p: p.spec())
     def test_pickle_round_trip(self, plan):
         clone = pickle.loads(pickle.dumps(plan))
         assert clone == plan
-        assert clone.fingerprint() == plan.fingerprint()
-
-    def test_payload_is_versioned_and_stable(self):
-        payload = json.loads(composed_plan(4, 8).to_json())
-        assert payload["version"] == 1
-        assert [entry["stage"] for entry in payload["stages"]] == [
-            "segment", "coarsen", "scan", "rescore", "stitch",
-        ]
-        assert payload["stages"][1] == {
-            "stage": "coarsen", "factor": 8, "refine_margin": None,
-        }
-
-    def test_fingerprint_ignores_reason_but_not_structure(self):
-        bare = multiscale_plan(8)
-        reasoned = multiscale_plan(8, reason="picked by auto_plan")
-        assert bare.fingerprint() == reasoned.fingerprint()
-        assert bare.to_json() != reasoned.to_json()
-        # Composition order is identity: segmented coarse pass and
-        # coarse-in-segment are different strategies.
-        assert (
-            multiscale_plan(8, n_segments=4).fingerprint()
-            != composed_plan(4, 8).fingerprint()
-        )
-        # An explicit margin is part of the identity.
-        assert multiscale_plan(8).fingerprint() != multiscale_plan(8, 64).fingerprint()
-
-    def test_from_json_rejects_bad_payloads(self):
-        with pytest.raises(ValueError, match="not a JSON plan"):
-            SearchPlan.from_json("{nope")
-        with pytest.raises(ValueError, match="version 1"):
-            SearchPlan.from_json('{"version": 2, "stages": []}')
-        with pytest.raises(ValueError, match="unknown plan stage tag"):
-            SearchPlan.from_json(
-                '{"version": 1, "reason": "", "stages": [{"stage": "warp"}]}'
-            )
+        assert clone.spec() == plan.spec()
 
 
 # --------------------------------------------------------------------- #
@@ -241,10 +119,7 @@ class TestSerialization:
 
 
 class TestParsePlanSpec:
-    @pytest.mark.parametrize(
-        "spec",
-        ["plain", "segments=4", "coarse=8", "coarse=8,segments=4", "segments=4,coarse=8"],
-    )
+    @pytest.mark.parametrize("spec", ["plain", "segments=4", "coarse=8"])
     def test_spec_round_trips(self, spec):
         assert parse_plan_spec(spec).spec() == spec
 
@@ -266,121 +141,28 @@ class TestParsePlanSpec:
         cfg = _config()
         assert resolve_plan(None, cfg, 6000, 3, 1) is None
         assert resolve_plan("segments=2", cfg, 6000, 3, 1).spec() == "segments=2"
-        already = composed_plan(2, 8)
+        already = SearchPlan(segments=2)
         assert resolve_plan(already, cfg, 6000, 3, 1) is already
         assert resolve_plan("auto", cfg, 6000, 3, 1).spec() == "coarse=8"
 
 
 # --------------------------------------------------------------------- #
-# Wrapper/legacy byte-equality
+# Tycos.search is the plain plan
 
 
 class TestWrapperEquivalence:
-    def _small_pair(self, n=900):
+    def test_plain_search_equals_plain_plan(self):
         rng = np.random.default_rng(2)
-        x, y = rng.uniform(0, 1, n), rng.uniform(0, 1, n)
+        x, y = rng.uniform(0, 1, 900), rng.uniform(0, 1, 900)
         seg = rng.uniform(0, 1, 80)
         x[200:280] = seg
         y[204:284] = seg + 0.01 * rng.normal(size=80)
-        return x, y
-
-    def test_plain_search_equals_plain_plan(self):
-        x, y = self._small_pair()
         cfg = _config(sigma=0.3, s_min=8, s_max=60, td_max=6)
-        engine = tycos_lmn(cfg)
-        legacy = Tycos(cfg).search(x, y, n_segments=1, coarse_factor=1)
-        planned = execute_plan(x, y, engine=engine, plan=plain_plan())
-        assert _signature(planned) == _signature(legacy)
-        assert planned.stats.plan == "plain"
-
-    def test_segmented_search_equals_segment_plan(self):
-        x, y = self._small_pair(n=1600)
-        cfg = _config(sigma=0.3, s_min=8, s_max=60, td_max=6)
-        legacy = Tycos(cfg).search(x, y, n_segments=4)
-        planned = execute_plan(x, y, cfg, plan=segmented_plan(4))
-        assert _signature(planned) == _signature(legacy)
-        assert planned.stats.plan == "segments=4"
-        assert planned.stats.segments == 4
-
-    def test_multiscale_search_equals_coarsen_plan(self):
-        x, y = _episode_pair()
-        cfg = _config()
-        legacy = Tycos(cfg).search(x, y, coarse_factor=8)
-        planned = execute_plan(x, y, cfg, plan=multiscale_plan(8))
-        assert _signature(planned) == _signature(legacy)
-        assert planned.stats.plan == "coarse=8"
-        assert planned.stats.coarse_windows_evaluated > 0
-        assert planned.stats.cells_pruned > 0
-
-    def test_config_driven_search_routes_through_same_plan(self):
-        x, y = self._small_pair(n=1600)
-        cfg = _config(sigma=0.3, s_min=8, s_max=60, td_max=6, n_segments=4)
-        via_config = Tycos(cfg).search(x, y)
-        via_plan = execute_plan(x, y, cfg, plan=plan_from_config(cfg))
-        assert _signature(via_plan) == _signature(via_config)
-
-    def test_shared_context_does_not_change_results(self):
-        x, y = _episode_pair()
-        cfg = _config()
-        engine = Tycos(cfg)
-        solo = execute_plan(x, y, engine=engine, plan=multiscale_plan(8))
-        context = ExecutionContext()
-        first = execute_plan(
-            x, y, engine=engine, plan=multiscale_plan(8), context=context
-        )
-        second = execute_plan(
-            x, y, engine=engine, plan=multiscale_plan(8), context=context
-        )
-        assert _signature(first) == _signature(solo)
-        assert _signature(second) == _signature(solo)
-
-
-# --------------------------------------------------------------------- #
-# Composition
-
-
-class TestComposedPlan:
-    def test_composed_equals_sequential_definition(self):
-        """segments=K,coarse=F is, by definition, the segment split whose
-        every span runs its own coarse-to-fine search, stitched by the
-        segmented search's stitcher."""
-        x, y = _episode_pair()
-        cfg = _config()
-        engine = Tycos(cfg)
-        composed = execute_plan(x, y, engine=engine, plan=composed_plan(4, 8))
-
-        pair = PairView(x, y, jitter=cfg.jitter, seed=cfg.seed)
-        spans = segment_spans(pair.n, 4, cfg.segment_overlap())
-        seg_engine = _segment_engine(engine)
-        per_segment = [
-            execute_plan(
-                pair.x[lo:hi], pair.y[lo:hi], engine=seg_engine, plan=multiscale_plan(8)
-            )
-            for lo, hi in spans
-        ]
-        reference = _stitch(engine, pair, spans, per_segment, started=0.0)
-        assert _signature(composed) == _signature(reference)
-
-    def test_composed_recovers_planted_episodes(self):
-        episodes = ((900, 300, 5), (3100, 280, -7), (5000, 320, -3))
-        x, y = _episode_pair(episodes=episodes)
-        cfg = _config()
-        result = execute_plan(x, y, cfg, plan=composed_plan(4, 8))
-        for start, length, delay in episodes:
-            assert any(
-                r.window.delay == delay
-                and r.window.start < start + length
-                and r.window.end > start
-                for r in result.windows
-            ), f"episode at {start} (delay {delay}) not recovered"
-
-    def test_segmented_coarse_pass_equals_legacy_combination(self):
-        x, y = _episode_pair()
-        cfg = _config()
-        legacy = Tycos(cfg).search(x, y, coarse_factor=8, n_segments=4)
-        planned = execute_plan(x, y, cfg, plan=multiscale_plan(8, n_segments=4))
-        assert _signature(planned) == _signature(legacy)
-        assert planned.stats.plan == "coarse=8,segments=4"
+        searched = Tycos(cfg).search(x, y)
+        planned = execute_plan(x, y, engine=tycos_lmn(cfg), plan=SearchPlan())
+        assert _signature(planned) == _signature(searched)
+        assert planned.stats.windows_evaluated == searched.stats.windows_evaluated
+        assert planned.stats.plan == searched.stats.plan == "plain"
 
 
 # --------------------------------------------------------------------- #
@@ -396,24 +178,15 @@ class TestAutoPlan:
     def test_long_series_one_core_gets_coarse(self):
         plan = auto_plan(6000, 10, 1, _config())
         assert plan.spec() == "coarse=8"
-        assert "core" in plan.reason
+        assert "viable 1/8 coarse level" in plan.reason
 
-    def test_spare_cores_get_composed(self):
-        plan = auto_plan(6000, 2, 4, _config())
-        assert plan.spec() == "segments=4,coarse=8"
-        assert "cannot fill" in plan.reason
+    def test_spare_cores_get_coarse(self):
+        # Fewer pairs than cores does not shard the timeline.
+        assert auto_plan(6000, 2, 4, _config()).spec() == "coarse=8"
+        assert auto_plan(60000, 1, 32, _config()).spec() == "coarse=8"
 
     def test_saturated_pool_stays_coarse(self):
-        # More pairs than cores: pair-level dispatch already fills the
-        # machine, intra-pair segmentation would only add stitch cost.
         assert auto_plan(6000, 16, 4, _config()).spec() == "coarse=8"
-
-    def test_config_coarse_factor_is_respected(self):
-        assert auto_plan(6000, 10, 1, _config(coarse_factor=4)).spec() == "coarse=4"
-
-    def test_segment_count_is_capped(self):
-        plan = auto_plan(60000, 1, 32, _config())
-        assert plan.spec() == "segments=8,coarse=8"
 
 
 # --------------------------------------------------------------------- #
@@ -424,12 +197,14 @@ class TestProvenance:
     def test_phase_names_are_canonical(self):
         x, y = _episode_pair()
         cfg = _config()
-        result = execute_plan(x, y, cfg, plan=composed_plan(2, 8))
         known = {phase.value for phase in Phase}
-        assert set(result.stats.phase_seconds) <= known
-        assert Phase.COARSE.value in result.stats.phase_seconds
-        assert Phase.REFINE.value in result.stats.phase_seconds
-        assert Phase.STITCH.value in result.stats.phase_seconds
+        coarse = execute_plan(x, y, cfg, plan=SearchPlan(coarse=8))
+        assert set(coarse.stats.phase_seconds) <= known
+        assert Phase.COARSE.value in coarse.stats.phase_seconds
+        assert Phase.REFINE.value in coarse.stats.phase_seconds
+        segmented = execute_plan(x, y, cfg, plan=SearchPlan(segments=2))
+        assert set(segmented.stats.phase_seconds) <= known
+        assert Phase.STITCH.value in segmented.stats.phase_seconds
 
     def test_ordered_phases_sorts_known_then_unknown(self):
         timings = {
@@ -454,23 +229,25 @@ class TestProvenance:
         }
         cfg = _config(sigma=0.3, s_min=8, s_max=60, td_max=6)
         baseline = scan_pairs(series, cfg)
-        assert "plan" not in baseline.metadata
+        assert baseline.metadata == {}
         planned = scan_pairs(series, cfg, plan="segments=2")
-        assert planned.metadata["plan"] == "segments=2"
-        assert planned.metadata["plan_fingerprint"] == segmented_plan(2).fingerprint()
+        assert planned.metadata == {"plan": "segments=2"}
         assert [(f.source, f.target) for f in planned.findings if f.windows] == [
             (f.source, f.target) for f in baseline.findings if f.windows
         ]
 
-    def test_explain_plan_renders_stages_and_fingerprint(self):
+    def test_explain_plan_renders_stages(self):
         cfg = _config()
-        plan = composed_plan(4, 8, reason="spare cores")
-        text = explain_plan(plan, cfg)
-        assert f"fingerprint {plan.fingerprint()}" in text
-        assert "segments=4,coarse=8" in text
-        assert "shard the timeline into 4 spans" in text
+        text = explain_plan(SearchPlan(coarse=8, reason="long series"), cfg)
+        assert "plan: coarse=8" in text
         assert "1/8 resolution" in text
-        assert "spare cores" in text
+        assert f"margin {cfg.refinement_margin()} samples" in text
+        assert "reason: long series" in text
+        text = explain_plan(SearchPlan(segments=4), cfg)
+        assert "plan: segments=4" in text
+        assert "shard the timeline into 4 spans" in text
+        assert f"overlapping by {cfg.segment_overlap()} samples" in text
+        assert "reason" not in text
 
 
 # --------------------------------------------------------------------- #
@@ -491,13 +268,10 @@ class TestCliExplainPlan:
         from repro.analysis.csvio import main
 
         csv_path = self._write_csv(tmp_path)
-        code = main(
-            [csv_path, "--x", "a", "--y", "b", "--plan", "segments=2,coarse=4",
-             "--explain-plan"]
-        )
+        code = main([csv_path, "--x", "a", "--y", "b", "--plan", "segments=2", "--explain-plan"])
         out = capsys.readouterr().out
         assert code == 0
-        assert "plan: segments=2,coarse=4" in out
+        assert "plan: segments=2" in out
         assert "scan: LAHC restart loop" in out
 
     def test_tycos_search_explain_defaults_to_config_plan(self, tmp_path, capsys):

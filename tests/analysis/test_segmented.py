@@ -1,15 +1,16 @@
-"""Tests for the segmented intra-pair search and its deterministic stitch.
+"""Tests for the ``segments=K`` plan: intra-pair search and its deterministic stitch.
 
-The contract under test: for any fixed ``n_segments`` the process-pool
+The contract under test: for any fixed segment count the process-pool
 path reproduces the sequential reference stitcher bit-exactly (same
-windows, same MI/NMI floats, same order), and ``n_segments=1`` reproduces
-the classic whole-series search exactly.
+windows, same MI/NMI floats, same order), and ``segments=1`` -- like a
+split whose one span covers the whole series -- reproduces the classic
+whole-series search exactly.
 """
 
 import numpy as np
 import pytest
 
-from repro.analysis.segmented import search_segmented
+from repro.analysis.planner import SearchPlan, execute_plan, parse_plan_spec
 from repro.core.config import TycosConfig
 from repro.core.segmentation import segment_spans
 from repro.core.tycos import Tycos
@@ -48,16 +49,27 @@ def _signature(result):
     return [(r.window.key(), r.mi, r.nmi) for r in result.windows]
 
 
+def _run_segments(x, y, config=None, *, n_segments, **kwargs):
+    return execute_plan(x, y, config, plan=SearchPlan(segments=n_segments), **kwargs)
+
+
 class TestSingleSegmentEquivalence:
     def test_n_segments_1_matches_plain_search(self, rng):
         x, y = _coupled_pair(rng)
         cfg = _config()
         plain = Tycos(cfg).search(x, y)
-        seg = search_segmented(x, y, cfg, n_segments=1)
+        # segments=1 is the plain plan itself: no split, no stitch.
+        seg = _run_segments(x, y, cfg, n_segments=1)
         assert _signature(seg) == _signature(plain)
-        assert seg.stats.segments == 1
-        assert seg.stats.stitch_dedups == 0
-        assert seg.stats.stitch_rescores == 0
+        assert seg.stats.segments == 0
+        # A split whose one span covers the whole series runs the
+        # stitcher over that span and still reproduces the plain search.
+        wide = cfg.scaled(segment_margin=x.size)
+        one_span = _run_segments(x, y, wide, n_segments=4)
+        assert _signature(one_span) == _signature(plain)
+        assert one_span.stats.segments == 1
+        assert one_span.stats.stitch_dedups == 0
+        assert one_span.stats.stitch_rescores == 0
 
 
 class TestSequentialParallelEquivalence:
@@ -65,8 +77,8 @@ class TestSequentialParallelEquivalence:
     def test_parallel_matches_sequential_reference(self, rng, n_segments):
         x, y = _coupled_pair(rng)
         cfg = _config()
-        reference = search_segmented(x, y, cfg, n_segments=n_segments, n_jobs=1)
-        parallel = search_segmented(
+        reference = _run_segments(x, y, cfg, n_segments=n_segments, n_jobs=1)
+        parallel = _run_segments(
             x, y, cfg, n_segments=n_segments, n_jobs=2, force_parallel=True
         )
         assert _signature(parallel) == _signature(reference)
@@ -77,8 +89,8 @@ class TestSequentialParallelEquivalence:
     def test_pickle_transport_matches_shared_memory(self, rng):
         x, y = _coupled_pair(rng)
         cfg = _config()
-        shm = search_segmented(x, y, cfg, n_segments=2, n_jobs=2, force_parallel=True)
-        pickled = search_segmented(
+        shm = _run_segments(x, y, cfg, n_segments=2, n_jobs=2, force_parallel=True)
+        pickled = _run_segments(
             x,
             y,
             cfg,
@@ -94,9 +106,9 @@ class TestSequentialParallelEquivalence:
 
         x, y = _coupled_pair(rng)
         cfg = _config()
-        reference = search_segmented(x, y, cfg, n_segments=3, n_jobs=1)
+        reference = _run_segments(x, y, cfg, n_segments=3, n_jobs=1)
         monkeypatch.setattr(parallel_mod.os, "cpu_count", lambda: 1)
-        fallback = search_segmented(x, y, cfg, n_segments=3, n_jobs=2)
+        fallback = _run_segments(x, y, cfg, n_segments=3, n_jobs=2)
         assert _signature(fallback) == _signature(reference)
         assert fallback.stats.serial_fallback is True
         assert reference.stats.serial_fallback is False
@@ -129,7 +141,7 @@ class TestBoundaryContainment:
         seg = rng.uniform(0, 1, 71)
         x[370:441] = seg
         y[373:444] = seg + 0.01 * rng.normal(size=71)
-        result = search_segmented(x, y, cfg, n_segments=2)
+        result = _run_segments(x, y, cfg, n_segments=2)
         found = [r.window for r in result.windows]
         assert detects(found, TimeDelayWindow(370, 440, delay=3))
 
@@ -137,7 +149,7 @@ class TestBoundaryContainment:
 class TestStitchAccounting:
     def test_stats_track_segments_and_stitch_work(self, rng):
         x, y = _coupled_pair(rng)
-        result = search_segmented(x, y, _config(), n_segments=4)
+        result = _run_segments(x, y, _config(), n_segments=4)
         assert result.stats.segments == 4
         assert result.stats.stitch_rescores >= result.stats.stitch_dedups >= 0
         assert result.stats.windows_evaluated > 0
@@ -148,52 +160,40 @@ class TestStitchAccounting:
         n = cfg.segment_overlap() - 5  # shorter than one overlap: single span
         x = rng.uniform(0, 1, n)
         y = rng.uniform(0, 1, n)
-        result = search_segmented(x, y, cfg, n_segments=8)
+        result = _run_segments(x, y, cfg, n_segments=8)
         assert result.stats.segments == 1
 
     def test_rescored_windows_have_finite_scores(self, rng):
         x, y = _coupled_pair(rng)
-        result = search_segmented(x, y, _config(), n_segments=4)
+        result = _run_segments(x, y, _config(), n_segments=4)
         for r in result.windows:
             assert np.isfinite(r.mi)
             assert np.isfinite(r.nmi)
 
 
 class TestEntryPoints:
-    def test_tycos_search_delegates_on_n_segments(self, rng):
-        x, y = _coupled_pair(rng)
-        cfg = _config()
-        direct = search_segmented(x, y, cfg, n_segments=3)
-        via_engine = Tycos(cfg).search(x, y, n_segments=3)
-        assert _signature(via_engine) == _signature(direct)
-        assert via_engine.stats.segments == direct.stats.segments
-
-    def test_config_driven_segmentation(self, rng):
-        x, y = _coupled_pair(rng)
-        cfg = _config(n_segments=3)
-        explicit = search_segmented(x, y, _config(), n_segments=3)
-        implicit = Tycos(cfg).search(x, y)
-        assert _signature(implicit) == _signature(explicit)
-
-    def test_rejects_bad_segment_count(self, rng):
-        x = rng.uniform(0, 1, 200)
-        y = rng.uniform(0, 1, 200)
-        with pytest.raises(ValueError, match="n_segments"):
-            Tycos(_config()).search(x, y, n_segments=0)
-        with pytest.raises(ValueError, match="n_segments"):
-            search_segmented(x, y, _config(), n_segments=-2)
+    def test_rejects_bad_segment_count(self):
+        with pytest.raises(ValueError, match="segments"):
+            SearchPlan(segments=0)
+        with pytest.raises(ValueError, match="segments"):
+            parse_plan_spec("segments=-2")
 
     def test_requires_config_or_engine(self, rng):
         x = rng.uniform(0, 1, 200)
         y = rng.uniform(0, 1, 200)
         with pytest.raises(ValueError, match="config or an engine"):
-            search_segmented(x, y)
+            _run_segments(x, y, n_segments=2)
 
     def test_engine_variant_flags_inherited(self, rng):
-        """A non-default engine's flags survive segmentation untouched."""
+        """A non-default engine's flags survive segmentation untouched.
+
+        The margin makes the one span cover the whole series, so the span
+        engine must reproduce the engine's own search exactly.
+        """
         x, y = _coupled_pair(rng)
-        cfg = _config()
+        cfg = _config(segment_margin=x.size)
         engine = Tycos(cfg, use_noise=False, use_incremental=False)
         reference = engine.search(x, y)
-        seg = search_segmented(x, y, engine=engine, n_segments=1)
+        seg = execute_plan(x, y, engine=engine, plan=SearchPlan(segments=2))
+        assert seg.stats.segments == 1
         assert _signature(seg) == _signature(reference)

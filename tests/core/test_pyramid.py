@@ -187,7 +187,6 @@ class TestCoarseConfig:
         assert c.td_max == 1
         assert c.jitter == 0.0
         assert c.significance_permutations == 0
-        assert c.coarse_factor == 1 and c.n_segments == 1
 
     def test_coarse_s_min_never_collapses_below_floor(self):
         """A tiny s_min / factor quotient must not let the coarse pass

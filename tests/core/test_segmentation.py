@@ -109,7 +109,5 @@ class TestConfigKnobs:
         assert config.scaled(segment_margin=25).segment_overlap() == 95
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="n_segments"):
-            TycosConfig(n_segments=0)
         with pytest.raises(ValueError, match="segment_margin"):
             TycosConfig(segment_margin=-1)

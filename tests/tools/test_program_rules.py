@@ -466,89 +466,6 @@ class TestTY116:
 
 
 # --------------------------------------------------------------------- #
-# TY117 plan construction confinement
-
-
-class TestTY117:
-    def test_fires_on_stage_and_plan_constructors_outside_planner(self, tmp_path):
-        found = lint_tree(
-            tmp_path,
-            {
-                "src/repro/analysis/adhoc.py": """
-                    from repro.analysis.planner import ScanStage, SearchPlan, SegmentStage
-
-                    def sneaky_plan():
-                        return SearchPlan(stages=(SegmentStage(4), ScanStage()))
-                    __all__ = ["sneaky_plan"]
-                    """,
-            },
-            ["TY117"],
-        )
-        assert [v.code for v in found] == ["TY117", "TY117", "TY117"]
-        messages = " ".join(v.message for v in found)
-        assert "SearchPlan" in messages and "SegmentStage" in messages
-        assert "plan_from_config" in messages
-
-    def test_fires_on_attribute_style_construction(self, tmp_path):
-        found = lint_tree(
-            tmp_path,
-            {
-                "src/repro/core/dispatch.py": """
-                    from repro.analysis import planner
-
-                    def build():
-                        return planner.CoarsenStage(8)
-                    __all__ = ["build"]
-                    """,
-            },
-            ["TY117"],
-        )
-        assert [v.code for v in found] == ["TY117"]
-        assert "CoarsenStage" in found[0].message
-
-    def test_silent_in_planner_module_builders_and_tests(self, tmp_path):
-        found = lint_tree(
-            tmp_path,
-            {
-                # The registered planner module owns the constructors.
-                "src/repro/analysis/planner.py": """
-                    class SegmentStage:
-                        def __init__(self, n_segments):
-                            self.n_segments = n_segments
-
-                    class ScanStage:
-                        pass
-
-                    class SearchPlan:
-                        def __init__(self, stages):
-                            self.stages = stages
-
-                    def segmented_plan(n_segments):
-                        return SearchPlan(stages=(SegmentStage(n_segments), ScanStage()))
-                    __all__ = ["SearchPlan", "SegmentStage", "ScanStage", "segmented_plan"]
-                    """,
-                # Consumers go through the builder functions: sanctioned.
-                "src/repro/analysis/segmented.py": """
-                    from repro.analysis.planner import segmented_plan
-
-                    def search(n_segments):
-                        return segmented_plan(n_segments)
-                    __all__ = ["search"]
-                    """,
-                # Tests may construct stages directly.
-                "tests/analysis/test_planner.py": """
-                    from repro.analysis.planner import ScanStage, SearchPlan
-
-                    def test_plan():
-                        assert SearchPlan(stages=(ScanStage(),)) is not None
-                    """,
-            },
-            ["TY117"],
-        )
-        assert found == []
-
-
-# --------------------------------------------------------------------- #
 # TY121 bit-exactness gate coverage
 
 

@@ -36,8 +36,6 @@ from tools.tycoslint.registry import (
     CACHE_MODULES,
     FAST_PATH_GATES,
     PARALLEL_MODULES,
-    PLAN_CONSTRUCTORS,
-    PLANNER_MODULES,
     POOL_SPAWNERS,
     REPORT_MODULES,
     STORE_FILENAMES,
@@ -53,7 +51,6 @@ __all__ = [
     "ImportTimeEnvReadRule",
     "WallClockInReportRule",
     "MmapOutsideStoreRule",
-    "PlanConstructionOutsidePlannerRule",
     "MissingExactnessGateRule",
 ]
 
@@ -686,56 +683,6 @@ class MmapOutsideStoreRule(ProjectRule):
                             "through repro.analysis.store.SeriesStore)",
                             path,
                         )
-
-
-@register
-class PlanConstructionOutsidePlannerRule(ProjectRule):
-    """TY117: plan construction and strategy dispatch only in the planner.
-
-    A :class:`~repro.analysis.planner.SearchPlan` is a validated
-    composition contract: the stage grammar, the byte-identity
-    guarantees of each stage executor, and the provenance fingerprint
-    all live in ``repro.analysis.planner``.  A module that instantiates
-    ``SearchPlan`` or a stage class directly grows its own side-channel
-    orchestration -- exactly the ad-hoc plumbing the planner refactor
-    retired from ``Tycos.search`` / ``search_segmented`` /
-    ``search_multiscale``.  Everything outside the modules registered in
-    ``registry.PLANNER_MODULES`` obtains plans through the builder
-    functions (``plain_plan`` / ``segmented_plan`` / ``multiscale_plan``
-    / ``composed_plan`` / ``plan_from_config`` / ``parse_plan_spec`` /
-    ``auto_plan``), which validate the composition and keep its
-    spelling canonical.
-    """
-
-    code = "TY117"
-    name = "plan-construction-outside-planner"
-    description = "SearchPlan/stage constructed outside registered planner modules"
-
-    def check_project(self, project: ProjectModel) -> Iterator[Violation]:
-        for info in project.modules.values():
-            if not _repro_module(info) or info.name in PLANNER_MODULES:
-                continue
-            path = _path_of(info)
-            for node in ast.walk(info.tree):
-                if not isinstance(node, ast.Call):
-                    continue
-                func = node.func
-                name = None
-                if isinstance(func, ast.Name):
-                    name = func.id
-                elif isinstance(func, ast.Attribute):
-                    name = func.attr
-                if name in PLAN_CONSTRUCTORS:
-                    yield self.violation(
-                        node,
-                        f"constructs {name} directly; plan construction is "
-                        "confined to the modules in tools.tycoslint."
-                        "registry.PLANNER_MODULES -- build plans through "
-                        "the repro.analysis.planner builder functions "
-                        "(plain_plan / segmented_plan / multiscale_plan / "
-                        "composed_plan / plan_from_config / auto_plan)",
-                        path,
-                    )
 
 
 @register

@@ -30,16 +30,6 @@ Registering a module is a claim with obligations:
   leak and the store manifest is a format contract, so both get a single
   audited owner; everything else attaches through
   ``repro.analysis.store.SeriesStore``.
-* ``PLANNER_MODULES`` -- the modules allowed to construct
-  :class:`~repro.analysis.planner.SearchPlan` stages directly (TY117).
-  A plan is a validated composition contract -- the grammar, the
-  byte-identity guarantees, and the provenance fingerprint all live in
-  one place -- so everything else obtains plans through the planner's
-  builder functions (``plain_plan`` / ``segmented_plan`` /
-  ``multiscale_plan`` / ``composed_plan`` / ``plan_from_config`` /
-  ``parse_plan_spec`` / ``auto_plan``).  Ad-hoc stage construction
-  outside the planner is exactly the side-channel orchestration the
-  planner refactor retired.
 """
 
 from __future__ import annotations
@@ -54,8 +44,6 @@ __all__ = [
     "POOL_SPAWNERS",
     "STORE_MODULES",
     "STORE_FILENAMES",
-    "PLANNER_MODULES",
-    "PLAN_CONSTRUCTORS",
 ]
 
 #: Modules allowed to own (and mutate) process-wide mutable state.
@@ -101,12 +89,13 @@ FAST_PATH_GATES: Dict[str, str] = {
     "repro.core.thresholds": "scalar per-window scoring path",
     "repro.core.pyramid": "exact full-resolution coordinate mapping",
     "repro.analysis.parallel": "the serial pairwise scan",
-    "repro.analysis.segmented": "the sequential reference stitcher",
-    "repro.analysis.multiscale": "the exhaustive full-resolution search",
     "repro.baselines.pearson": "the per-delay sliding_pcc loop",
     "repro.analysis.cascade": "the unscreened scan_pairs reference",
     "repro.analysis.screen_state": "the per-pair fft_screen_score reference",
-    "repro.analysis.planner": "the pre-planner single-strategy entry points",
+    "repro.analysis.planner": (
+        "the sequential reference stitcher (segments=K) and the exhaustive "
+        "full-resolution search (coarse=F)"
+    ),
 }
 
 #: Callables whose invocation marks "a pool has been spawned" for TY103.
@@ -125,25 +114,4 @@ STORE_MODULES: FrozenSet[str] = frozenset({"repro.analysis.store"})
 #: layout; route it through ``SeriesStore``.
 STORE_FILENAMES: FrozenSet[str] = frozenset(
     {"manifest.json", "series.bin", "screen.json", "screen.bin"}
-)
-
-#: Modules allowed to construct search-plan stages directly (TY117).
-#: Everything else builds plans through the planner's builder functions,
-#: so strategy composition stays inside the one module whose grammar,
-#: determinism guarantees, and provenance fingerprints are audited.
-PLANNER_MODULES: FrozenSet[str] = frozenset({"repro.analysis.planner"})
-
-#: The plan/stage constructors TY117 confines to ``PLANNER_MODULES``.
-#: Calling one of these outside the planner is ad-hoc strategy dispatch;
-#: go through plain_plan / segmented_plan / multiscale_plan /
-#: composed_plan / plan_from_config / parse_plan_spec / auto_plan.
-PLAN_CONSTRUCTORS: FrozenSet[str] = frozenset(
-    {
-        "SearchPlan",
-        "CoarsenStage",
-        "SegmentStage",
-        "ScanStage",
-        "StitchStage",
-        "RescoreStage",
-    }
 )

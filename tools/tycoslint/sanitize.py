@@ -11,12 +11,12 @@ scheduled.  Each variant runs in a fresh child interpreter because
   leaks from ``str`` hashing (set/dict iteration feeding results);
 * ``n_jobs`` 1 vs 2 (``force_parallel``, so the 1-core fallback does not
   quietly serialize the pool path) -- catches scheduling-order leaks;
-* ``n_segments`` 1 vs 3, compared *within* each segment count --
-  segmenting legitimately changes which restarts are attempted
-  (``n_segments=k`` differs from ``n_segments=1`` by design, see
-  :mod:`repro.analysis.segmented`), so classes are never diffed against
-  each other; the scan section, which has no segment dependence, *is*
-  compared across every variant.
+* ``n_segments`` 1 vs 3 (the ``plain`` and ``segments=3`` plans),
+  compared *within* each segment count -- segmenting legitimately
+  changes which restarts are attempted (``segments=k`` differs from
+  ``plain`` by design, see :mod:`repro.analysis.planner`), so classes
+  are never diffed against each other; the scan section, which has no
+  segment dependence, *is* compared across every variant.
 
 On a mismatch the sanitizer fails loudly with a field-level diff of the
 parsed payloads, not just "bytes differ".  ``--inject`` plants an
@@ -116,7 +116,7 @@ def build_payload(
     they attribute a run, they are not results.
     """
     from repro.analysis.parallel import scan_pairs_parallel
-    from repro.analysis.segmented import search_segmented
+    from repro.analysis.planner import SearchPlan, execute_plan
 
     series = _make_series(length, seed)
     config = _make_config(seed=3)
@@ -132,11 +132,11 @@ def build_payload(
         # PYTHONHASHSEED.  Exists to prove the sanitizer fails loudly.
         payload["hash_probe"] = list({f"probe-{i:02d}" for i in range(24)})
 
-    result = search_segmented(
+    result = execute_plan(
         series["a"],
         series["b"],
         config,
-        n_segments=n_segments,
+        plan=SearchPlan(segments=n_segments),
         n_jobs=n_jobs,
         force_parallel=n_jobs > 1,
     )
