@@ -9,13 +9,13 @@ Runs a battery of pinned-seed benchmarks and emits one JSON document:
   the regression reference for ``--check-against``; it is identical in
   smoke and full mode so CI numbers compare against committed ones.
 * **kernel** -- micro-benchmarks of the three PR-3 kernel caches
-  (shared digamma table, maintained sorted marginals, per-delay
-  distance workspace), each asserting the cached path returns *exactly*
-  the reference path's floats before reporting its speedup.
+  (shared digamma table, maintained sorted marginals, shared distance
+  workspace), each asserting the cached path returns *exactly* the
+  reference path's floats before reporting its speedup.
 * **scoring** -- one full TYCOS search per cache ablation: the scalar
   per-window scorer with every cache off (the pre-PR cost model), the
-  scalar scorer with caches on, and the batched neighborhood scorer
-  with each cache switched off in turn and with all of them on.  Every
+  scalar scorer with caches on, and the batched (stacked) scorer with
+  each cache switched off in turn and with all of them on.  Every
   ablation must return the same windows and MI values; only the time
   may change.
 * **segmented** -- one long pair searched whole, then with its timeline
@@ -122,7 +122,6 @@ SCHEMA = "tycos-bench-pr10/1"
 _ALL_CACHES_OFF = {
     "use_digamma_table": False,
     "use_sorted_marginals": False,
-    "workspace_cache_size": 0,
 }
 
 #: (row label, batched scoring?, config overrides) per scoring ablation.
@@ -131,7 +130,6 @@ _SCORING_VARIANTS: List[Tuple[str, bool, Dict[str, Any]]] = [
     ("scalar", False, {}),
     ("batched_no_digamma", True, {"use_digamma_table": False}),
     ("batched_no_sorted_marginals", True, {"use_sorted_marginals": False}),
-    ("batched_no_workspace_cache", True, {"workspace_cache_size": 0}),
     ("batched", True, {}),
 ]
 
@@ -509,9 +507,6 @@ def bench_scoring(length: int, config: TycosConfig, repeats: int, seed: int) -> 
             "windows_evaluated": stats.windows_evaluated,
             "windows_per_second": round(stats.windows_evaluated / seconds, 1),
         }
-        if batched:
-            row["workspace_builds"] = stats.workspace_builds
-            row["workspace_hits"] = stats.workspace_hits
         if label != "scalar_baseline" and baseline_seconds is not None:
             row["speedup_vs_scalar_baseline"] = round(baseline_seconds / seconds, 3)
         out[label] = row

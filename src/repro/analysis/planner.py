@@ -386,8 +386,6 @@ def _stitch(
         stats.noise_prunes += s.noise_prunes
         stats.mi_full_searches += s.mi_full_searches
         stats.mi_incremental_updates += s.mi_incremental_updates
-        stats.workspace_builds += s.workspace_builds
-        stats.workspace_hits += s.workspace_hits
         stats.full_windows_evaluated += s.full_windows_evaluated
         for phase, seconds in s.phase_seconds.items():
             stats.add_phase(phase, seconds)

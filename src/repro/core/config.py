@@ -56,20 +56,11 @@ class TycosConfig:
             against direct scipy calls.  Memory: one float64 per integer
             ever seen (rounded up to a power of two), shared process-wide.
         use_sorted_marginals: reuse presorted marginal projections for
-            KSG marginal counts -- the workspace's cached union argsort in
-            batched scoring, the incrementally maintained
-            :class:`repro.mi.neighbors.MarginalIndex` in the sliding engine
-            (Lemmas 5/6) -- instead of re-sorting both axes per estimate.
-            Counts are exactly equal either way.  Memory: two sorted
-            float64 copies of each live union span / engine window.
-        workspace_cache_size: number of per-delay
-            :class:`repro.mi.neighbors.PairDistanceWorkspace` entries a
-            batched scorer keeps in its LRU, so LAHC iterations revisiting
-            a delay reuse the O(u^2) distance broadcasts instead of
-            rebuilding them.  0 disables the cache (a workspace is still
-            built per cluster, as before).  Memory per entry is
-            O(u^2) float64 for the cached span, so the bound matters on
-            big inputs; 8 covers a typical LAHC delay trajectory.
+            KSG marginal counts in the sliding engine -- the incrementally
+            maintained :class:`repro.mi.neighbors.MarginalIndex` (Lemmas
+            5/6) -- instead of re-sorting both axes per estimate.  Counts
+            are exactly equal either way.  Memory: two sorted float64
+            copies of the live engine window.
         segment_margin: extra overlap between consecutive segments of a
             ``segments=K`` plan (:mod:`repro.analysis.planner`) on top
             of the ``s_max + td_max`` the containment lemma requires
@@ -139,7 +130,6 @@ class TycosConfig:
     cache_capacity: int = 100_000
     use_digamma_table: bool = True
     use_sorted_marginals: bool = True
-    workspace_cache_size: int = 8
     segment_margin: Optional[int] = None
     refine_margin: Optional[int] = None
     coarse_sigma_ratio: float = 0.5
@@ -180,10 +170,6 @@ class TycosConfig:
             raise ValueError(f"jitter must be >= 0, got {self.jitter}")
         if self.cache_capacity < 1:
             raise ValueError(f"cache_capacity must be >= 1, got {self.cache_capacity}")
-        if self.workspace_cache_size < 0:
-            raise ValueError(
-                f"workspace_cache_size must be >= 0, got {self.workspace_cache_size}"
-            )
         if self.segment_margin is not None and self.segment_margin < 0:
             raise ValueError(f"segment_margin must be >= 0, got {self.segment_margin}")
         if self.refine_margin is not None and self.refine_margin < 0:

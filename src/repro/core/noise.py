@@ -21,7 +21,7 @@ makes the combined window worse.  TYCOS_LN applies the test twice:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Set
+from typing import Optional, Set, Tuple
 
 from repro.core.config import TycosConfig
 from repro.core.neighborhood import Direction, Neighbor
@@ -29,6 +29,9 @@ from repro.core.thresholds import BatchScorer
 from repro.core.window import TimeDelayWindow
 
 __all__ = ["is_noise", "find_initial_window", "NoiseDetector"]
+
+#: A growth probe: the direction it tests, the segment, the concatenation.
+_Probe = Tuple[Direction, TimeDelayWindow, TimeDelayWindow]
 
 
 def is_noise(
@@ -57,19 +60,25 @@ def _best_block_over_delays(
     config: TycosConfig,
     n: int,
     pos: int,
+    batched: bool,
 ) -> Optional[tuple[TimeDelayWindow, float]]:
     """The best-scoring minimal block at ``pos`` over the coarse delay grid.
 
     Algorithm 1 seeds at delay 0 only; probing a coarse delay grid at each
     candidate start is the implementation choice that makes distant delay
-    basins reachable (see ``TycosConfig.init_delay_step``).
+    basins reachable (see ``TycosConfig.init_delay_step``).  ``batched``
+    scores the whole grid in one :meth:`BatchScorer.value_many` call;
+    ties keep the earliest grid delay either way.
     """
+    end = pos + config.s_min - 1
+    candidates = (_feasible_or_none(pos, end, tau, n) for tau in config.delay_grid())
+    blocks = [block for block in candidates if block is not None]
+    if batched:
+        values = scorer.value_many(blocks)
+    else:
+        values = [scorer.value(block) for block in blocks]
     best: Optional[tuple[TimeDelayWindow, float]] = None
-    for tau in config.delay_grid():
-        block = _feasible_or_none(pos, pos + config.s_min - 1, tau, n)
-        if block is None:
-            continue
-        value = scorer.value(block)
+    for block, value in zip(blocks, values):
         if best is None or value > best[1]:
             best = (block, value)
     return best
@@ -80,6 +89,7 @@ def find_initial_window(
     config: TycosConfig,
     n: int,
     scan_from: int,
+    batched: bool = False,
 ) -> Optional[TimeDelayWindow]:
     """Initial noise pruning (Section 6.2.1, Fig. 7).
 
@@ -96,6 +106,9 @@ def find_initial_window(
         config: search parameters (s_min, s_max, epsilon ...).
         n: series length.
         scan_from: first X index still unscanned.
+        batched: score each delay grid in one stacked
+            :meth:`BatchScorer.value_many` call (same values and counters
+            as the scalar loop).
 
     Returns:
         A feasible window with score >= epsilon, or None when the rest of
@@ -107,7 +120,7 @@ def find_initial_window(
     current_value = 0.0
     pos = scan_from
     while pos + s_min - 1 < n:
-        probed = _best_block_over_delays(scorer, config, n, pos)
+        probed = _best_block_over_delays(scorer, config, n, pos, batched)
         if probed is None:
             return None
         best_block, best_block_value = probed
@@ -164,12 +177,16 @@ class NoiseDetector:
     search accepts a new solution (the geometry changed).
 
     Attributes:
+        batched: score each inspection's probes in one
+            :meth:`BatchScorer.value_many` call (identical values, blocks
+            and scorer counters to one call per probe).
         prunes: number of direction blocks issued (for the stats report).
     """
 
     scorer: BatchScorer
     config: TycosConfig
     n: int
+    batched: bool = False
     blocked: Set[Direction] = field(default_factory=set)
     prunes: int = 0
 
@@ -202,46 +219,55 @@ class NoiseDetector:
         is well defined even for delta = 1 (an implementation necessity the
         paper's C++ code faces equally: MI of a 1-sample segment does not
         exist).
+
+        Neither direction's probes depend on the other's verdict, so all
+        of them (segment, then concatenation; forward, then backward) are
+        built first and scored in that order -- in one
+        :meth:`BatchScorer.value_many` call when ``batched``.
         """
         if window_value <= 0.0:
             return
         blk = max(self.config.delta, self.config.s_min)
-        self._inspect_forward(window, window_value, blk)
-        self._inspect_backward(window, window_value, blk)
+        probes = [
+            probe
+            for probe in (self._forward_probe(window, blk), self._backward_probe(window, blk))
+            if probe is not None
+        ]
+        windows = [w for _, segment, concat in probes for w in (segment, concat)]
+        if self.batched:
+            values = self.scorer.value_many(windows)
+        else:
+            values = [self.scorer.value(w) for w in windows]
+        for (direction, _, _), seg_value, concat_value in zip(probes, values[::2], values[1::2]):
+            if is_noise(seg_value, concat_value, window_value, self.config.epsilon):
+                self.blocked.add(direction)
+                self.prunes += 1
 
-    def _inspect_forward(self, window: TimeDelayWindow, value: float, blk: int) -> None:
+    def _forward_probe(self, window: TimeDelayWindow, blk: int) -> Optional[_Probe]:
         direction: Direction = (0, 1, 0)
         if direction in self.blocked:
-            return
+            return None
         seg_end = window.end + blk
         segment = _feasible_or_none(window.end + 1, seg_end, window.delay, self.n)
         if segment is None:
-            return
+            return None
         concat = TimeDelayWindow(window.start, segment.end, window.delay)
         if concat.size > self.config.s_max or concat.y_end >= self.n:
-            return
-        seg_value = self.scorer.value(segment)
-        concat_value = self.scorer.value(concat)
-        if is_noise(seg_value, concat_value, value, self.config.epsilon):
-            self.blocked.add(direction)
-            self.prunes += 1
+            return None
+        return direction, segment, concat
 
-    def _inspect_backward(self, window: TimeDelayWindow, value: float, blk: int) -> None:
+    def _backward_probe(self, window: TimeDelayWindow, blk: int) -> Optional[_Probe]:
         direction: Direction = (-1, 0, 0)
         if direction in self.blocked:
-            return
+            return None
         seg_start = window.start - blk
         segment = _feasible_or_none(seg_start, window.start - 1, window.delay, self.n)
         if segment is None:
-            return
+            return None
         concat = TimeDelayWindow(segment.start, window.end, window.delay)
         if concat.size > self.config.s_max or concat.y_start < 0:
-            return
-        seg_value = self.scorer.value(segment)
-        concat_value = self.scorer.value(concat)
-        if is_noise(seg_value, concat_value, value, self.config.epsilon):
-            self.blocked.add(direction)
-            self.prunes += 1
+            return None
+        return direction, segment, concat
 
 
 def _feasible_or_none(start: int, end: int, delay: int, n: int) -> Optional[TimeDelayWindow]:

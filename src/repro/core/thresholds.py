@@ -19,25 +19,21 @@ from __future__ import annotations
 import heapq
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, cast
+
+import numpy as np
 
 from repro import contracts
-from repro._types import FloatArray, WindowKey
+from repro._types import WindowKey
 from repro.core.config import TycosConfig
 from repro.core.window import PairView, TimeDelayWindow
 from repro.mi.entropy import binned_joint_entropy
 from repro.mi.ksg import KSGEstimator
 from repro.mi.incremental import SlidingKSG
-from repro.mi.neighbors import PairDistanceWorkspace
 from repro.mi.normalized import normalize_ratio, normalize_value
+from repro.mi.stacked import binned_joint_entropy_many, ksg_mi_many
 
 __all__ = ["WindowScore", "BatchScorer", "IncrementalScorer", "TopKFilter", "make_scorer"]
-
-#: Widest union span (samples) a single shared distance workspace may
-#: cover; wider same-delay clusters are split, because the O(u^2) union
-#: broadcast must stay comparable to the windows it amortizes.
-_UNION_SPAN_LIMIT = 2048
-
 
 @dataclass(frozen=True)
 class WindowScore:
@@ -62,13 +58,14 @@ class BatchScorer:
     multi-restart searches revisit mostly recent windows, so bounding the
     table costs no meaningful hit rate while keeping memory flat.
 
+    :meth:`score` estimates one window at a time (the scalar reference);
+    :meth:`score_many` scores equal-size windows together through the
+    stacked kernels of :mod:`repro.mi.stacked`, with identical floats and
+    bookkeeping.
+
     Attributes:
         evaluations: number of windows whose MI was actually computed.
         cache_hits: number of scores served from the memo table.
-        workspace_builds: number of shared distance workspaces constructed
-            for batched clusters.
-        workspace_hits: number of clusters served from the per-delay
-            workspace LRU (``config.workspace_cache_size``).
     """
 
     def __init__(self, pair: PairView, config: TycosConfig) -> None:
@@ -77,18 +74,8 @@ class BatchScorer:
         self._estimator = KSGEstimator(k=config.k, use_digamma_table=config.use_digamma_table)
         self._cache: "OrderedDict[WindowKey, WindowScore]" = OrderedDict()
         self._cache_capacity = config.cache_capacity
-        # Per-delay workspace LRU: delay -> (span_lo, span_hi, workspace).
-        # LAHC trajectories revisit the same delay across iterations, so a
-        # cluster whose span fits inside a cached union reuses the O(u^2)
-        # distance broadcasts (principal submatrices are exact, so the
-        # containing span changes nothing about any window's geometry).
-        self._workspaces: "OrderedDict[int, Tuple[int, int, PairDistanceWorkspace]]" = (
-            OrderedDict()
-        )
         self.evaluations = 0
         self.cache_hits = 0
-        self.workspace_builds = 0
-        self.workspace_hits = 0
 
     @property
     def estimator(self) -> KSGEstimator:
@@ -106,43 +93,54 @@ class BatchScorer:
         if hit is not None:
             self.cache_hits += 1
             return hit
-        x, y = self._pair.extract(window)
-        mi = self._batch_mi(window, x, y)
-        return self._finish(window, mi, x, y)
+        return self._evaluate(window)
 
     def score_many(self, windows: Sequence[TimeDelayWindow]) -> List[WindowScore]:
-        """Scores for many windows in one call, batching same-delay groups.
+        """Scores for many windows in one call, stacking equal sizes.
 
-        Windows that share a delay (e.g. the delta-neighbors of one LAHC
-        ring) draw their sample pairs from one short union sub-series, so
-        their k-NN geometry is computed through a single
-        :class:`~repro.mi.neighbors.PairDistanceWorkspace` -- one
-        ``O(u^2)`` pairwise-distance broadcast for the whole group instead
-        of one per window.  Scores are *exactly* the ones :meth:`score`
-        would produce (same floats, same memoization); only the amount of
-        redundant kernel work changes.  Windows the batch kernel cannot
-        serve (cache hits, non-bruteforce backends, or -- in the
-        incremental subclass -- on-trajectory engine evaluations) fall
-        back to :meth:`score` in input order.
+        Uncached windows the stacked kernels can serve are grouped by size
+        across delays; each group's sample rows are gathered from the pair
+        and scored by :func:`~repro.mi.stacked.ksg_mi_many` (which splits
+        them into chunks of at most :data:`~repro.mi.stacked.CHUNK_ELEMENTS`
+        distance elements) and
+        :func:`~repro.mi.stacked.binned_joint_entropy_many`.  Scores are
+        *exactly* the ones :meth:`score` would produce, with the same
+        ``evaluations`` / ``cache_hits``: a window repeated inside the
+        batch is computed once and then served from the memo, and results
+        enter the memo in input order.  The other windows (non-bruteforce
+        sizes, out-of-bounds windows and -- in the incremental subclass --
+        on-trajectory engine evaluations) go through :meth:`score` in
+        input order.
         """
         out: List[Optional[WindowScore]] = [None] * len(windows)
-        grouped: Dict[int, List[int]] = {}
+        by_size: Dict[int, List[int]] = {}
+        first: Dict[WindowKey, int] = {}
+        repeats: List[int] = []
         for i, w in enumerate(windows):
-            hit = self._cache_get(w.key())
+            key = w.key()
+            hit = self._cache_get(key)
             if hit is not None:
                 self.cache_hits += 1
                 out[i] = hit
-            elif self._batchable(w):
-                grouped.setdefault(w.delay, []).append(i)
-            else:
+            elif not self._batchable(w):
                 out[i] = self.score(w)
-        for positions in grouped.values():
-            for cluster in self._span_clusters(windows, positions):
-                if len(cluster) == 1:
-                    out[cluster[0]] = self.score(windows[cluster[0]])
-                else:
-                    self._score_cluster(windows, cluster, out)
-        return [s for s in out if s is not None]
+            elif key in first:
+                repeats.append(i)
+            else:
+                first[key] = i
+                by_size.setdefault(w.size, []).append(i)
+        if not by_size:
+            return cast(List[WindowScore], out)
+        readings: Dict[int, Tuple[float, float]] = {}
+        for size, positions in by_size.items():
+            readings.update(self._stacked_readings(windows, positions, size))
+        for i in sorted(readings.keys() | set(repeats)):
+            w = windows[i]
+            if i in readings:
+                out[i] = self._finish(w, *readings[i])
+            else:
+                out[i] = self.score(w)  # a repeat: served from the memo
+        return cast(List[WindowScore], out)
 
     def value(self, window: TimeDelayWindow) -> float:
         """The scalar the search maximizes (unclamped ratio or raw MI)."""
@@ -150,11 +148,10 @@ class BatchScorer:
         return score.ratio if self._config.use_normalized else score.mi
 
     def value_many(self, windows: Sequence[TimeDelayWindow]) -> List[float]:
-        """Objective values of many windows via one batched scoring pass.
+        """Objective values of many windows via one stacked scoring pass.
 
         Equivalent to ``[self.value(w) for w in windows]`` -- same floats,
-        same cache and stats bookkeeping -- but same-delay groups share one
-        distance workspace (see :meth:`score_many`).
+        same cache and stats bookkeeping (see :meth:`score_many`).
         """
         scores = self.score_many(windows)
         if self._config.use_normalized:
@@ -162,9 +159,8 @@ class BatchScorer:
         return [s.mi for s in scores]
 
     def clear_cache(self) -> None:
-        """Drop the memo and workspace tables (between independent restarts)."""
+        """Drop the memo table (between independent restarts)."""
         self._cache.clear()
-        self._workspaces.clear()
 
     # -- memo table (capped LRU) --------------------------------------- #
 
@@ -180,14 +176,14 @@ class BatchScorer:
         if len(self._cache) > self._cache_capacity:
             self._cache.popitem(last=False)
 
-    # -- batched scoring ------------------------------------------------ #
+    # -- stacked scoring ------------------------------------------------ #
 
     def _batchable(self, window: TimeDelayWindow) -> bool:
-        """Can this window's geometry come from a shared workspace?
+        """Can the stacked kernels score this window?
 
-        Requires the brute-force k-NN backend (the batch kernel replicates
-        exactly that math) and in-bounds sample ranges (out-of-bounds
-        windows must keep raising through the scalar path).
+        Requires the brute-force k-NN backend (the stacked kernel
+        replicates exactly that math) and in-bounds sample ranges
+        (out-of-bounds windows must keep raising through the scalar path).
         """
         n = self._pair.n
         return (
@@ -198,184 +194,32 @@ class BatchScorer:
             and window.y_end < n
         )
 
-    @staticmethod
-    def _span_clusters(
-        windows: Sequence[TimeDelayWindow], positions: List[int]
-    ) -> List[List[int]]:
-        """Split same-delay windows into overlapping-span clusters.
-
-        Windows that do not overlap (or would stretch the union past
-        ``_UNION_SPAN_LIMIT``) gain nothing from a shared workspace, so
-        each cluster covers one contiguous stretch of the series.
-        """
-        ordered = sorted(positions, key=lambda i: (windows[i].start, windows[i].end))
-        clusters: List[List[int]] = []
-        lo = hi = 0
-        for i in ordered:
-            w = windows[i]
-            if (
-                clusters
-                and w.start <= hi + 1
-                and max(hi, w.end) - lo + 1 <= _UNION_SPAN_LIMIT
-            ):
-                clusters[-1].append(i)
-                hi = max(hi, w.end)
-            else:
-                clusters.append([i])
-                lo, hi = w.start, w.end
-        return clusters
-
-    def _batch_mi(self, window: TimeDelayWindow, xw: FloatArray, yw: FloatArray) -> float:
-        """Batch-path MI of one window (already extracted as ``xw``/``yw``).
-
-        Served through the cached per-delay workspace when a cached union
-        span contains the window -- the principal submatrix is exactly the
-        brute-force geometry, so the floats are identical to a from-scratch
-        estimate -- and by the plain estimator otherwise.  One-off scalar
-        evaluations (single-window clusters, noise probes) thereby reuse
-        the ring's O(u^2) broadcasts instead of paying O(m^2) each.
-        """
-        if (
-            self._config.workspace_cache_size > 0
-            and self._estimator.resolved_backend(window.size) == "bruteforce"
-        ):
-            entry = self._workspaces.get(window.delay)
-            if entry is not None:
-                lo, hi, workspace = entry
-                if lo <= window.start and window.end <= hi:
-                    self._workspaces.move_to_end(window.delay)
-                    self.workspace_hits += 1
-                    k = self._estimator.effective_k(window.size)
-                    offset = window.start - lo
-                    knn = workspace.knn(offset, window.size, k)
-                    table = (
-                        workspace.digamma_table()
-                        if self._config.use_digamma_table
-                        else None
-                    )
-                    sorted_x = sorted_y = None
-                    if self._config.use_sorted_marginals:
-                        sorted_x, sorted_y = workspace.sorted_window(offset, window.size)
-                    return self._estimator.mi_from_geometry(
-                        xw,
-                        yw,
-                        knn,
-                        k,
-                        digamma_table=table,
-                        sorted_x=sorted_x,
-                        sorted_y=sorted_y,
-                    )
-        return self._estimator.mi(xw, yw)
-
-    def _workspace_for(
-        self, delay: int, lo: int, hi: int
-    ) -> Tuple[int, PairDistanceWorkspace]:
-        """A distance workspace covering ``[lo, hi]`` at ``delay``.
-
-        Served from the per-delay LRU when a cached union span contains the
-        requested one (every window submatrix is identical either way);
-        otherwise built and cached.  Cached builds cover a *wider* span
-        than requested: a LAHC ring drifts by at most ``delta`` per
-        accepted move and the noise detector's concat probes extend a
-        window by ``max(delta, s_min)`` samples, so padding the union by
-        the probe reach plus a few moves of drift turns those follow-up
-        evaluations into containment hits instead of rebuilds.  Returns
-        the workspace with the series index its offset 0 maps to.
-        """
-        capacity = self._config.workspace_cache_size
-        if capacity > 0:
-            entry = self._workspaces.get(delay)
-            if entry is not None:
-                cached_lo, cached_hi, workspace = entry
-                if cached_lo <= lo and hi <= cached_hi:
-                    self._workspaces.move_to_end(delay)
-                    self.workspace_hits += 1
-                    return cached_lo, workspace
-            margin = max(self._config.delta, self._config.s_min) + 8 * self._config.delta
-            room = _UNION_SPAN_LIMIT - (hi - lo + 1)
-            if room > 0:
-                margin = min(margin, room // 2)
-                n = self._pair.n
-                lo = max(0, -delay, lo - margin)
-                hi = min(n - 1, n - 1 - delay, hi + margin)
-        x = self._pair.x
-        y = self._pair.y
-        workspace = PairDistanceWorkspace(
-            x[lo : hi + 1], y[lo + delay : hi + delay + 1]
+    def _stacked_readings(
+        self, windows: Sequence[TimeDelayWindow], positions: List[int], size: int
+    ) -> Dict[int, Tuple[float, float]]:
+        """``(mi, entropy)`` of the equal-size windows at ``positions``."""
+        starts = np.array([windows[i].start for i in positions])
+        delays = np.array([windows[i].delay for i in positions])
+        rows = starts[:, None] + np.arange(size)
+        # _batchable() already verified the bounds extract() checks.
+        xy = np.empty((2, len(positions), size))
+        np.take(self._pair.x, rows, out=xy[0])
+        rows += delays[:, None]
+        np.take(self._pair.y, rows, out=xy[1])
+        estimator = self._estimator
+        mis = ksg_mi_many(
+            xy, estimator.effective_k(size), estimator.algorithm, estimator.use_digamma_table
         )
-        self.workspace_builds += 1
-        if capacity > 0:
-            self._workspaces[delay] = (lo, hi, workspace)
-            self._workspaces.move_to_end(delay)
-            if len(self._workspaces) > capacity:
-                self._workspaces.popitem(last=False)
-        return lo, workspace
+        entropies = binned_joint_entropy_many(xy)
+        return dict(zip(positions, zip(mis.tolist(), entropies.tolist())))
 
-    def _score_cluster(
-        self,
-        windows: Sequence[TimeDelayWindow],
-        cluster: List[int],
-        out: List[Optional[WindowScore]],
-    ) -> None:
-        """Score one same-delay cluster through a shared workspace."""
-        lo = min(windows[i].start for i in cluster)
-        hi = max(windows[i].end for i in cluster)
-        delay = windows[cluster[0]].delay
-        base, workspace = self._workspace_for(delay, lo, hi)
-        table = workspace.digamma_table() if self._config.use_digamma_table else None
-        use_sorted = self._config.use_sorted_marginals
-        px = self._pair.x
-        py = self._pair.y
-        base_k = self._estimator.k
-        mi_from_geometry = self._estimator.mi_from_geometry
-        for i in cluster:
-            w = windows[i]
-            hit = self._cache_get(w.key())
-            if hit is not None:
-                # Duplicate window inside one batch: second occurrence is a
-                # cache hit, exactly as in a scalar evaluation sequence.
-                self.cache_hits += 1
-                out[i] = hit
-                continue
-            size = w.end - w.start + 1
-            k = base_k if size > base_k else size - 1  # == effective_k(size)
-            offset = w.start - base
-            knn = workspace.knn(offset, size, k)
-            sorted_x = sorted_y = None
-            if use_sorted:
-                sorted_x, sorted_y = workspace.sorted_window(offset, size)
-            # _batchable() already verified the bounds extract() re-checks.
-            xw = px[w.start : w.end + 1]
-            yw = py[w.start + delay : w.end + delay + 1]
-            mi = mi_from_geometry(
-                xw, yw, knn, k, digamma_table=table, sorted_x=sorted_x, sorted_y=sorted_y
-            )
-            out[i] = self._finish(w, mi, xw, yw, sorted_x=sorted_x, sorted_y=sorted_y)
+    def _evaluate(self, window: TimeDelayWindow) -> WindowScore:
+        """Estimate one window from scratch (the scalar reference path)."""
+        x, y = self._pair.extract(window)
+        return self._finish(window, self._estimator.mi(x, y), binned_joint_entropy(x, y))
 
-    def _finish(
-        self,
-        window: TimeDelayWindow,
-        mi: float,
-        xw: FloatArray,
-        yw: FloatArray,
-        sorted_x: Optional[FloatArray] = None,
-        sorted_y: Optional[FloatArray] = None,
-    ) -> WindowScore:
-        """Normalize, contract-check, memoize and count one evaluation.
-
-        When the window's sorted projections are already in hand, their end
-        elements are handed to the entropy binning as the (exact) min/max,
-        skipping four reductions per window.
-        """
-        if sorted_x is not None and sorted_y is not None:
-            entropy = binned_joint_entropy(
-                xw,
-                yw,
-                x_bounds=(sorted_x[0], sorted_x[-1]),
-                y_bounds=(sorted_y[0], sorted_y[-1]),
-            )
-        else:
-            entropy = binned_joint_entropy(xw, yw)
+    def _finish(self, window: TimeDelayWindow, mi: float, entropy: float) -> WindowScore:
+        """Normalize, contract-check, memoize and count one evaluation."""
         score = WindowScore(
             mi=mi, nmi=normalize_value(mi, entropy), ratio=normalize_ratio(mi, entropy)
         )
@@ -439,7 +283,7 @@ class IncrementalScorer(BatchScorer):
         :meth:`score` one at a time, in evaluation order, because they
         mutate the sliding engine (Section 7 diffs).  Off-trajectory
         probes and sub-engine-size windows are pure batch estimates, so
-        the shared workspace may compute them in any grouping.
+        the stacked kernels may compute them in any grouping.
         """
         if not super()._batchable(window):
             return False
@@ -456,9 +300,7 @@ class IncrementalScorer(BatchScorer):
             self._trajectory_delay is not None and window.delay != self._trajectory_delay
         ):
             # Small window, or an off-trajectory delay probe: batch path.
-            xw, yw = self._pair.extract(window)
-            mi = self._batch_mi(window, xw, yw)
-            return self._finish(window, mi, xw, yw)
+            return self._evaluate(window)
         base = self._base
         x = self._pair.x
         y = self._pair.y
@@ -472,8 +314,7 @@ class IncrementalScorer(BatchScorer):
                 # probes): repairing the engine would cost more than a
                 # batch estimate, and the engine must stay anchored at the
                 # current solution for the ring neighbors that follow.
-                xw, yw = self._pair.extract(window)
-                return self._finish(window, self._batch_mi(window, xw, yw), xw, yw)
+                return self._evaluate(window)
         if (
             base is None
             or base.delay != window.delay
@@ -500,7 +341,7 @@ class IncrementalScorer(BatchScorer):
         self._base = window
         mi = self._engine.mi()
         xw, yw = self._pair.extract(window)
-        return self._finish(window, mi, xw, yw)
+        return self._finish(window, mi, binned_joint_entropy(xw, yw))
 
     @staticmethod
     def _diff_cost(base: TimeDelayWindow, window: TimeDelayWindow) -> int:

@@ -63,10 +63,11 @@ class SearchStats:
             (incremental variants only).
         mi_incremental_updates: constant-time neighbor-set updates
             (incremental variants only).
-        workspace_builds: shared distance workspaces constructed for
-            batched same-delay clusters (batched scoring only).
-        workspace_hits: clusters served from the per-delay workspace LRU
-            (``TycosConfig.workspace_cache_size``).
+        workspace_builds: always 0.  Scoring no longer builds shared
+            distance workspaces (see :meth:`BatchScorer.score_many`); the
+            field stays because the benchmark's layer trace
+            (``perfbench/spans.py``) reads it.
+        workspace_hits: always 0, kept for the same reason.
         segments: timeline segments the search ran over (0 for a classic
             unsegmented search, the span count for a ``segments=K`` plan;
             see :mod:`repro.analysis.planner`).
@@ -161,12 +162,15 @@ class Tycos:
         use_incremental: enable the Section-7 incremental MI computation
             (the "M" in LM/LMN).
         overlap_policy: how the result set resolves overlapping windows.
-        batched_scoring: score each delta-neighborhood ring through one
-            batched :meth:`BatchScorer.value_many` call (same-delay
-            neighbors share a single pairwise-distance workspace) instead
-            of one scorer call per candidate.  Scores and results are
-            identical either way; the flag exists so benchmarks can
-            measure the batched kernel against the scalar path.
+        batched_scoring: score window sets through one
+            :meth:`BatchScorer.value_many` call each, which stacks
+            equal-size windows across delays into one KSG pass: every
+            delta-neighborhood ring, the seeding delay grid, the noise
+            detector's growth probes and (MI only) the permutation test's
+            shuffles.  ``False`` scores one window per scorer call, the
+            scalar reference.  Scores and results are identical either
+            way; the flag exists so tests and benchmarks can compare the
+            two paths.
     """
 
     def __init__(
@@ -237,7 +241,7 @@ class Tycos:
         if contracts.checks_enabled():
             contracts.check_series_shape(pair.x, pair.y, where="Tycos.search")
         scorer = make_scorer(pair, cfg, incremental=self.use_incremental)
-        detector = NoiseDetector(scorer=scorer, config=cfg, n=pair.n) if self.use_noise else None
+        detector = self._detector(scorer, pair.n)
         accepted = ResultSet(policy=self.overlap_policy)
         stats = SearchStats()
 
@@ -248,8 +252,6 @@ class Tycos:
 
         stats.windows_evaluated = scorer.evaluations
         stats.cache_hits = scorer.cache_hits
-        stats.workspace_builds = scorer.workspace_builds
-        stats.workspace_hits = scorer.workspace_hits
         stats.full_windows_evaluated = scorer.evaluations
         if detector is not None:
             stats.noise_prunes = detector.prunes
@@ -271,7 +273,7 @@ class Tycos:
         if contracts.checks_enabled():
             contracts.check_series_shape(pair.x, pair.y, where="Tycos.search_topk")
         scorer = make_scorer(pair, cfg, incremental=self.use_incremental)
-        detector = NoiseDetector(scorer=scorer, config=cfg, n=pair.n) if self.use_noise else None
+        detector = self._detector(scorer, pair.n)
         stats = SearchStats()
         topk = TopKFilter(capacity=k_top)
 
@@ -285,8 +287,6 @@ class Tycos:
 
         stats.windows_evaluated = scorer.evaluations
         stats.cache_hits = scorer.cache_hits
-        stats.workspace_builds = scorer.workspace_builds
-        stats.workspace_hits = scorer.workspace_hits
         stats.full_windows_evaluated = scorer.evaluations
         if detector is not None:
             stats.noise_prunes = detector.prunes
@@ -301,6 +301,12 @@ class Tycos:
         return TycosResult(windows=windows, stats=stats)
 
     # ------------------------------------------------------------------ #
+
+    def _detector(self, scorer: BatchScorer, n: int) -> Optional[NoiseDetector]:
+        """The Section-6.2.2 noise detector of a noise variant, else None."""
+        if not self.use_noise:
+            return None
+        return NoiseDetector(scorer=scorer, config=self.config, n=n, batched=self.batched_scoring)
 
     def _drive(
         self,
@@ -434,6 +440,13 @@ class Tycos:
         estimator = scorer.estimator
         observed = scorer.score(window).mi
         rng = np.random.default_rng(self.config.seed + window.start)
+        if self.batched_scoring:
+            # The same shuffles in the same order, scored in one stacked
+            # pass: no shuffle reaching the observed MI is exactly what the
+            # early-exit loop below tests.
+            shuffled = np.stack([rng.permutation(yw) for _ in range(b)])
+            nulls = estimator.mi_many(np.broadcast_to(xw, shuffled.shape), shuffled)
+            return not bool((nulls >= observed).any())
         for _ in range(b):
             if estimator.mi(xw, rng.permutation(yw)) >= observed:
                 return False
@@ -448,7 +461,7 @@ class Tycos:
     ) -> Optional[TimeDelayWindow]:
         cfg = self.config
         if detector is not None:
-            return find_initial_window(scorer, cfg, n, scan_from)
+            return find_initial_window(scorer, cfg, n, scan_from, batched=self.batched_scoring)
         if scan_from + cfg.s_min - 1 >= n:
             return None
         # Plain variants seed with the best minimal window at scan_from over

@@ -34,6 +34,7 @@ from repro.mi.neighbors import (
     chebyshev_knn_grid,
     marginal_counts,
 )
+from repro.mi.stacked import ksg_mi_many
 
 __all__ = ["KSGEstimator", "ksg_mi"]
 
@@ -121,6 +122,44 @@ class KSGEstimator:
         knn = self._knn(x, y, k)
         return self.mi_from_geometry(x, y, knn, k)
 
+    def mi_many(self, xs: AnyArray, ys: AnyArray) -> FloatArray:
+        """Estimate I(X; Y) for ``W`` equal-size windows at once.
+
+        On the brute-force backend every row goes through one stacked pass
+        (:func:`repro.mi.stacked.ksg_mi_many`); other backends loop over
+        :meth:`mi`.  Either way row ``i`` is bit-identical to
+        ``self.mi(xs[i], ys[i])``.
+
+        Args:
+            xs: samples of the first series, shape ``(W, m)``.
+            ys: paired samples of the second series, shape ``(W, m)``.
+
+        Returns:
+            ``(W,)`` float64 KSG estimates (nats).
+
+        Raises:
+            ValueError: on mismatched shapes, fewer than 2 samples per row
+                or non-finite values.
+        """
+        xs = np.asarray(xs, dtype=np.float64)
+        ys = np.asarray(ys, dtype=np.float64)
+        if xs.ndim != 2 or xs.shape != ys.shape:
+            raise ValueError(f"need equal (W, m) sample rows, got {xs.shape} and {ys.shape}")
+        w, m = xs.shape
+        if m < 2:
+            raise ValueError(f"need at least 2 samples, got {m}")
+        if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+            raise ValueError("x and y must be finite")
+        if w == 0 or self.resolved_backend(m) != "bruteforce":
+            return np.array([self.mi(x, y) for x, y in zip(xs, ys)], dtype=np.float64)
+        out = ksg_mi_many(
+            np.stack((xs, ys)), self.effective_k(m), self.algorithm, self.use_digamma_table
+        )
+        if contracts.checks_enabled():
+            for value in out.tolist():
+                contracts.check_mi_finite(value, where="KSGEstimator.mi_many")
+        return out
+
     def mi_from_geometry(
         self,
         x: FloatArray,
@@ -134,8 +173,7 @@ class KSGEstimator:
         """Finish an MI estimate given precomputed k-NN geometry.
 
         Split out so the incremental engine (Section 7) can reuse its
-        maintained neighbor sets and the batched ring scorer can amortize
-        one neighbor workspace across a whole delta-neighborhood.
+        maintained neighbor sets.
 
         Args:
             x: window samples of the first series.

@@ -116,6 +116,11 @@ class PairDistanceWorkspace:
     shares that diagonal), and the selection runs on a contiguous copy so
     even tie-breaking inside ``argpartition`` matches the scalar path.
 
+    The search no longer scores through a workspace: the batched scorer
+    stacks equal-size windows instead (:mod:`repro.mi.stacked`).  The
+    class remains a standalone kernel, and the benchmark's layer trace
+    (``perfbench/spans.py``) still wraps its constructor and :meth:`knn`.
+
     Args:
         x_union: x-side samples of the union span, shape ``(u,)``.
         y_union: paired y-side samples of the union span, shape ``(u,)``.

@@ -3,13 +3,15 @@
 The batched path's contract is *exact* equality: ``score_many`` /
 ``value_many`` must produce the same floats, the same cache contents, and
 the same bookkeeping counters as the scalar path, for both scorer
-classes -- only the amount of redundant kernel work may differ.
+classes -- only the amount of redundant kernel work may differ.  The
+stacked kernels themselves are gated in ``tests/mi/test_stacked.py``.
 """
 
 import numpy as np
 import pytest
 
 from repro.core.config import TycosConfig
+from repro.core.neighborhood import neighborhood
 from repro.core.thresholds import BatchScorer, IncrementalScorer
 from repro.core.tycos import Tycos
 from repro.core.window import PairView, TimeDelayWindow
@@ -20,6 +22,19 @@ def _coupled_pair(n=400, lag=7, seed=9):
     base = np.cumsum(rng.normal(size=n))
     x = base + rng.normal(scale=0.1, size=n)
     y = np.roll(base, lag) + rng.normal(scale=0.1, size=n)
+    return x, y
+
+
+def _tied_pair(n=400, lag=9, seed=4):
+    """Unjittered rank-coded pair: few distinct values, ties everywhere.
+
+    A delayed noisy copy of a coarse walk, binned to small integers, so
+    the k-NN selection and marginal counts keep hitting exact ties.
+    """
+    rng = np.random.default_rng(seed)
+    walk = np.cumsum(rng.normal(size=n))
+    x = np.digitize(walk, np.quantile(walk, np.linspace(0, 1, 9)[1:-1])).astype(float)
+    y = np.roll(x, lag) + rng.integers(0, 2, size=n)
     return x, y
 
 
@@ -81,6 +96,69 @@ class TestScoreManyEquality:
             scorer.score_many([infeasible])
 
 
+class TestStackedRings:
+    """``score_many`` on tied unjittered data equals sequential ``score()``."""
+
+    CONFIG = TycosConfig(s_min=16, s_max=140, td_max=40, init_delay_step=1)
+
+    def _batches(self, n):
+        cfg = self.CONFIG
+        probes = [
+            TimeDelayWindow(start=120, end=120 + cfg.s_min - 1, delay=tau)
+            for tau in cfg.delay_grid()
+        ]
+        batches = [probes]
+        for center in (
+            TimeDelayWindow(60, 77, 3),
+            TimeDelayWindow(200, 239, -5),
+            TimeDelayWindow(150, 255, 9),  # engine-size for the incremental scorer
+        ):
+            for radius in (1, 2):
+                ring = neighborhood(
+                    center, radius=radius, delta=1, n=n, s_min=cfg.s_min,
+                    s_max=cfg.s_max, td_max=cfg.td_max,
+                )
+                batches.append([nb.window for nb in ring])
+        return batches
+
+    @pytest.mark.parametrize("scorer_cls", [BatchScorer, IncrementalScorer])
+    def test_score_many_equals_sequential_score(self, scorer_cls):
+        x, y = _tied_pair()
+        sequential = scorer_cls(PairView(x, y), self.CONFIG)
+        stacked = scorer_cls(PairView(x, y), self.CONFIG)
+        batches = self._batches(len(x))
+        assert len(batches[0]) == 81
+        for batch in batches + batches[1:2]:  # the replay is all memo hits
+            if scorer_cls is IncrementalScorer:
+                sequential.follow_delay(batch[0].delay)
+                stacked.follow_delay(batch[0].delay)
+            expected = [sequential.score(w) for w in batch]
+            got = stacked.score_many(batch)
+            assert [(s.mi.hex(), s.nmi.hex(), s.ratio.hex()) for s in got] == [
+                (s.mi.hex(), s.nmi.hex(), s.ratio.hex()) for s in expected
+            ]
+            assert stacked.evaluations == sequential.evaluations
+            assert stacked.cache_hits == sequential.cache_hits
+        assert stacked.cache_hits > 0
+        if scorer_cls is IncrementalScorer:
+            assert stacked.engine.full_searches == sequential.engine.full_searches
+            assert stacked.engine.full_searches > 0
+
+
+def _counters(result):
+    stats = result.stats
+    return (
+        stats.windows_evaluated,
+        stats.cache_hits,
+        stats.restarts,
+        stats.lahc_iterations,
+        stats.accepted_moves,
+        stats.noise_prunes,
+        stats.mi_full_searches,
+        stats.mi_incremental_updates,
+    )
+
+
 class TestEngineEquivalence:
     @pytest.mark.parametrize("use_incremental", [False, True])
     def test_search_identical_with_and_without_batching(self, use_incremental):
@@ -93,6 +171,30 @@ class TestEngineEquivalence:
         assert plain.stats.windows_evaluated == batched.stats.windows_evaluated
         assert plain.stats.cache_hits == batched.stats.cache_hits
         assert plain.stats.accepted_moves == batched.stats.accepted_moves
+
+    @pytest.mark.parametrize("use_noise", [False, True])
+    @pytest.mark.parametrize("use_incremental", [False, True])
+    def test_tied_unjittered_pair_identical_for_every_variant(self, use_noise, use_incremental):
+        # No jitter: ties reach argpartition and the marginal counts.  The
+        # permutation test and the noise probes run their stacked paths.
+        x, y = _tied_pair(n=360)
+        config = TycosConfig(
+            sigma=0.3, s_min=12, s_max=110, td_max=12, init_delay_step=1,
+            significance_permutations=6, seed=5,
+        )
+        runs = [
+            Tycos(
+                config, use_noise=use_noise, use_incremental=use_incremental,
+                batched_scoring=batched,
+            ).search(x, y)
+            for batched in (False, True)
+        ]
+        plain, batched = (
+            [(r.window.key(), r.mi.hex(), r.nmi.hex()) for r in run.windows] for run in runs
+        )
+        assert plain == batched
+        assert plain  # the tied pair does hold windows
+        assert _counters(runs[0]) == _counters(runs[1])
 
 
 class TestCappedMemo:

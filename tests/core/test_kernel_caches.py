@@ -1,9 +1,9 @@
 """Exact-equality tests for the MI kernel caches (PR 3 tentpole).
 
 Every cache introduced by the hot-path overhaul -- the shared digamma
-table, presorted/maintained marginals, and the per-delay workspace LRU --
-is a pure amortization: switching any of them off must reproduce the SAME
-floats, windows and counters, not approximately but exactly.
+table and presorted/maintained marginals -- is a pure amortization:
+switching any of them off must reproduce the SAME floats, windows and
+counters, not approximately but exactly.
 """
 
 import numpy as np
@@ -32,8 +32,8 @@ def _ring(rng, n, count, delay, td_max):
     return windows
 
 
-ALL_ON = dict(use_digamma_table=True, use_sorted_marginals=True, workspace_cache_size=8)
-ALL_OFF = dict(use_digamma_table=False, use_sorted_marginals=False, workspace_cache_size=0)
+ALL_ON = dict(use_digamma_table=True, use_sorted_marginals=True)
+ALL_OFF = dict(use_digamma_table=False, use_sorted_marginals=False)
 
 
 class TestKnobExactEquality:
@@ -55,7 +55,6 @@ class TestKnobExactEquality:
         [
             dict(use_digamma_table=False),
             dict(use_sorted_marginals=False),
-            dict(workspace_cache_size=0),
         ],
     )
     @pytest.mark.parametrize("use_incremental", [False, True])
@@ -74,75 +73,8 @@ class TestKnobExactEquality:
         assert fast.stats.lahc_iterations == slow.stats.lahc_iterations
 
 
-class TestWorkspaceLRU:
-    def test_repeat_clusters_hit_the_workspace_cache(self):
-        x, y = _coupled_pair()
-        config = TycosConfig(s_min=8, s_max=60, td_max=6)
-        scorer = BatchScorer(PairView(x, y), config)
-        # One LAHC-ring-shaped cluster: overlapping same-delay windows.
-        ring = [
-            TimeDelayWindow(start=100 + i, end=140 + 2 * i, delay=2) for i in range(6)
-        ]
-        scorer.score_many(ring)
-        assert scorer.workspace_builds == 1
-        # A shifted ring at the same delay, inside the cached span, is free.
-        contained = [
-            TimeDelayWindow(start=w.start + 1, end=w.end - 1, delay=w.delay) for w in ring
-        ]
-        scorer.score_many(contained)
-        assert scorer.workspace_hits == 1
-        assert scorer.workspace_builds == 1
-
-    def test_lru_capacity_bounds_entries(self):
-        x, y = _coupled_pair()
-        config = TycosConfig(s_min=8, s_max=60, td_max=6, workspace_cache_size=2)
-        scorer = BatchScorer(PairView(x, y), config)
-        rng = np.random.default_rng(3)
-        for delay in (0, 1, 2, 3):
-            scorer.score_many(_ring(rng, len(x), 4, delay=delay, td_max=6))
-        assert len(scorer._workspaces) <= 2
-
-    def test_zero_capacity_disables_the_cache(self):
-        x, y = _coupled_pair()
-        config = TycosConfig(s_min=8, s_max=60, td_max=6, workspace_cache_size=0)
-        scorer = BatchScorer(PairView(x, y), config)
-        rng = np.random.default_rng(3)
-        ring = _ring(rng, len(x), 8, delay=2, td_max=6)
-        scorer.score_many(ring)
-        scorer.score_many(
-            [TimeDelayWindow(start=w.start, end=w.end, delay=w.delay) for w in ring]
-        )
-        assert scorer.workspace_hits == 0
-        assert len(scorer._workspaces) == 0
-
-    def test_clear_cache_drops_workspaces(self):
-        x, y = _coupled_pair()
-        scorer = BatchScorer(PairView(x, y), TycosConfig(s_min=8, s_max=60, td_max=6))
-        rng = np.random.default_rng(3)
-        scorer.score_many(_ring(rng, len(x), 6, delay=1, td_max=6))
-        assert len(scorer._workspaces) >= 1
-        scorer.clear_cache()
-        assert len(scorer._workspaces) == 0
-
-    def test_search_stats_surface_workspace_counters(self):
-        x, y = _coupled_pair(n=320)
-        config = TycosConfig(sigma=0.3, s_min=8, s_max=48, td_max=8, jitter=1e-6, seed=2)
-        result = Tycos(config, use_incremental=False).search(x, y)
-        assert result.stats.workspace_builds > 0
-        # LAHC revisits delays across iterations, so the LRU must pay off.
-        assert result.stats.workspace_hits > 0
-        scalar = Tycos(config, use_incremental=False, batched_scoring=False).search(x, y)
-        assert scalar.stats.workspace_builds == 0
-        assert scalar.stats.workspace_hits == 0
-
-
 class TestConfigKnobs:
-    def test_workspace_cache_size_rejects_negative(self):
-        with pytest.raises(ValueError, match="workspace_cache_size"):
-            TycosConfig(workspace_cache_size=-1)
-
     def test_defaults_enable_every_cache(self):
         config = TycosConfig()
         assert config.use_digamma_table is True
         assert config.use_sorted_marginals is True
-        assert config.workspace_cache_size == 8

@@ -134,3 +134,44 @@ class TestSubsequentNoiseDetection:
         detector.inspect(TimeDelayWindow(10, 40, delay=0), 0.0)
         assert not detector.blocked
         assert detector.prunes == 0
+
+
+class TestBatchedProbes:
+    """``batched=True`` scores the same probes in one stacked call."""
+
+    def _pair(self, rng):
+        x = rng.integers(0, 5, 400).astype(float)  # unjittered, tied
+        y = rng.integers(0, 5, 400).astype(float)
+        y[100:260] = x[97:257]
+        return x, y
+
+    def test_inspect_matches_sequential_probes(self, rng):
+        x, y = self._pair(rng)
+        runs = []
+        for batched in (False, True):
+            scorer, config, pair = _scorer_for(x, y, td_max=4)
+            detector = NoiseDetector(scorer=scorer, config=config, n=pair.n, batched=batched)
+            blocks = []
+            for start, end, delay in [
+                (218, 259, 3), (100, 141, 3), (140, 200, 3), (10, 60, -4), (300, 398, 0),
+            ]:
+                window = TimeDelayWindow(start, end, delay)
+                detector.reset()
+                detector.inspect(window, scorer.value(window))
+                blocks.append(sorted(detector.blocked))
+            runs.append((blocks, detector.prunes, scorer.evaluations, scorer.cache_hits))
+        assert runs[0] == runs[1]
+        assert runs[0][1] > 0  # some direction was blocked
+
+    def test_seeding_matches_sequential_grid(self, rng):
+        x, y = self._pair(rng)
+        runs = []
+        for batched in (False, True):
+            scorer, config, pair = _scorer_for(x, y, td_max=6)
+            seeds = [
+                find_initial_window(scorer, config, pair.n, scan_from, batched=batched)
+                for scan_from in (0, 90, 250)
+            ]
+            runs.append((seeds, scorer.evaluations, scorer.cache_hits))
+        assert runs[0] == runs[1]
+        assert any(seed is not None for seed in runs[0][0])
