@@ -31,11 +31,11 @@ falls below ``threshold - screen_margin``
 (:attr:`repro.core.config.TycosConfig.screen_margin`).  ``margin=0`` is
 the explicit opt-out of that conservatism; ``margin=inf`` disables
 pruning entirely, making :func:`cascade_scan` byte-identical to the
-unscreened :func:`~repro.analysis.pairwise.scan_pairs` -- the bench
-recall gate asserts exactly that discipline before any speedup is
-reported.  A screen that cannot produce evidence (series shorter than
-the screen window) or raises *abstains*: the pair passes to the next
-stage rather than being silently dropped.
+unscreened :func:`~repro.analysis.pairwise.scan_pairs` -- the tier-1
+recall tests assert exactly that discipline.  A screen that cannot
+produce evidence (series shorter than the screen window) or raises
+*abstains*: the pair passes to the next stage rather than being
+silently dropped.
 """
 
 from __future__ import annotations

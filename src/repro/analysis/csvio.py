@@ -48,11 +48,12 @@ def read_csv_series(
     Returns:
         Mapping of column name -> float array.  Rows where a requested
         column is empty or non-numeric raise, because silently dropping
-        samples would desynchronize the series.
+        samples would desynchronize the series.  Blank lines at the end of
+        the file are ignored; a blank line followed by more data raises.
 
     Raises:
-        ValueError: on a missing header, an unknown requested column, or a
-            non-numeric cell.
+        ValueError: on a missing header, an unknown requested column, a
+            non-numeric cell, or a blank line followed by more data.
     """
     path = Path(path)
     with path.open(newline="") as handle:
@@ -71,7 +72,17 @@ def read_csv_series(
             wanted = list(columns)
         idx = {name: header.index(name) for name in wanted}
         data: Dict[str, List[float]] = {name: [] for name in wanted}
+        blank_line: Optional[int] = None
         for row_no, row in enumerate(reader, start=2):
+            # A blank line; a line of delimiters is a row of missing cells.
+            if len(row) <= 1 and not "".join(row).strip():
+                blank_line = blank_line or row_no
+                continue
+            if blank_line is not None:
+                raise ValueError(
+                    f"{path}:{blank_line}: blank line inside the data; dropping "
+                    "it would shift the time axis"
+                )
             for name, col in idx.items():
                 try:
                     data[name].append(float(row[col]))

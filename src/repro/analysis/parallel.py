@@ -102,10 +102,10 @@ def resolve_n_jobs(n_jobs: int) -> int:
 
     Note that requesting more workers than physical cores is pure
     overhead: each extra process pays interpreter spin-up, engine
-    unpickling and scheduler churn without adding CPU time (the
-    ``BENCH_PR2.json`` n_jobs=4 row on a 1-core host ran *slower* than
-    serial for exactly this reason).  Callers that know their task count
-    should additionally clamp to it, as :func:`scan_pairs_parallel` does.
+    unpickling and scheduler churn without adding CPU time (an n_jobs=4
+    scan of 28 pairs on a 1-core host ran at 0.57x serial for exactly
+    this reason).  Callers that know their task count should
+    additionally clamp to it, as :func:`scan_pairs_parallel` does.
     """
     if n_jobs == -1:
         return max(1, os.cpu_count() or 1)
@@ -123,13 +123,12 @@ def effective_workers(
     workers still pay pool spin-up), then -- when the host has exactly
     one CPU and more than one worker survived the clamp -- falls back to
     one worker: on a single core a process pool adds dispatch and
-    unpickling overhead without adding CPU time (the tracked
-    ``BENCH_PR4.json`` measured n_jobs=2 at 0.93x serial on a 1-core
-    host).  The fallback is logged and reported to the caller so results
-    stay attributable; ``force_parallel`` disables it for tests and
-    benchmarks that exercise the pool machinery itself.  Results are
-    unaffected either way: every parallel path reproduces its serial
-    reference bit-exactly.
+    unpickling overhead without adding CPU time (a 28-pair scan measured
+    n_jobs=2 at 0.93x serial on a 1-core host).  The fallback is logged
+    and reported to the caller so results stay attributable;
+    ``force_parallel`` disables it for tests and benchmarks that exercise
+    the pool machinery itself.  Results are unaffected either way: every
+    parallel path reproduces its serial reference bit-exactly.
 
     Returns:
         ``(workers, fell_back)`` -- the worker count to use and whether

@@ -31,7 +31,7 @@ scalar ``1.0 - float(d) ** 2 / (2.0 * m)`` tail -- and row-wise numpy
 reductions (``cumsum(axis=1)``, ``irfft(axis=1)``) are per-row
 identical to their 1-D forms, so every returned score is bit-identical
 to ``fft_screen_score`` on the same pair (TY121 gate, asserted by the
-tier-1 suite and by the bench before any speedup is recorded).  A
+tier-1 suite).  A
 geometry the reference would abstain on (window < 2, series shorter
 than the window) abstains here identically: every score is ``inf`` and
 no pair is pruned.

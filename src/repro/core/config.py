@@ -48,19 +48,6 @@ class TycosConfig:
             memo table.  The table is an LRU: long multi-restart searches
             revisit mostly *recent* windows, so a generous cap keeps the
             hit rate intact while bounding memory on big inputs.
-        use_digamma_table: serve every digamma evaluation in the KSG kernel
-            from the process-wide lookup table
-            (:func:`repro.mi.digamma.shared_digamma_table`).  Table entries
-            are exact scipy evaluations, so results are bit-identical either
-            way; the switch exists so benchmarks can measure the table
-            against direct scipy calls.  Memory: one float64 per integer
-            ever seen (rounded up to a power of two), shared process-wide.
-        use_sorted_marginals: reuse presorted marginal projections for
-            KSG marginal counts in the sliding engine -- the incrementally
-            maintained :class:`repro.mi.neighbors.MarginalIndex` (Lemmas
-            5/6) -- instead of re-sorting both axes per estimate.  Counts
-            are exactly equal either way.  Memory: two sorted float64
-            copies of the live engine window.
         segment_margin: extra overlap between consecutive segments of a
             ``segments=K`` plan (:mod:`repro.analysis.planner`) on top
             of the ``s_max + td_max`` the containment lemma requires
@@ -128,8 +115,6 @@ class TycosConfig:
     seed: int = 0
     significance_permutations: int = 0
     cache_capacity: int = 100_000
-    use_digamma_table: bool = True
-    use_sorted_marginals: bool = True
     segment_margin: Optional[int] = None
     refine_margin: Optional[int] = None
     coarse_sigma_ratio: float = 0.5

@@ -71,7 +71,7 @@ class BatchScorer:
     def __init__(self, pair: PairView, config: TycosConfig) -> None:
         self._pair = pair
         self._config = config
-        self._estimator = KSGEstimator(k=config.k, use_digamma_table=config.use_digamma_table)
+        self._estimator = KSGEstimator(k=config.k)
         self._cache: "OrderedDict[WindowKey, WindowScore]" = OrderedDict()
         self._cache_capacity = config.cache_capacity
         self.evaluations = 0
@@ -207,9 +207,7 @@ class BatchScorer:
         rows += delays[:, None]
         np.take(self._pair.y, rows, out=xy[1])
         estimator = self._estimator
-        mis = ksg_mi_many(
-            xy, estimator.effective_k(size), estimator.algorithm, estimator.use_digamma_table
-        )
+        mis = ksg_mi_many(xy, estimator.effective_k(size), estimator.algorithm)
         entropies = binned_joint_entropy_many(xy)
         return dict(zip(positions, zip(mis.tolist(), entropies.tolist())))
 
@@ -252,11 +250,7 @@ class IncrementalScorer(BatchScorer):
 
     def __init__(self, pair: PairView, config: TycosConfig) -> None:
         super().__init__(pair, config)
-        self._engine = SlidingKSG(
-            k=config.k,
-            use_digamma_table=config.use_digamma_table,
-            use_sorted_marginals=config.use_sorted_marginals,
-        )
+        self._engine = SlidingKSG(k=config.k)
         self._base: Optional[TimeDelayWindow] = None
         self._trajectory_delay: Optional[int] = None
 

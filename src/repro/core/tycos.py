@@ -169,8 +169,7 @@ class Tycos:
             detector's growth probes and (MI only) the permutation test's
             shuffles.  ``False`` scores one window per scorer call, the
             scalar reference.  Scores and results are identical either
-            way; the flag exists so tests and benchmarks can compare the
-            two paths.
+            way; the flag exists so tests can compare the two paths.
     """
 
     def __init__(

@@ -125,6 +125,19 @@ class TimeDelayWindow:
         return f"([{self.start}, {self.end}], tau={self.delay})"
 
 
+def _one_series(values: AnyArray, name: str) -> FloatArray:
+    """``values`` as a flat float64 series.
+
+    ``(n,)``, ``(n, 1)`` and ``(1, n)`` arrays hold one series.  An array
+    with more than one axis longer than 1 holds several, and flattening
+    it would interleave their samples into one series.
+    """
+    array = np.asarray(values, dtype=np.float64)
+    if sum(axis > 1 for axis in array.shape) > 1:
+        raise ValueError(f"{name} must be a single series, got shape {array.shape}")
+    return array.ravel()
+
+
 class PairView:
     """A pair of aligned time series plus window extraction helpers.
 
@@ -132,13 +145,18 @@ class PairView:
     the search can cheaply slice out the sub-series of any feasible window.
 
     Args:
-        x: first series ``X_T``.
+        x: first series ``X_T``, shape ``(n,)`` or ``(n, 1)``.
         y: second series ``Y_T`` (same length, same observation period).
         jitter: when positive, add deterministic noise of this magnitude
             (relative to each series' standard deviation) to break ties.
             Integer-valued or zero-inflated sensor data otherwise produces
             duplicate points, which degrade the KSG estimator.
         seed: seed for the jitter noise.
+
+    Raises:
+        ValueError: if an input holds more than one series (two axes
+            longer than 1), the lengths differ, or a series is empty or
+            not finite.
     """
 
     x: FloatArray
@@ -151,8 +169,8 @@ class PairView:
         jitter: float = 0.0,
         seed: int = 0,
     ) -> None:
-        x = np.asarray(x, dtype=np.float64).ravel()
-        y = np.asarray(y, dtype=np.float64).ravel()
+        x = _one_series(x, "x")
+        y = _one_series(y, "y")
         if x.size != y.size:
             raise ValueError(f"series must have equal length, got {x.size} and {y.size}")
         if x.size == 0:

@@ -27,12 +27,11 @@ __all__ = ["DigammaTable", "digamma_direct", "shared_digamma_table"]
 
 
 def digamma_direct(values: AnyArray) -> AnyArray:
-    """Direct scipy digamma evaluation (the reference / ablation path).
+    """Direct scipy digamma evaluation (the tests' reference path).
 
-    Exists so estimator code that must *bypass* the table (e.g. the
-    ``use_digamma_table=False`` benchmark ablation, or non-integer
-    arguments) still routes through this module, keeping tycoslint rule
-    TY007 exception-free.
+    Exists so code that must *bypass* the table (the exactness tests, or
+    non-integer arguments) still routes through this module, keeping
+    tycoslint rule TY007 exception-free.
     """
     return _scipy_digamma(values)
 

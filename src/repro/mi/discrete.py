@@ -55,13 +55,14 @@ def _validate_joint(joint: AnyArray) -> FloatArray:
 def discrete_mi(joint: AnyArray) -> float:
     """Mutual information (nats) of a joint probability table (Eq. 1)."""
     joint = _validate_joint(joint)
-    px = joint.sum(axis=1, keepdims=True)
-    py = joint.sum(axis=0, keepdims=True)
-    mask = joint > 0
-    ratio = np.zeros_like(joint)
-    outer = px * py
-    ratio[mask] = joint[mask] / outer[mask]
-    return float(np.sum(joint[mask] * np.log(ratio[mask])))
+    px = joint.sum(axis=1)
+    py = joint.sum(axis=0)
+    rows, cols = np.nonzero(joint > 0)
+    p = joint[rows, cols]
+    # Log space: px * py underflows to 0 for marginals near 1e-162 while the
+    # cell itself stays positive, which would make the ratio infinite.
+    log_ratio = np.log(p) - np.log(px[rows]) - np.log(py[cols])
+    return float(np.sum(p * log_ratio))
 
 
 def discrete_entropy_from_joint(joint: AnyArray) -> float:

@@ -40,7 +40,6 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 import numpy as np
 
 from repro import contracts
-from repro.mi.digamma import shared_digamma_table
 from repro.mi.ksg import KSGEstimator
 from repro.mi.neighbors import KnnResult, MarginalIndex
 
@@ -70,10 +69,6 @@ class SlidingKSG:
     Args:
         k: number of nearest neighbors.
         algorithm: KSG variant (2 is the paper's Eq. 2).
-        use_digamma_table: serve digamma from the shared process-wide
-            table (exact scipy values; off only for benchmark ablations).
-        use_sorted_marginals: maintain sorted x/y projections incrementally
-            (Lemmas 5/6) instead of re-sorting both on every :meth:`mi`.
 
     Attributes:
         full_searches: number of from-scratch k-NN searches performed
@@ -82,22 +77,10 @@ class SlidingKSG:
             replacements triggered by Lemma 3.
     """
 
-    def __init__(
-        self,
-        k: int = 4,
-        algorithm: int = 2,
-        use_digamma_table: bool = True,
-        use_sorted_marginals: bool = True,
-    ) -> None:
-        self._estimator = KSGEstimator(
-            k=k,
-            algorithm=algorithm,
-            backend="bruteforce",
-            use_digamma_table=use_digamma_table,
-        )
+    def __init__(self, k: int = 4, algorithm: int = 2) -> None:
+        self._estimator = KSGEstimator(k=k, algorithm=algorithm, backend="bruteforce")
         self.k = k
         self.algorithm = algorithm
-        self._use_digamma_table = use_digamma_table
         # Parallel position-indexed storage (swap-pop on removal), backed
         # by preallocated numpy buffers so adds/removes never rebuild
         # arrays from Python lists.
@@ -117,12 +100,8 @@ class SlidingKSG:
         # Reverse adjacency: id -> ids of points listing it as a neighbor.
         self._reverse: Dict[int, Set[int]] = {}
         # Incrementally maintained sorted projections (Lemmas 5/6).
-        self._marginal_x: Optional[MarginalIndex] = (
-            MarginalIndex() if use_sorted_marginals else None
-        )
-        self._marginal_y: Optional[MarginalIndex] = (
-            MarginalIndex() if use_sorted_marginals else None
-        )
+        self._marginal_x = MarginalIndex()
+        self._marginal_y = MarginalIndex()
         self._needs_rebuild = True
         self.full_searches = 0
         self.incremental_updates = 0
@@ -185,9 +164,8 @@ class SlidingKSG:
         self._buf_epsy[: self._size] = 0.0
         self._pos = {pid: i for i, pid in enumerate(id_list)}
         self._reverse = {pid: set() for pid in id_list}
-        if self._marginal_x is not None and self._marginal_y is not None:
-            self._marginal_x.reset(self._buf_x[: self._size])
-            self._marginal_y.reset(self._buf_y[: self._size])
+        self._marginal_x.reset(self._buf_x[: self._size])
+        self._marginal_y.reset(self._buf_y[: self._size])
         self._needs_rebuild = True
         self._maybe_rebuild()
 
@@ -265,9 +243,8 @@ class SlidingKSG:
             row["dy"] = new_dy
             row["id"] = new_ids
         self._size += 1
-        if self._marginal_x is not None and self._marginal_y is not None:
-            self._marginal_x.add(x)
-            self._marginal_y.add(y)
+        self._marginal_x.add(x)
+        self._marginal_y.add(y)
         self._maybe_rebuild()
 
     def remove(self, point_id: int) -> None:
@@ -292,9 +269,8 @@ class SlidingKSG:
             self._pos[self._ids[pos]] = pos
         self._ids.pop()
         self._size -= 1
-        if self._marginal_x is not None and self._marginal_y is not None:
-            self._marginal_x.remove(removed_x)
-            self._marginal_y.remove(removed_y)
+        self._marginal_x.remove(removed_x)
+        self._marginal_y.remove(removed_y)
 
         dependents = self._reverse.pop(point_id, set())
         if removed_neighbor_ids is not None:
@@ -336,19 +312,13 @@ class SlidingKSG:
             eps_y=self._buf_epsy[:m],
             indices=np.empty((m, 0), dtype=np.int64),
         )
-        table = shared_digamma_table().prefix(m) if self._use_digamma_table else None
-        sorted_x = sorted_y = None
-        if self._marginal_x is not None and self._marginal_y is not None:
-            sorted_x = self._marginal_x.sorted_values()
-            sorted_y = self._marginal_y.sorted_values()
         value = self._estimator.mi_from_geometry(
             x,
             y,
             geometry,
             self.k,
-            digamma_table=table,
-            sorted_x=sorted_x,
-            sorted_y=sorted_y,
+            sorted_x=self._marginal_x.sorted_values(),
+            sorted_y=self._marginal_y.sorted_values(),
         )
         if contracts.checks_enabled():
             contracts.check_mi_finite(value, where="SlidingKSG.mi")

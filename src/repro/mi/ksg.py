@@ -27,7 +27,7 @@ import numpy as np
 
 from repro import contracts
 from repro._types import AnyArray, FloatArray, IntArray
-from repro.mi.digamma import digamma_direct, shared_digamma_table
+from repro.mi.digamma import shared_digamma_table
 from repro.mi.neighbors import (
     KnnResult,
     chebyshev_knn_bruteforce,
@@ -54,17 +54,11 @@ class KSGEstimator:
         backend: neighbor search backend, one of ``"bruteforce"``, ``"grid"``,
             ``"kdtree"`` or ``"auto"`` (size-based choice between the first
             two; the k-d tree is opt-in, best under heavy clustering).
-        use_digamma_table: serve digamma evaluations from the process-wide
-            :func:`repro.mi.digamma.shared_digamma_table` instead of calling
-            scipy per estimate.  Table entries are exact scipy evaluations,
-            so this never changes an estimate; the switch exists only so
-            benchmarks can measure the table against direct calls.
     """
 
     k: int = 4
     algorithm: int = 2
     backend: str = "auto"
-    use_digamma_table: bool = True
 
     def __post_init__(self) -> None:
         if self.k < 1:
@@ -152,9 +146,7 @@ class KSGEstimator:
             raise ValueError("x and y must be finite")
         if w == 0 or self.resolved_backend(m) != "bruteforce":
             return np.array([self.mi(x, y) for x, y in zip(xs, ys)], dtype=np.float64)
-        out = ksg_mi_many(
-            np.stack((xs, ys)), self.effective_k(m), self.algorithm, self.use_digamma_table
-        )
+        out = ksg_mi_many(np.stack((xs, ys)), self.effective_k(m), self.algorithm)
         if contracts.checks_enabled():
             for value in out.tolist():
                 contracts.check_mi_finite(value, where="KSGEstimator.mi_many")
@@ -186,8 +178,7 @@ class KSGEstimator:
                 integer ``<= m``, so a caller evaluating many windows can
                 share one table.  The table values are exact scipy
                 evaluations, so supplying it never changes the estimate.
-                When omitted, the process-wide shared table is used unless
-                ``use_digamma_table`` is off.
+                When omitted, the process-wide shared table is used.
             sorted_x: optional ascending float64 realization of exactly the
                 multiset of ``x`` (see :func:`marginal_counts` presorted);
                 skips the per-call marginal sort without changing counts.
@@ -215,38 +206,21 @@ class KSGEstimator:
         algorithm configured on this estimator (loose radii counts for
         algorithm 2, strict kth-distance counts for algorithm 1).
         """
-        if digamma_table is None and self.use_digamma_table:
+        if digamma_table is None:
             digamma_table = shared_digamma_table().prefix(m)
-
+        psi_k = float(digamma_table[k - 1])
+        psi_m = float(digamma_table[m - 1])
         if self.algorithm == 2:
             # Eq. (2): counts include the k neighbors, so n >= k >= 1 except
             # in degenerate duplicate layouts; guard psi(0).
             n_x = np.maximum(n_x, 1)
             n_y = np.maximum(n_y, 1)
-            if digamma_table is not None:
-                psi_sum = digamma_table[n_x - 1] + digamma_table[n_y - 1]
-                psi_k = float(digamma_table[k - 1])
-                psi_m = float(digamma_table[m - 1])
-            else:
-                psi_sum = np.asarray(
-                    digamma_direct(n_x) + digamma_direct(n_y), dtype=np.float64
-                )
-                psi_k = float(digamma_direct(k))
-                psi_m = float(digamma_direct(m))
+            psi_sum = digamma_table[n_x - 1] + digamma_table[n_y - 1]
             # .sum()/m is bit-identical to .mean() (numpy's _mean is
             # umr_sum over count) without the wrapper's dispatch cost.
             value = psi_k - 1.0 / k - float(psi_sum.sum() / m) + psi_m
         else:
-            if digamma_table is not None:
-                psi_sum = digamma_table[n_x] + digamma_table[n_y]
-                psi_k = float(digamma_table[k - 1])
-                psi_m = float(digamma_table[m - 1])
-            else:
-                psi_sum = np.asarray(
-                    digamma_direct(n_x + 1) + digamma_direct(n_y + 1), dtype=np.float64
-                )
-                psi_k = float(digamma_direct(k))
-                psi_m = float(digamma_direct(m))
+            psi_sum = digamma_table[n_x] + digamma_table[n_y]
             value = psi_k - float(psi_sum.sum() / m) + psi_m
         if contracts.checks_enabled():
             contracts.check_mi_finite(float(value), where="KSGEstimator.mi_from_counts")

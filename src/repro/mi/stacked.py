@@ -40,7 +40,7 @@ from itertools import groupby
 import numpy as np
 
 from repro._types import FloatArray, IntArray
-from repro.mi.digamma import digamma_direct, shared_digamma_table
+from repro.mi.digamma import shared_digamma_table
 from repro.mi.entropy import default_bins
 
 __all__ = [
@@ -151,12 +151,7 @@ def _knn_block(xy: FloatArray, k: int, lo: int, hi: int) -> FloatArray:
     return near.max(axis=1)
 
 
-def ksg_mi_many(
-    xy: FloatArray,
-    k: int,
-    algorithm: int = 2,
-    use_digamma_table: bool = True,
-) -> FloatArray:
+def ksg_mi_many(xy: FloatArray, k: int, algorithm: int = 2) -> FloatArray:
     """KSG estimates of ``W`` equal-size windows, one per row.
 
     Args:
@@ -165,8 +160,6 @@ def ksg_mi_many(
         k: neighbor count, ``1 <= k < m`` (callers pass
             :meth:`~repro.mi.ksg.KSGEstimator.effective_k`).
         algorithm: KSG algorithm, 2 (paper Eq. 2) or 1.
-        use_digamma_table: gather digamma values from the shared table
-            (identical values; see :class:`repro.mi.ksg.KSGEstimator`).
 
     Returns:
         ``(W,)`` float64 estimates, row ``i`` bit-identical to
@@ -176,11 +169,7 @@ def ksg_mi_many(
     if not 1 <= k < m:
         raise ValueError(f"need 1 <= k < m, got k={k}, m={m}")
     # psi(i) for i = 1..m sits at index i - 1 (the DigammaTable layout).
-    table = (
-        shared_digamma_table().prefix(m)
-        if use_digamma_table
-        else np.asarray(digamma_direct(np.arange(1, m + 1)), dtype=np.float64)
-    )
+    table = shared_digamma_table().prefix(m)
     psi_k = float(table[k - 1])
     psi_m = float(table[m - 1])
     lead = psi_k - 1.0 / k if algorithm == 2 else psi_k

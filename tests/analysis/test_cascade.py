@@ -1,6 +1,6 @@
 """Tests for the all-pairs prescreen cascade.
 
-The contract under test -- the recall gate the bench also enforces: a
+The contract under test -- the cascade's recall gate: a
 cascade scan's surviving findings are byte-identical to the unscreened
 ``scan_pairs`` reference, every truly correlated pair survives the
 screens on the tracked workload, the per-stage counters account for
@@ -13,7 +13,9 @@ import pytest
 
 from repro.analysis.cascade import cascade_scan, fft_screen_score, main
 from repro.analysis.pairwise import scan_pairs
+from repro.analysis.planner import SearchPlan
 from repro.core.config import TycosConfig
+from repro.core.tycos import tycos_lmn
 
 
 def _config(**kwargs):
@@ -75,9 +77,70 @@ class TestRecallParity:
 
     def test_noise_pairs_are_pruned(self, collection):
         report = cascade_scan(collection, _config(), screen_window=120)
-        assert report.pairs_pruned_fft > 0
+        # 22 of the 28 pairs are pruned before any KSG estimate.
+        assert report.pairs_pruned_fft >= 0.70 * report.pairs_screened
         pruned = set(report.skipped)
         assert ("noise0", "noise1") in pruned
+
+
+def _ar1(rng, n, phi=0.9):
+    """A smooth AR(1) series: the structure PAA aggregation preserves."""
+    shocks = rng.normal(size=n)
+    out = np.empty(n)
+    acc = 0.0
+    for i in range(n):
+        acc = phi * acc + shocks[i]
+        out[i] = acc
+    return out
+
+
+class TestPlannedStage3:
+    """Stage 3 refining every survivor through ``coarse=8`` keeps the
+    correlated-pair set of the plain stage 3."""
+
+    @pytest.fixture(scope="class")
+    def episodic(self):
+        # Three series share noisy copies of one AR(1) base walk's two
+        # episodes, each at a small lag; five are white noise.  The FFT
+        # screen catches the coupled pairs on their episodes, and the quiet
+        # stretches between episodes are what the coarse pass prunes.
+        rng = np.random.default_rng(2024)
+        n = 4000
+        base = _ar1(rng, n)
+        series = {}
+        for i in range(3):
+            own = _ar1(rng, n)
+            lag = (i * 2) % 6
+            for start, length in ((500, 240), (2900, 260)):
+                own[start + lag : start + lag + length] = (
+                    base[start : start + length] + 0.2 * rng.normal(size=length)
+                )
+            series[f"coupled{i}"] = own
+        for i in range(5):
+            series[f"noise{i}"] = rng.normal(size=n)
+        return series
+
+    def test_coarse_plan_keeps_the_correlated_pairs(self, episodic):
+        config = TycosConfig(
+            sigma=0.75, s_min=32, s_max=96, td_max=8, jitter=1e-6, seed=3,
+            init_delay_step=1, coarse_sigma_ratio=0.85,
+        )
+        reports = [
+            cascade_scan(episodic, config, screen_window=256, engine=tycos_lmn(config), plan=plan)
+            for plan in (None, SearchPlan(coarse=8))
+        ]
+        plain, planned = ([(f.source, f.target) for f in r.correlated()] for r in reports)
+        assert plain
+        assert planned == plain
+        assert reports[0].metadata == {}
+        assert reports[1].metadata == {"plan": "coarse=8"}
+        for report in reports:
+            assert report.pairs_screened == 28  # C(8, 2)
+            assert report.pairs_pruned_fft > 0
+            assert (
+                report.pairs_pruned_fft + report.pairs_pruned_nmi + report.pairs_searched
+                == report.pairs_screened
+            )
 
 
 class TestCounterAccounting:

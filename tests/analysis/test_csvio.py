@@ -55,6 +55,20 @@ class TestReadCsv:
         with pytest.raises(ValueError, match="not numeric"):
             read_csv_series(bad)
 
+    def test_trailing_blank_lines_are_ignored(self, tmp_path):
+        path = tmp_path / "trailing.csv"
+        path.write_text("a,b\n1.0,2.0\n3.0,4.0\n\n  \n")
+        series = read_csv_series(path)
+        assert series["a"].tolist() == [1.0, 3.0]
+        assert series["b"].tolist() == [2.0, 4.0]
+
+    def test_blank_line_before_more_data_raises(self, tmp_path):
+        # Dropping it would shift every later sample by one step.
+        path = tmp_path / "gap.csv"
+        path.write_text("a,b\n1.0,2.0\n\n3.0,4.0\n")
+        with pytest.raises(ValueError, match=r"gap\.csv:3: blank line"):
+            read_csv_series(path)
+
 
 class TestCli:
     def test_single_pair_mode(self, csv_file, capsys):

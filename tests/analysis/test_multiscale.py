@@ -1,7 +1,7 @@
 """Tests for the ``coarse=F`` plan: coarse-to-fine multiscale search.
 
 The contract under test: ``coarse=1`` reproduces the plain search
-byte-exactly; with a real factor on the seeded bench-style workload the
+byte-exactly; with a real factor on the seeded long-episode workload the
 search recovers 100% of the plain search's findings at bit-identical
 scores while evaluating fewer full-resolution windows; and the stats
 ledger (coarse evaluations, refined cells, pruned tiles, phase walls)
@@ -31,9 +31,10 @@ def _ar1(rng, n, phi=0.9):
 def _episode_pair(n=8000, seed=11, episodes=((1200, 300, 5), (4200, 280, -7), (6800, 320, -3))):
     """Independent AR(1) pair with planted delayed-copy episodes.
 
-    The same shape as the tracked benchmark workload
-    (``benchmarks/run_bench.py``, multiscale section): long smooth
-    episodes a coarse level can locate, quiet stretches it can prune.
+    Long smooth episodes a coarse level can locate, quiet stretches it
+    can prune: the regime the ``coarse=F`` plan exists for.  At these
+    defaults, the LM variant at factor 8 cuts full-resolution evaluations
+    4.48x and LMN 1.57x.
     """
     rng = np.random.default_rng(seed)
     x = _ar1(rng, n)
@@ -86,7 +87,7 @@ class TestFactorOneBypass:
 
 
 class TestRecallParity:
-    """The headline guarantee on the bench-style workload: every plain
+    """The headline guarantee on the long-episode workload: every plain
     finding is recovered with bit-identical scores, at every factor."""
 
     @pytest.fixture(scope="class")
@@ -119,15 +120,18 @@ class TestRecallParity:
     def test_factor_8_actually_prunes(self, pair, plain):
         ms = _coarse(*pair, tycos_lmn(_config()), 8)
         assert ms.stats.cells_pruned > 0
-        assert ms.stats.full_windows_evaluated < plain.stats.full_windows_evaluated
+        assert ms.stats.full_windows_evaluated * 1.2 <= plain.stats.full_windows_evaluated
 
-    def test_lm_variant_parity_and_pruning(self, pair):
+    @pytest.fixture(scope="class")
+    def plain_lm(self, pair):
+        return tycos_lm(_config()).search(*pair)
+
+    def test_lm_variant_parity_and_pruning(self, pair, plain_lm):
         """The plain-seeded variant carries the structural parity argument
         (quiet-region restarts advance by exactly s_min) and the largest
         pruning upside (no noise theory to skip quiet stretches)."""
-        engine = tycos_lm(_config())
-        plain = engine.search(*pair)
-        ms = _coarse(*pair, engine, 8)
+        plain = plain_lm
+        ms = _coarse(*pair, tycos_lm(_config()), 8)
         assert {r.window.key() for r in plain.windows} == {
             r.window.key() for r in ms.windows
         }
@@ -139,6 +143,11 @@ class TestRecallParity:
         )
         print(f"\nLM factor=8 full-evaluation ratio: {ratio:.2f}x")
         assert ratio >= 2.0
+
+    @pytest.mark.parametrize("factor", [2, 4])
+    def test_lm_variant_parity_at_smaller_factors(self, pair, plain_lm, factor):
+        ms = _coarse(*pair, tycos_lm(_config()), factor)
+        assert _signature(ms) == _signature(plain_lm)
 
 
 class TestStatsLedger:

@@ -158,3 +158,19 @@ class TestPairView:
         x = np.array([0.0, np.nan])
         with pytest.raises(ValueError, match="finite"):
             PairView(x, np.zeros(2))
+
+    @pytest.mark.parametrize("shape", [(20, 10), (100, 2), (2, 100), (5, 4, 1)])
+    def test_rejects_several_series(self, shape):
+        # Flattening a multi-column input would interleave its series.
+        x = np.arange(float(np.prod(shape))).reshape(shape)
+        with pytest.raises(ValueError, match="single series"):
+            PairView(x, x)
+        with pytest.raises(ValueError, match="single series"):
+            PairView(x.ravel(), x)
+
+    @pytest.mark.parametrize("shape", [(30, 1), (1, 30), (30, 1, 1)])
+    def test_accepts_one_series_with_unit_axes(self, shape):
+        x = np.arange(30.0)
+        pair = PairView(x.reshape(shape), x.reshape(shape))
+        np.testing.assert_array_equal(pair.x, x)
+        assert pair.n == 30

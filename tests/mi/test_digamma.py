@@ -6,6 +6,7 @@ from scipy.special import digamma as scipy_digamma
 
 from repro.mi.digamma import DigammaTable, digamma_direct, shared_digamma_table
 from repro.mi.ksg import KSGEstimator
+from repro.mi.neighbors import chebyshev_knn_bruteforce
 
 
 def test_table_bit_matches_scipy():
@@ -99,8 +100,10 @@ def test_digamma_direct_is_plain_scipy():
 
 @pytest.mark.parametrize("algorithm", [1, 2])
 def test_estimator_identical_with_and_without_table(algorithm, correlated_gaussian):
-    """The table never changes an estimate: exact float equality."""
+    """The shared table never changes an estimate: ``mi`` equals the same
+    estimate finished from direct scipy evaluations, exactly."""
     x, y = correlated_gaussian
-    on = KSGEstimator(k=4, algorithm=algorithm, use_digamma_table=True)
-    off = KSGEstimator(k=4, algorithm=algorithm, use_digamma_table=False)
-    assert on.mi(x, y) == off.mi(x, y)
+    estimator = KSGEstimator(k=4, algorithm=algorithm)
+    direct = np.asarray(digamma_direct(np.arange(1, x.size + 1)), dtype=np.float64)
+    knn = chebyshev_knn_bruteforce(x, y, 4)
+    assert estimator.mi(x, y) == estimator.mi_from_geometry(x, y, knn, 4, digamma_table=direct)

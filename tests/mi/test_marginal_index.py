@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mi.neighbors import MarginalIndex, PairDistanceWorkspace, marginal_counts
+from repro.mi.neighbors import (
+    MarginalIndex,
+    PairDistanceWorkspace,
+    chebyshev_knn_bruteforce,
+    marginal_counts,
+)
 
 
 def test_presorted_counts_exactly_equal_scratch_path(rng):
@@ -122,3 +127,17 @@ def test_workspace_sorted_window_with_duplicates():
     sorted_x, sorted_y = workspace.sorted_window(1, 4)
     assert np.array_equal(sorted_x, np.sort(x[1:5]))
     assert np.array_equal(sorted_y, np.sort(y[1:5]))
+
+
+def test_workspace_knn_matches_bruteforce_on_every_slice(rng):
+    union, m, k = 200, 64, 4
+    x = np.cumsum(rng.normal(size=union))
+    y = np.roll(x, 2) + rng.normal(scale=0.1, size=union)
+    workspace = PairDistanceWorkspace(x, y)
+    for offset in range(0, union - m, 4):
+        served = workspace.knn(offset, m, k)
+        direct = chebyshev_knn_bruteforce(x[offset : offset + m], y[offset : offset + m], k)
+        assert np.array_equal(served.kth_distance, direct.kth_distance)
+        assert np.array_equal(served.eps_x, direct.eps_x)
+        assert np.array_equal(served.eps_y, direct.eps_y)
+        assert np.array_equal(served.indices, direct.indices)

@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 from repro.mi import stacked
+from repro.mi.digamma import digamma_direct
 from repro.mi.entropy import binned_joint_entropy, default_bins
 from repro.mi.ksg import KSGEstimator
-from repro.mi.neighbors import marginal_counts
+from repro.mi.neighbors import chebyshev_knn_bruteforce, marginal_counts
 from repro.mi.stacked import (
     CHUNK_ELEMENTS,
     binned_joint_entropy_many,
@@ -104,12 +105,20 @@ class TestStackedEqualsPerWindow:
         assert (default_bins(45), default_bins(46)) == (3, 4)
 
     def test_digamma_table_off_is_identical(self):
+        """Gathering from the shared table equals finishing each window
+        from direct scipy digamma evaluations."""
         rng = np.random.default_rng(3)
+        estimator = KSGEstimator(k=4, backend="bruteforce")
         for m in (24, 60):  # both marginal-count constructions
-            xy = np.stack(_tied_rows(rng, 9, m))
-            on = ksg_mi_many(xy, 4, use_digamma_table=True)
-            off = ksg_mi_many(xy, 4, use_digamma_table=False)
-            assert _hex(on) == _hex(off)
+            xs, ys = _tied_rows(rng, 9, m)
+            direct = np.asarray(digamma_direct(np.arange(1, m + 1)), dtype=np.float64)
+            off = [
+                estimator.mi_from_geometry(
+                    x, y, chebyshev_knn_bruteforce(x, y, 4), 4, digamma_table=direct
+                )
+                for x, y in zip(xs, ys)
+            ]
+            assert _hex(ksg_mi_many(np.stack((xs, ys)), 4)) == _hex(off)
 
 
 class TestMarginalCountsMany:
