@@ -1,9 +1,10 @@
 """Analysis layer: dataset-level workflows built on the TYCOS search.
 
 * :mod:`repro.analysis.pairwise` -- scan every pair of a sensor collection
-  (the outer loop of the paper's 72-plug energy study).
-* :mod:`repro.analysis.parallel` -- fan the pairwise scan over a process
-  pool with shared-memory series transfer.
+  (the outer loop of the paper's 72-plug energy study), serially or over
+  a process pool.
+* :mod:`repro.analysis.parallel` -- the process-pool transport, with
+  shared-memory series transfer.
 * :mod:`repro.analysis.planner` -- how one pair is searched: plain, with
   its timeline sharded into stitched segments (``segments=K``), or
   coarse-to-fine (``coarse=F``: locate on a PAA level, refine exactly).
@@ -35,7 +36,6 @@ from repro.analysis.pairwise import (
     PairwiseReport,
     scan_pairs,
 )
-from repro.analysis.parallel import scan_pairs_parallel
 from repro.analysis.planner import SearchPlan, execute_plan
 from repro.analysis.store import SeriesStore
 from repro.analysis.serialization import (
@@ -48,7 +48,6 @@ from repro.analysis.tuning import SigmaSweep, sigma_sweep, suggest_sigma
 
 __all__ = [
     "scan_pairs",
-    "scan_pairs_parallel",
     "PairwiseReport",
     "PairFinding",
     "PairFailure",

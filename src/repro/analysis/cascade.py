@@ -16,7 +16,7 @@ cost and most pairs are obviously unrelated.  This module prunes pairs
    stage *collection-level*: per-series screen state is precomputed
    once (:mod:`repro.analysis.screen_state`, cached on disk for store
    collections) and pairs are scored in batched blocks of
-   ``config.screen_block``, optionally fanned over the process pool --
+   ``screen_block`` pairs, optionally fanned over the process pool --
    with scores bit-identical to calling :func:`fft_screen_score` per
    pair, at every block size and worker count.
 2. **Coarse NMI screen** (:func:`coarse_nmi_score`): the repository's
@@ -27,11 +27,10 @@ cost and most pairs are obviously unrelated.  This module prunes pairs
 
 The screens are linear/coarse proxies for an information-theoretic
 search, so they must under-bid: a pair is pruned only when its score
-falls below ``threshold - screen_margin``
-(:attr:`repro.core.config.TycosConfig.screen_margin`).  ``margin=0`` is
-the explicit opt-out of that conservatism; ``margin=inf`` disables
-pruning entirely, making :func:`cascade_scan` byte-identical to the
-unscreened :func:`~repro.analysis.pairwise.scan_pairs` -- the tier-1
+falls below ``threshold - screen_margin`` (default ``0.25``).
+``margin=0`` is the explicit opt-out of that conservatism; ``margin=inf``
+disables pruning entirely, making :func:`cascade_scan` byte-identical to
+the unscreened :func:`~repro.analysis.pairwise.scan_pairs` -- the tier-1
 recall tests assert exactly that discipline.  A screen that cannot
 produce evidence (series shorter than the screen window) or raises
 *abstains*: the pair passes to the next stage rather than being
@@ -43,14 +42,19 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from itertools import combinations
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro._types import FloatArray
-from repro.analysis.pairwise import PairwiseReport, resolve_plan, scan_pairs, timed
+from repro.analysis.pairwise import (
+    PairwiseReport,
+    checked_pairs,
+    resolve_plan,
+    scan_pairs,
+    timed,
+)
 from repro.analysis.parallel import effective_workers, pooled_map, worker_state
 from repro.analysis.screen_state import (
     ScreenGeometry,
@@ -316,12 +320,12 @@ def cascade_scan(
     pairs: Optional[Iterable[Tuple[str, str]]] = None,
     screen_threshold: float = 0.6,
     nmi_threshold: float = 0.3,
-    screen_margin: Optional[float] = None,
+    screen_margin: float = 0.25,
     screen_window: Optional[int] = None,
     engine: Optional[Tycos] = None,
     n_jobs: Optional[int] = None,
     store_path: Optional[Union[str, Path]] = None,
-    screen_block: Optional[int] = None,
+    screen_block: int = 256,
     force_parallel: bool = False,
     plan: Union["SearchPlan", str, None] = None,
 ) -> PairwiseReport:
@@ -344,15 +348,13 @@ def cascade_scan(
     Args:
         series: name -> series mapping; all series must share a length.
         config: search parameters; ``config.td_max`` bounds the screen
-            delay band and ``config.screen_margin`` is the default
-            conservatism margin.
+            delay band.
         pairs: explicit (source, target) pairs; default: all unordered
             combinations of the collection's names.
         screen_threshold: stage-1 nominal threshold on the best |r|.
         nmi_threshold: stage-2 nominal threshold on the coarse NMI.
         screen_margin: conservatism margin subtracted from both nominal
-            thresholds before pruning (default
-            ``config.screen_margin``).  ``0`` prunes at the nominal
+            thresholds before pruning.  ``0`` prunes at the nominal
             thresholds; ``inf`` prunes nothing.
         screen_window: stage-1 window size (default
             ``max(config.s_min, min(config.s_max, 64))``).  Larger
@@ -369,13 +371,12 @@ def cascade_scan(
             from the store's memory-mapped screen cache (built once,
             reused across scans), and pool workers memory-map instead
             of copying.
-        screen_block: pairs per stage-1 batch (default
-            ``config.screen_block``).  Any block size produces
+        screen_block: pairs per stage-1 batch.  Any block size produces
             bit-identical scores; larger blocks amortize kernel launch
             overhead against peak memory.
-        force_parallel: run requested pools even on a 1-core host,
-            where the default falls back to serial (see
-            :func:`repro.analysis.parallel.effective_workers`).
+        force_parallel: run the requested pools of stage 1 and stage 3
+            even on a 1-core host, where the default falls back to serial
+            (see :func:`repro.analysis.parallel.effective_workers`).
         plan: how stage 3 searches the survivors.  ``None`` (the
             default) keeps the plain full-resolution search, preserving
             byte-identity with PR-9 cascades.  A
@@ -391,24 +392,14 @@ def cascade_scan(
         A :class:`~repro.analysis.pairwise.PairwiseReport` with the
         survivors' findings and the cascade's pruning ledger.
     """
-    names = list(series)
-    lengths = {series[name].size for name in names}
-    if len(lengths) > 1:
-        raise ValueError(f"all series must share a length, got {sorted(lengths)}")
-    pair_list = list(combinations(names, 2)) if pairs is None else list(pairs)
-    for source, target in pair_list:
-        if source not in series or target not in series:
-            raise KeyError(f"unknown series in pair ({source!r}, {target!r})")
-
-    margin = config.screen_margin if screen_margin is None else float(screen_margin)
-    if not margin >= 0:  # also rejects NaN
-        raise ValueError(f"screen_margin must be >= 0, got {margin}")
+    pair_list = checked_pairs(series, pairs)
+    if not screen_margin >= 0:  # also rejects NaN
+        raise ValueError(f"screen_margin must be >= 0, got {screen_margin}")
+    if screen_block < 1:
+        raise ValueError(f"screen_block must be >= 1, got {screen_block}")
     window = max(config.s_min, min(config.s_max, 64)) if screen_window is None else screen_window
-    block = config.screen_block if screen_block is None else int(screen_block)
-    if block < 1:
-        raise ValueError(f"screen_block must be >= 1, got {block}")
-    fft_cut = screen_threshold - margin
-    nmi_cut = nmi_threshold - margin
+    fft_cut = screen_threshold - screen_margin
+    nmi_cut = nmi_threshold - screen_margin
 
     def _stage2(source: str, target: str) -> str:
         x, y = series[source], series[target]
@@ -431,7 +422,7 @@ def cascade_scan(
         else:
             geometry = ScreenGeometry(length=length, window=window, td_max=config.td_max)
             fft_scores = _screen_scores(
-                series, pair_list, geometry, block, n_jobs, store_path, force_parallel
+                series, pair_list, geometry, screen_block, n_jobs, store_path, force_parallel
             )
         return [
             (pair, "fft" if score < fft_cut else _stage2(*pair))
@@ -453,8 +444,9 @@ def cascade_scan(
             pairs=survivors,
             engine=engine,
             n_jobs=n_jobs,
-            store_path=None if store_path is None else str(store_path),
+            store_path=store_path,
             plan=stage3_plan,
+            force_parallel=force_parallel,
         )
     )
     report.skipped.extend(pair for pair, stage in decisions if stage != "search")
@@ -518,19 +510,19 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="stage-2 nominal threshold on the coarse NMI probe (default 0.3)",
     )
     parser.add_argument(
-        "--screen-margin", type=float, default=None,
+        "--screen-margin", type=float, default=0.25,
         help="conservatism margin subtracted from both screen thresholds "
-             "(default: config screen_margin = 0.25; 0 prunes at the nominal "
-             "thresholds, inf prunes nothing)",
+             "(default 0.25; 0 prunes at the nominal thresholds, inf prunes "
+             "nothing)",
     )
     parser.add_argument(
         "--screen-window", type=int, default=None,
         help="stage-1 window size (default: clamp(64, s_min, s_max))",
     )
     parser.add_argument(
-        "--screen-block", type=int, default=None,
-        help="pairs per batched stage-1 screen block (default: config "
-             "screen_block = 256; any size scores bit-identically)",
+        "--screen-block", type=int, default=256,
+        help="pairs per batched stage-1 screen block (default 256; any size "
+             "scores bit-identically)",
     )
     parser.add_argument(
         "--profile", action="store_true",

@@ -8,44 +8,52 @@ pairs by their strongest extracted correlation, and reports per-pair
 window counts and delay ranges -- the raw material of a Table-3-style
 summary over an entire dataset.
 
-Pruning obviously unrelated pairs before the search, which matters when
-the number of pairs is quadratic in the number of sensors, is the job of
-:func:`repro.analysis.cascade.cascade_scan`, which runs its screens and
-then this scan on the survivors.
+:func:`scan_pairs` is the one entry point, serial or pooled: with
+``n_jobs`` workers it maps chunks of pairs over the process pool of
+:mod:`repro.analysis.parallel`, and the report is identical for every
+worker count.  Pruning obviously unrelated pairs before the search, which
+matters when the number of pairs is quadratic in the number of sensors,
+is the job of :func:`repro.analysis.cascade.cascade_scan`, which runs its
+screens and then this scan on the survivors.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from itertools import combinations
+from pathlib import Path
 from typing import (
-    TYPE_CHECKING,
     Any,
     Callable,
     Dict,
     Iterable,
     List,
     Optional,
+    Sequence,
     Tuple,
     Union,
 )
 
 from repro._types import FloatArray
+from repro.analysis import planner
+from repro.analysis.parallel import (
+    effective_workers,
+    pooled_map,
+    resolve_n_jobs,
+    worker_state,
+)
 from repro.core.config import TycosConfig
 from repro.core.tycos import Tycos, TycosResult
 from repro.experiments.reporting import format_table, title
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (planner imports
-    # the parallel module, which imports this one, so the runtime imports
-    # of planner names below are deferred into the functions that use them)
-    from repro.analysis.planner import SearchPlan
 
 __all__ = [
     "PairFinding",
     "PairFailure",
     "PairwiseReport",
     "scan_pairs",
+    "checked_pairs",
     "resolve_plan",
     "timed",
 ]
@@ -187,11 +195,9 @@ class PairwiseReport:
         notes = "".join(f"\n(note: {note})" for note in self.notes)
         timings = ""
         if include_timings and self.phase_seconds:
-            from repro.analysis.planner import ordered_phases
-
             timings = "".join(
                 f"\n(phase {phase}: {self.phase_seconds[phase]:.3f}s)"
-                for phase in ordered_phases(self.phase_seconds)
+                for phase in planner.ordered_phases(self.phase_seconds)
             )
         return (
             title("Pairwise correlation scan")
@@ -199,44 +205,78 @@ class PairwiseReport:
         )
 
 
-def _evaluate_pair(
+def _search_pair(
     source: str,
     target: str,
-    x: FloatArray,
-    y: FloatArray,
+    series: Dict[str, FloatArray],
     engine: Tycos,
-    plan: Optional["SearchPlan"] = None,
-) -> PairFinding:
-    """Search one pair and summarize its windows.
+    plan: Optional[planner.SearchPlan],
+) -> Union[PairFinding, PairFailure]:
+    """Search one pair and summarize its windows, containing any error.
 
-    Shared by the serial loop and the parallel workers so both paths apply
+    Shared by the in-process loop and the pool workers so both paths apply
     the identical procedure.  Without a ``plan`` the pair runs
     ``engine.search``; with one, the plan executes through
-    :func:`repro.analysis.planner.execute_plan`.
+    :func:`repro.analysis.planner.execute_plan`.  A search that raises is
+    returned as a :class:`PairFailure` rather than ending the scan.
     """
-    if plan is not None:
-        from repro.analysis.planner import execute_plan
-
-        result: TycosResult = execute_plan(x, y, engine=engine, plan=plan)
-    else:
-        result = engine.search(x, y)
-    best = max((r.nmi for r in result.windows), default=0.0)
+    x, y = series[source], series[target]
+    try:
+        if plan is None:
+            result: TycosResult = engine.search(x, y)
+        else:
+            result = planner.execute_plan(x, y, engine=engine, plan=plan)
+    except Exception as exc:  # noqa: BLE001 - containment is the point
+        return PairFailure(source=source, target=target, error=f"{type(exc).__name__}: {exc}")
     return PairFinding(
         source=source,
         target=target,
         windows=len(result.windows),
-        best_nmi=best,
+        best_nmi=max((r.nmi for r in result.windows), default=0.0),
         delay_range=result.delay_range(),
     )
 
 
+def _scan_chunk(chunk: Sequence[Tuple[str, str]]) -> List[Union[PairFinding, PairFailure]]:
+    """Worker task: search a chunk of pairs with the state the pool shipped."""
+    state = worker_state()
+    return [
+        _search_pair(source, target, state["series"], state["engine"], state["plan"])
+        for source, target in chunk
+    ]
+
+
+def checked_pairs(
+    series: Dict[str, FloatArray], pairs: Optional[Iterable[Tuple[str, str]]]
+) -> List[Tuple[str, str]]:
+    """The pairs a scan of ``series`` covers, after checking the collection.
+
+    ``pairs=None`` means every unordered combination of the collection's
+    names.  Shared by :func:`scan_pairs` and
+    :func:`repro.analysis.cascade.cascade_scan`.
+
+    Raises:
+        ValueError: when the series do not all share one length.
+        KeyError: when a pair names a series the collection lacks.
+    """
+    names = list(series)
+    lengths = {series[name].size for name in names}
+    if len(lengths) > 1:
+        raise ValueError(f"all series must share a length, got {sorted(lengths)}")
+    pair_list = list(combinations(names, 2)) if pairs is None else list(pairs)
+    for source, target in pair_list:
+        if source not in series or target not in series:
+            raise KeyError(f"unknown series in pair ({source!r}, {target!r})")
+    return pair_list
+
+
 def resolve_plan(
-    plan: Union["SearchPlan", str, None],
+    plan: Union[planner.SearchPlan, str, None],
     config: TycosConfig,
     series_len: int,
     n_pairs: int,
     n_jobs: Optional[int],
-) -> Optional["SearchPlan"]:
+) -> Optional[planner.SearchPlan]:
     """Resolve a ``plan=`` argument to a concrete plan (or ``None``).
 
     ``None`` passes through (the plain ``engine.search``); the string
@@ -247,16 +287,12 @@ def resolve_plan(
     """
     if plan is None:
         return None
-    from repro.analysis.planner import SearchPlan, auto_plan, parse_plan_spec
-
-    if isinstance(plan, SearchPlan):
+    if isinstance(plan, planner.SearchPlan):
         return plan
     if plan.strip().lower() == "auto":
-        from repro.analysis.parallel import resolve_n_jobs
-
         cores = 1 if n_jobs is None or n_jobs == 1 else resolve_n_jobs(n_jobs)
-        return auto_plan(series_len, n_pairs, cores, config)
-    return parse_plan_spec(plan)
+        return planner.auto_plan(series_len, n_pairs, cores, config)
+    return planner.parse_plan_spec(plan)
 
 
 def scan_pairs(
@@ -265,8 +301,9 @@ def scan_pairs(
     pairs: Optional[Iterable[Tuple[str, str]]] = None,
     engine: Optional[Tycos] = None,
     n_jobs: Optional[int] = None,
-    store_path: Optional[str] = None,
-    plan: Union["SearchPlan", str, None] = None,
+    store_path: Optional[Union[str, Path]] = None,
+    plan: Union[planner.SearchPlan, str, None] = None,
+    force_parallel: bool = False,
 ) -> PairwiseReport:
     """Run TYCOS over every pair of a series collection.
 
@@ -275,18 +312,19 @@ def scan_pairs(
         config: search parameters applied to every pair.
         pairs: explicit (source, target) pairs; default: all unordered
             combinations of the collection's names.
-        engine: optional preconfigured engine (default: TYCOS_LMN).
+        engine: optional preconfigured engine (default: TYCOS_LMN).  A
+            pooled scan ships it to the workers once, at pool start.
         n_jobs: worker processes.  ``None`` or ``1`` scans serially in this
-            process; ``-1`` uses every available core; ``N > 1`` fans the
-            pairs over a process pool (see :mod:`repro.analysis.parallel`).
-            The effective worker count is clamped to the number of pairs,
-            so small scans never pay pool spin-up for idle workers; asking
-            for more workers than cores is overhead-only (see
-            :func:`repro.analysis.parallel.resolve_n_jobs`).  Results are
-            merged in submission order, so the report is identical for
-            every worker count.
+            process; ``-1`` uses every available core; ``N > 1`` maps the
+            pairs over a process pool in about four chunks per worker
+            (:func:`repro.analysis.parallel.pooled_map`).  The worker
+            count is clamped to the number of pairs, and a 1-core host
+            scans serially and says so in ``report.notes`` (see
+            :func:`repro.analysis.parallel.effective_workers`).  Results
+            are merged in submission order, so the report is identical
+            for every worker count.
         store_path: directory of the :class:`repro.analysis.store`
-            store ``series`` was attached from, when it has one; parallel
+            store ``series`` was attached from, when it has one; pool
             workers then memory-map the store instead of receiving a
             shared-memory copy.  Ignored by the serial path (the views
             are already zero-copy there).
@@ -299,55 +337,59 @@ def scan_pairs(
             string is the CLI plan spelling (e.g. ``"coarse=8"``).
             When a plan runs, its spec lands in
             ``report.metadata["plan"]``.
+        force_parallel: run the pool even on a 1-core host, where the
+            default is the serial fallback.
 
     Returns:
         A :class:`PairwiseReport` with one finding per scanned pair.  A
         pair whose search raises is reported in ``report.failures`` instead
         of aborting the scan.
     """
-    names = list(series)
-    lengths = {series[name].size for name in names}
-    if len(lengths) > 1:
-        raise ValueError(f"all series must share a length, got {sorted(lengths)}")
+    pair_list = checked_pairs(series, pairs)
     if engine is None:
         engine = Tycos(config)
-    pair_list = list(combinations(names, 2)) if pairs is None else list(pairs)
-    for source, target in pair_list:
-        if source not in series or target not in series:
-            raise KeyError(f"unknown series in pair ({source!r}, {target!r})")
-    series_len = next(iter(lengths)) if lengths else 0
+    series_len = next((values.size for values in series.values()), 0)
     resolved = resolve_plan(plan, config, series_len, len(pair_list), n_jobs)
+    workers, fell_back = effective_workers(
+        1 if n_jobs is None else n_jobs,
+        len(pair_list),
+        force_parallel=force_parallel,
+        what="scan_pairs",
+    )
 
-    if n_jobs is not None and n_jobs != 1:
-        from repro.analysis.parallel import scan_pairs_parallel
-
-        return scan_pairs_parallel(
-            series,
-            config,
-            pairs=pair_list,
-            engine=engine,
-            n_jobs=n_jobs,
-            store_path=store_path,
-            plan=resolved,
-        )
+    if workers == 1:
+        outcomes = [
+            _search_pair(source, target, series, engine, resolved)
+            for source, target in pair_list
+        ]
+    else:
+        # About four chunks per worker, so stragglers rebalance.
+        size = max(1, math.ceil(len(pair_list) / (workers * 4)))
+        chunks = [pair_list[i : i + size] for i in range(0, len(pair_list), size)]
+        outcomes = [
+            outcome
+            for chunk in pooled_map(
+                _scan_chunk,
+                chunks,
+                workers=workers,
+                series=series,
+                extra_state={"engine": engine, "plan": resolved},
+                store_path=store_path,
+            )
+            for outcome in chunk
+        ]
 
     report = PairwiseReport()
     if resolved is not None:
         report.metadata["plan"] = resolved.spec()
-    for source, target in pair_list:
-        try:
-            finding = _evaluate_pair(
-                source,
-                target,
-                series[source],
-                series[target],
-                engine,
-                plan=resolved,
-            )
-        except Exception as exc:  # noqa: BLE001 - containment is the point
-            report.failures.append(
-                PairFailure(source=source, target=target, error=f"{type(exc).__name__}: {exc}")
-            )
-            continue
-        report.findings.append(finding)
+    for outcome in outcomes:
+        if isinstance(outcome, PairFinding):
+            report.findings.append(outcome)
+        else:
+            report.failures.append(outcome)
+    if fell_back:
+        report.notes.append(
+            f"n_jobs={n_jobs} served serially: 1-core host, pool dispatch "
+            "would only add overhead"
+        )
     return report

@@ -1,64 +1,47 @@
-"""Process-pool pairwise scanning with shared-memory series transfer.
+"""The process-pool transport: series shipped to workers once.
 
-A full pairwise scan runs one independent TYCOS search per pair -- an
-embarrassingly parallel workload, but one whose naive parallelisation
-ships every series to every worker inside every task.  This module fans
-:func:`repro.analysis.pairwise.scan_pairs` over a
-:class:`~concurrent.futures.ProcessPoolExecutor` while paying the data
-transfer cost exactly once:
+A pairwise scan runs one independent TYCOS search per pair, and a
+``segments=K`` plan one search per timeline span -- embarrassingly
+parallel work, but work whose naive parallelisation ships every series
+to every worker inside every task.  :func:`pooled_map` is the
+repository's one pool lifecycle, and it pays the data transfer cost
+exactly once:
 
 * The whole series collection is packed into a single
   :class:`multiprocessing.shared_memory.SharedMemory` block; each worker
   attaches read-only ``float64`` views at process start, so tasks carry
-  only pair *names*.  (A pickle fallback covers platforms or sandboxes
-  where POSIX shared memory is unavailable.)
-* Pairs are dispatched in chunks to amortise task overhead, and results
-  are merged by original submission index, so the report -- findings
-  and failures, each in order -- is byte-identical to the serial scan
-  for every worker count.
+  only the coordinates of their work.  When the block cannot be created
+  (no POSIX shared memory on the platform or in a sandbox) the series
+  are pickled to the workers instead.
 * Collections that live in a :class:`repro.analysis.store.SeriesStore`
   skip the copy entirely: pass ``store_path`` and each worker attaches
   read-only memory-mapped views of the on-disk matrix, so the kernel
   page cache -- not per-worker RAM -- holds the one shared copy.
-* A pair whose search raises is contained: the scan completes and the
-  offending pair is reported in ``report.failures`` with its error,
-  matching the serial path's containment.
+* Results come back in task order, so a caller that merges them in
+  that order reproduces its serial reference for every worker count
+  (:func:`repro.analysis.pairwise.scan_pairs`,
+  :func:`repro.analysis.planner.execute_plan`,
+  :func:`repro.analysis.cascade.cascade_scan`).
+
+:func:`effective_workers` sizes every fan-out, with the single-core
+serial fallback.
 """
 
 from __future__ import annotations
 
 import logging
-import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from multiprocessing import shared_memory
 from pathlib import Path
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro._types import FloatArray
-from repro.analysis.pairwise import PairFailure, PairFinding, PairwiseReport, _evaluate_pair
 from repro.analysis.store import SeriesStore
-from repro.core.config import TycosConfig
-from repro.core.tycos import Tycos
-
-if TYPE_CHECKING:  # pragma: no cover - cycle guard: the planner imports
-    # this module for its pool transport, so plan types are annotation-only
-    from repro.analysis.planner import SearchPlan
 
 __all__ = [
-    "scan_pairs_parallel",
     "pooled_map",
     "worker_state",
     "resolve_n_jobs",
@@ -104,8 +87,8 @@ def resolve_n_jobs(n_jobs: int) -> int:
     overhead: each extra process pays interpreter spin-up, engine
     unpickling and scheduler churn without adding CPU time (an n_jobs=4
     scan of 28 pairs on a 1-core host ran at 0.57x serial for exactly
-    this reason).  Callers that know their task count should
-    additionally clamp to it, as :func:`scan_pairs_parallel` does.
+    this reason).  :func:`effective_workers` additionally clamps the
+    count to the number of tasks.
     """
     if n_jobs == -1:
         return max(1, os.cpu_count() or 1)
@@ -246,14 +229,13 @@ def pooled_map(
     workers: int,
     series: Dict[str, FloatArray],
     extra_state: Optional[Dict[str, Any]] = None,
-    use_shared_memory: bool = True,
     store_path: Optional[Union[str, Path]] = None,
 ) -> List[Any]:
     """Map ``fn`` over ``tasks`` on a process pool, series shipped once.
 
     This is the repository's one pool/shared-memory lifecycle: it packs
     ``series`` into a single shared block (pickling them instead when
-    shared memory is unavailable), ships ``extra_state`` to every worker
+    the block cannot be created), ships ``extra_state`` to every worker
     through the pool initializer, and guarantees the block is closed and
     unlinked whatever happens.  Workers read everything back through
     :func:`worker_state`.
@@ -269,8 +251,6 @@ def pooled_map(
             available as ``worker_state()["series"]``.
         extra_state: additional picklable entries merged into the worker
             state (e.g. the engine to scan with).
-        use_shared_memory: transport series through shared memory (the
-            default) rather than pickling them with the initargs.
         store_path: when the collection lives in a
             :class:`repro.analysis.store.SeriesStore`, its directory.
             Only the path is shipped: each worker memory-maps the store
@@ -283,7 +263,7 @@ def pooled_map(
     """
     extra = dict(extra_state or {})
     shm: Optional[shared_memory.SharedMemory] = None
-    if store_path is None and use_shared_memory:
+    if store_path is None:
         try:
             shm, layout = pack_series(series)
         except (OSError, ValueError):
@@ -307,152 +287,3 @@ def pooled_map(
         if shm is not None:
             shm.close()
             shm.unlink()
-
-
-# Task result payload: (submission index, the pair's finding or failure).
-_ChunkResult = List[Tuple[int, Union[PairFinding, PairFailure]]]
-
-
-def _scan_chunk(chunk: Sequence[Tuple[int, str, str]]) -> _ChunkResult:
-    """Worker task: evaluate a chunk of (index, source, target) pairs."""
-    state = worker_state()
-    series: Dict[str, FloatArray] = state["series"]
-    engine: Tycos = state["engine"]
-    plan = state.get("plan")
-    results: _ChunkResult = []
-    for index, source, target in chunk:
-        try:
-            finding = _evaluate_pair(
-                source,
-                target,
-                series[source],
-                series[target],
-                engine,
-                plan=plan,
-            )
-        except Exception as exc:  # noqa: BLE001 - containment is the point
-            failure = PairFailure(
-                source=source, target=target, error=f"{type(exc).__name__}: {exc}"
-            )
-            results.append((index, failure))
-            continue
-        results.append((index, finding))
-    return results
-
-
-def scan_pairs_parallel(
-    series: Dict[str, FloatArray],
-    config: TycosConfig,
-    pairs: Optional[Iterable[Tuple[str, str]]] = None,
-    engine: Optional[Tycos] = None,
-    n_jobs: int = -1,
-    chunk_size: Optional[int] = None,
-    use_shared_memory: bool = True,
-    force_parallel: bool = False,
-    store_path: Optional[Union[str, Path]] = None,
-    plan: Optional["SearchPlan"] = None,
-) -> PairwiseReport:
-    """Fan a pairwise scan over a process pool.
-
-    The public entry point is ``scan_pairs(..., n_jobs=N)``, which
-    delegates here; call this directly only to reach the transport knobs.
-
-    Args:
-        series: name -> series mapping; all series must share a length.
-        config: search parameters applied to every pair.
-        pairs: explicit (source, target) pairs; default: all unordered
-            combinations of the collection's names.
-        engine: optional preconfigured engine (default: TYCOS_LMN).  It is
-            shipped to the workers once, at pool start.
-        n_jobs: worker processes (``-1``: every available core).
-        chunk_size: pairs per task; default splits the work into about
-            four chunks per worker so stragglers rebalance.
-        use_shared_memory: pass series through one shared-memory block
-            (the default) rather than pickling them to every worker.
-        force_parallel: run the pool even on a 1-core host, where the
-            default is to fall back to the serial scan (see
-            :func:`effective_workers`).
-        store_path: directory of the :class:`repro.analysis.store`
-            store the collection lives in, when it has one; workers then
-            attach read-only memory maps instead of receiving a copy
-            (``series`` should be the same store's views).
-        plan: optional :class:`~repro.analysis.planner.SearchPlan` every
-            pair executes instead of ``engine.search``.  The plan ships
-            to the workers once, at pool start.  Results are
-            bit-identical to the serial planned scan.
-
-    Returns:
-        A :class:`PairwiseReport` identical to the serial scan's: findings
-        and failures each in submission order.  When the single-core
-        fallback fired, ``report.notes`` records it.
-    """
-    names = list(series)
-    lengths = {series[name].size for name in names}
-    if len(lengths) > 1:
-        raise ValueError(f"all series must share a length, got {sorted(lengths)}")
-    if engine is None:
-        engine = Tycos(config)
-    if pairs is None:
-        from itertools import combinations
-
-        pair_list = list(combinations(names, 2))
-    else:
-        pair_list = list(pairs)
-    for source, target in pair_list:
-        if source not in series or target not in series:
-            raise KeyError(f"unknown series in pair ({source!r}, {target!r})")
-
-    # Never spawn more workers than there are pairs: idle workers still
-    # pay pool spin-up and engine unpickling, which dominates small scans.
-    workers, fell_back = effective_workers(
-        n_jobs, len(pair_list), force_parallel=force_parallel, what="scan_pairs"
-    )
-    if workers == 1 or not pair_list:
-        from repro.analysis.pairwise import scan_pairs
-
-        report = scan_pairs(
-            series,
-            config,
-            pairs=pair_list,
-            engine=engine,
-            plan=plan,
-        )
-        if fell_back:
-            report.notes.append(
-                f"n_jobs={n_jobs} served serially: 1-core host, pool dispatch "
-                "would only add overhead"
-            )
-        return report
-
-    tasks = [(i, s, t) for i, (s, t) in enumerate(pair_list)]
-    if chunk_size is None:
-        chunk_size = max(1, math.ceil(len(tasks) / (workers * 4)))
-    chunks = [tasks[i : i + chunk_size] for i in range(0, len(tasks), chunk_size)]
-
-    slots: List[Optional[Union[PairFinding, PairFailure]]] = [None] * len(tasks)
-    extra_state: Dict[str, Any] = {"engine": engine}
-    if plan is not None:
-        extra_state["plan"] = plan
-    for chunk_result in pooled_map(
-        _scan_chunk,
-        chunks,
-        workers=workers,
-        series=series,
-        extra_state=extra_state,
-        use_shared_memory=use_shared_memory,
-        store_path=store_path,
-    ):
-        for index, outcome in chunk_result:
-            slots[index] = outcome
-
-    report = PairwiseReport()
-    if plan is not None:
-        report.metadata["plan"] = plan.spec()
-    for slot in slots:
-        if slot is None:  # pragma: no cover - map() either fills all or raises
-            raise RuntimeError("parallel scan lost a pair result")
-        if isinstance(slot, PairFinding):
-            report.findings.append(slot)
-        else:
-            report.failures.append(slot)
-    return report

@@ -332,7 +332,6 @@ def _jitter_free(engine: Tycos, config: Optional[TycosConfig] = None) -> Tycos:
         use_noise=engine.use_noise,
         use_incremental=engine.use_incremental,
         overlap_policy=engine.overlap_policy,
-        batched_scoring=engine.batched_scoring,
     )
 
 
@@ -440,7 +439,6 @@ def _segmented_search(
     y: AnyArray,
     n_segments: int,
     n_jobs: int,
-    use_shared_memory: bool,
     force_parallel: bool,
 ) -> TycosResult:
     """The segment split: search every span, in-process or pooled, then stitch."""
@@ -463,7 +461,6 @@ def _segmented_search(
             workers=workers,
             series={"x": pair.x, "y": pair.y},
             extra_state={"engine": span_engine},
-            use_shared_memory=use_shared_memory,
         )
     result = _stitch(engine, pair, spans, per_segment, started)
     result.stats.serial_fallback = fell_back
@@ -590,7 +587,6 @@ def execute_plan(
     engine: Optional[Tycos] = None,
     plan: Optional[SearchPlan] = None,
     n_jobs: int = 1,
-    use_shared_memory: bool = True,
     force_parallel: bool = False,
 ) -> TycosResult:
     """Search one pair the way ``plan`` says.
@@ -609,9 +605,6 @@ def execute_plan(
             The other shapes are sequential: the coarse refinement's
             restart phase chains through the timeline, which is what
             makes it reproduce the exhaustive restart sequence.
-        use_shared_memory: ship the jittered pair to span workers
-            through one shared-memory block (the default) rather than
-            pickling it.
         force_parallel: run the pool even on a 1-core host, where the
             default is the serial fallback recorded in
             ``stats.serial_fallback``.
@@ -633,9 +626,7 @@ def execute_plan(
     if plan.coarse > 1:
         result = _coarse_search(engine, x, y, plan.coarse)
     elif plan.segments > 1:
-        result = _segmented_search(
-            engine, x, y, plan.segments, n_jobs, use_shared_memory, force_parallel
-        )
+        result = _segmented_search(engine, x, y, plan.segments, n_jobs, force_parallel)
     else:
         result = engine._search_whole(x, y)
     result.stats.plan = plan.spec()

@@ -81,24 +81,6 @@ class TycosConfig:
             delay basin reachable while LAHC still does the fine
             positioning.  (Without this, TYCOS_L could not approach the
             brute-force recall Table 4 reports on delayed data.)
-        screen_margin: safety margin the all-pairs prescreen cascade
-            (:mod:`repro.analysis.cascade`) subtracts from its screen
-            thresholds before pruning a pair.  The FFT screens are linear
-            proxies for an information-theoretic search, so they must
-            under-bid: a pair is only pruned when its screen score falls
-            below ``threshold - screen_margin``.  ``0`` is the explicit
-            opt-out of that conservatism (prune exactly at the nominal
-            thresholds); ``inf`` disables pruning entirely, making a
-            cascade scan byte-identical to the unscreened scan.
-        screen_block: pairs per batched stage-1 screen block
-            (:mod:`repro.analysis.screen_state`).  Each block is scored
-            by a few batched numpy kernels over the stacked per-series
-            states, so larger blocks amortize more dispatch overhead at
-            the cost of a larger working set (roughly ``block_size x
-            (2 td_max + 1) x n`` floats for the band product plus the
-            stacked spectra).  Block boundaries never change results:
-            batched scores are bit-identical to the per-pair screen at
-            every block size.
     """
 
     sigma: float = 0.3
@@ -120,8 +102,6 @@ class TycosConfig:
     coarse_sigma_ratio: float = 0.5
     delay_band: Optional[Tuple[int, int]] = None
     init_delay_step: Optional[int] = None
-    screen_margin: float = 0.25
-    screen_block: int = 256
 
     def __post_init__(self) -> None:
         if self.init_delay_step is not None and self.init_delay_step < 1:
@@ -163,10 +143,6 @@ class TycosConfig:
             raise ValueError(
                 f"coarse_sigma_ratio must be in (0, 1], got {self.coarse_sigma_ratio}"
             )
-        if not self.screen_margin >= 0:  # also rejects NaN
-            raise ValueError(f"screen_margin must be >= 0, got {self.screen_margin}")
-        if self.screen_block < 1:
-            raise ValueError(f"screen_block must be >= 1, got {self.screen_block}")
         if self.delay_band is not None:
             lo, hi = self.delay_band
             if lo > hi:

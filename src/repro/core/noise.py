@@ -60,23 +60,19 @@ def _best_block_over_delays(
     config: TycosConfig,
     n: int,
     pos: int,
-    batched: bool,
 ) -> Optional[tuple[TimeDelayWindow, float]]:
     """The best-scoring minimal block at ``pos`` over the coarse delay grid.
 
     Algorithm 1 seeds at delay 0 only; probing a coarse delay grid at each
     candidate start is the implementation choice that makes distant delay
-    basins reachable (see ``TycosConfig.init_delay_step``).  ``batched``
-    scores the whole grid in one :meth:`BatchScorer.value_many` call;
-    ties keep the earliest grid delay either way.
+    basins reachable (see ``TycosConfig.init_delay_step``).  The whole
+    grid is scored in one :meth:`BatchScorer.value_many` call; ties keep
+    the earliest grid delay.
     """
     end = pos + config.s_min - 1
     candidates = (_feasible_or_none(pos, end, tau, n) for tau in config.delay_grid())
     blocks = [block for block in candidates if block is not None]
-    if batched:
-        values = scorer.value_many(blocks)
-    else:
-        values = [scorer.value(block) for block in blocks]
+    values = scorer.value_many(blocks)
     best: Optional[tuple[TimeDelayWindow, float]] = None
     for block, value in zip(blocks, values):
         if best is None or value > best[1]:
@@ -89,7 +85,6 @@ def find_initial_window(
     config: TycosConfig,
     n: int,
     scan_from: int,
-    batched: bool = False,
 ) -> Optional[TimeDelayWindow]:
     """Initial noise pruning (Section 6.2.1, Fig. 7).
 
@@ -106,9 +101,6 @@ def find_initial_window(
         config: search parameters (s_min, s_max, epsilon ...).
         n: series length.
         scan_from: first X index still unscanned.
-        batched: score each delay grid in one stacked
-            :meth:`BatchScorer.value_many` call (same values and counters
-            as the scalar loop).
 
     Returns:
         A feasible window with score >= epsilon, or None when the rest of
@@ -120,7 +112,7 @@ def find_initial_window(
     current_value = 0.0
     pos = scan_from
     while pos + s_min - 1 < n:
-        probed = _best_block_over_delays(scorer, config, n, pos, batched)
+        probed = _best_block_over_delays(scorer, config, n, pos)
         if probed is None:
             return None
         best_block, best_block_value = probed
@@ -177,16 +169,12 @@ class NoiseDetector:
     search accepts a new solution (the geometry changed).
 
     Attributes:
-        batched: score each inspection's probes in one
-            :meth:`BatchScorer.value_many` call (identical values, blocks
-            and scorer counters to one call per probe).
         prunes: number of direction blocks issued (for the stats report).
     """
 
     scorer: BatchScorer
     config: TycosConfig
     n: int
-    batched: bool = False
     blocked: Set[Direction] = field(default_factory=set)
     prunes: int = 0
 
@@ -222,8 +210,8 @@ class NoiseDetector:
 
         Neither direction's probes depend on the other's verdict, so all
         of them (segment, then concatenation; forward, then backward) are
-        built first and scored in that order -- in one
-        :meth:`BatchScorer.value_many` call when ``batched``.
+        built first and scored in that order, in one
+        :meth:`BatchScorer.value_many` call.
         """
         if window_value <= 0.0:
             return
@@ -234,10 +222,7 @@ class NoiseDetector:
             if probe is not None
         ]
         windows = [w for _, segment, concat in probes for w in (segment, concat)]
-        if self.batched:
-            values = self.scorer.value_many(windows)
-        else:
-            values = [self.scorer.value(w) for w in windows]
+        values = self.scorer.value_many(windows)
         for (direction, _, _), seg_value, concat_value in zip(probes, values[::2], values[1::2]):
             if is_noise(seg_value, concat_value, window_value, self.config.epsilon):
                 self.blocked.add(direction)

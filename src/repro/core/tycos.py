@@ -156,20 +156,19 @@ class TycosResult:
 class Tycos:
     """Configurable TYCOS search engine.
 
+    Window sets are scored through one :meth:`BatchScorer.value_many`
+    call each, which stacks equal-size windows across delays into one KSG
+    pass: every delta-neighborhood ring, the seeding delay grid and the
+    noise detector's growth probes.  The permutation test scores its
+    shuffles through one :meth:`~repro.mi.ksg.KSGEstimator.mi_many` call.
+    Both are bit-identical to scoring one window per call.
+
     Args:
         config: search parameters.
         use_noise: enable the Section-6 noise theory (the "N" in LN/LMN).
         use_incremental: enable the Section-7 incremental MI computation
             (the "M" in LM/LMN).
         overlap_policy: how the result set resolves overlapping windows.
-        batched_scoring: score window sets through one
-            :meth:`BatchScorer.value_many` call each, which stacks
-            equal-size windows across delays into one KSG pass: every
-            delta-neighborhood ring, the seeding delay grid, the noise
-            detector's growth probes and (MI only) the permutation test's
-            shuffles.  ``False`` scores one window per scorer call, the
-            scalar reference.  Scores and results are identical either
-            way; the flag exists so tests can compare the two paths.
     """
 
     def __init__(
@@ -178,13 +177,11 @@ class Tycos:
         use_noise: bool = True,
         use_incremental: bool = True,
         overlap_policy: OverlapPolicy = OverlapPolicy.CONTAINMENT,
-        batched_scoring: bool = True,
     ) -> None:
         self.config = config
         self.use_noise = use_noise
         self.use_incremental = use_incremental
         self.overlap_policy = overlap_policy
-        self.batched_scoring = batched_scoring
 
     @property
     def name(self) -> str:
@@ -234,30 +231,12 @@ class Tycos:
         restart bit-identical to the exhaustive search's -- see
         :mod:`repro.analysis.planner`.
         """
-        started = time.perf_counter()
-        cfg = self.config
-        pair = PairView(x, y, jitter=cfg.jitter, seed=cfg.seed)
-        if contracts.checks_enabled():
-            contracts.check_series_shape(pair.x, pair.y, where="Tycos.search")
-        scorer = make_scorer(pair, cfg, incremental=self.use_incremental)
-        detector = self._detector(scorer, pair.n)
         accepted = ResultSet(policy=self.overlap_policy)
-        stats = SearchStats()
 
         def sigma_of(value: float) -> bool:
-            return value >= cfg.sigma
+            return value >= self.config.sigma
 
-        self._drive(pair, scorer, detector, stats, sigma_of, accepted.insert, scan_hook)
-
-        stats.windows_evaluated = scorer.evaluations
-        stats.cache_hits = scorer.cache_hits
-        stats.full_windows_evaluated = scorer.evaluations
-        if detector is not None:
-            stats.noise_prunes = detector.prunes
-        if isinstance(scorer, IncrementalScorer):
-            stats.mi_full_searches = scorer.engine.full_searches
-            stats.mi_incremental_updates = scorer.engine.incremental_updates
-        stats.runtime_seconds = time.perf_counter() - started
+        _, stats = self._run(x, y, "Tycos.search", sigma_of, accepted.insert, scan_hook)
         return TycosResult(windows=accepted.results(), stats=stats)
 
     def search_topk(self, x: AnyArray, y: AnyArray, k_top: int) -> TycosResult:
@@ -266,14 +245,6 @@ class Tycos:
         The effective sigma starts at the first window's score and tightens
         as the top-K list fills, so no absolute threshold is needed.
         """
-        started = time.perf_counter()
-        cfg = self.config
-        pair = PairView(x, y, jitter=cfg.jitter, seed=cfg.seed)
-        if contracts.checks_enabled():
-            contracts.check_series_shape(pair.x, pair.y, where="Tycos.search_topk")
-        scorer = make_scorer(pair, cfg, incremental=self.use_incremental)
-        detector = self._detector(scorer, pair.n)
-        stats = SearchStats()
         topk = TopKFilter(capacity=k_top)
 
         def sigma_of(value: float) -> bool:
@@ -282,7 +253,46 @@ class Tycos:
         def accept(result: WindowResult, value: float) -> bool:
             return topk.offer(result.window, value)
 
-        self._drive(pair, scorer, detector, stats, sigma_of, accept)
+        scorer, stats = self._run(x, y, "Tycos.search_topk", sigma_of, accept)
+        windows = []
+        for w, _ in topk.windows():
+            score = scorer.score(w)
+            windows.append(WindowResult(window=w, mi=score.mi, nmi=score.nmi))
+        return TycosResult(windows=windows, stats=stats)
+
+    # ------------------------------------------------------------------ #
+
+    def _run(
+        self,
+        x: AnyArray,
+        y: AnyArray,
+        where: str,
+        passes_threshold: Callable[[float], bool],
+        accept: Callable[[WindowResult, float], bool],
+        scan_hook: Optional[Callable[[int], Optional[int]]] = None,
+    ) -> Tuple[BatchScorer, SearchStats]:
+        """Set up one search of a pair, run its restart loop, count the work.
+
+        The set-up and statistics shared by the fixed-sigma and top-K
+        searches: the jittered pair, the scorer, the noise detector of a
+        noise variant, and the :class:`SearchStats` read off the scorer,
+        the detector and the sliding engine once :meth:`_drive` returns.
+        ``where`` names the caller in contract-check messages.
+
+        Returns:
+            The scorer (its memo holds every score the search computed)
+            and the run's statistics.
+        """
+        started = time.perf_counter()
+        cfg = self.config
+        pair = PairView(x, y, jitter=cfg.jitter, seed=cfg.seed)
+        if contracts.checks_enabled():
+            contracts.check_series_shape(pair.x, pair.y, where=where)
+        scorer = make_scorer(pair, cfg, incremental=self.use_incremental)
+        detector = self._detector(scorer, pair.n)
+        stats = SearchStats()
+
+        self._drive(pair, scorer, detector, stats, passes_threshold, accept, scan_hook)
 
         stats.windows_evaluated = scorer.evaluations
         stats.cache_hits = scorer.cache_hits
@@ -293,19 +303,13 @@ class Tycos:
             stats.mi_full_searches = scorer.engine.full_searches
             stats.mi_incremental_updates = scorer.engine.incremental_updates
         stats.runtime_seconds = time.perf_counter() - started
-        windows = []
-        for w, _ in topk.windows():
-            score = scorer.score(w)
-            windows.append(WindowResult(window=w, mi=score.mi, nmi=score.nmi))
-        return TycosResult(windows=windows, stats=stats)
-
-    # ------------------------------------------------------------------ #
+        return scorer, stats
 
     def _detector(self, scorer: BatchScorer, n: int) -> Optional[NoiseDetector]:
         """The Section-6.2.2 noise detector of a noise variant, else None."""
         if not self.use_noise:
             return None
-        return NoiseDetector(scorer=scorer, config=self.config, n=n, batched=self.batched_scoring)
+        return NoiseDetector(scorer=scorer, config=self.config, n=n)
 
     def _drive(
         self,
@@ -386,11 +390,8 @@ class Tycos:
                 # adjacent windows instead of ping-ponging across the ring.
                 nbs.sort(key=lambda nb: (nb.window.delay, nb.window.start, nb.window.end))
                 score_started = time.perf_counter()
-                if self.batched_scoring:
-                    ring = [nb.window for nb in nbs]
-                    scored = list(zip(ring, scorer.value_many(ring)))
-                else:
-                    scored = [(nb.window, scorer.value(nb.window)) for nb in nbs]
+                ring = [nb.window for nb in nbs]
+                scored = list(zip(ring, scorer.value_many(ring)))
                 stats.add_phase("scoring", time.perf_counter() - score_started)
                 return scored
 
@@ -439,17 +440,11 @@ class Tycos:
         estimator = scorer.estimator
         observed = scorer.score(window).mi
         rng = np.random.default_rng(self.config.seed + window.start)
-        if self.batched_scoring:
-            # The same shuffles in the same order, scored in one stacked
-            # pass: no shuffle reaching the observed MI is exactly what the
-            # early-exit loop below tests.
-            shuffled = np.stack([rng.permutation(yw) for _ in range(b)])
-            nulls = estimator.mi_many(np.broadcast_to(xw, shuffled.shape), shuffled)
-            return not bool((nulls >= observed).any())
-        for _ in range(b):
-            if estimator.mi(xw, rng.permutation(yw)) >= observed:
-                return False
-        return True
+        # All shuffles scored in one stacked pass; rows are bit-identical
+        # to scoring each shuffle alone.
+        shuffled = np.stack([rng.permutation(yw) for _ in range(b)])
+        nulls = estimator.mi_many(np.broadcast_to(xw, shuffled.shape), shuffled)
+        return not bool((nulls >= observed).any())
 
     def _initial_window(
         self,
@@ -460,13 +455,12 @@ class Tycos:
     ) -> Optional[TimeDelayWindow]:
         cfg = self.config
         if detector is not None:
-            return find_initial_window(scorer, cfg, n, scan_from, batched=self.batched_scoring)
+            return find_initial_window(scorer, cfg, n, scan_from)
         if scan_from + cfg.s_min - 1 >= n:
             return None
         # Plain variants seed with the best minimal window at scan_from over
         # the coarse delay grid (see TycosConfig.init_delay_step), scored in
-        # one batched pass; ties keep the earliest grid delay, exactly as
-        # the scalar loop did.
+        # one stacked pass; ties keep the earliest grid delay.
         end = scan_from + cfg.s_min - 1
         candidates = [
             TimeDelayWindow(start=scan_from, end=end, delay=tau)
@@ -475,10 +469,7 @@ class Tycos:
         ]
         if not candidates:
             return None
-        if self.batched_scoring:
-            values = scorer.value_many(candidates)
-        else:
-            values = [scorer.value(cand) for cand in candidates]
+        values = scorer.value_many(candidates)
         best: Optional[TimeDelayWindow] = None
         best_value = -np.inf
         for cand, value in zip(candidates, values):

@@ -199,6 +199,34 @@ class TestCounterAccounting:
             cascade_scan(collection, _config(), pairs=[("zzz", "noise0")])
 
 
+class TestForcedPool:
+    def test_force_parallel_pools_stage_3_on_one_core(self, collection, monkeypatch):
+        """``force_parallel`` reaches the stage-3 searches, not only stage 1."""
+        import repro.analysis.parallel as parallel_mod
+
+        series = {name: collection[name] for name in ("coupled0", "coupled1", "coupled2", "noise0")}
+        serial = cascade_scan(series, _config(), screen_window=120)
+        pools = []
+        real_executor = parallel_mod.ProcessPoolExecutor
+
+        class RecordingExecutor(real_executor):  # type: ignore[valid-type, misc]
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs["max_workers"])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr(parallel_mod.os, "cpu_count", lambda: 1)
+        report = cascade_scan(
+            series, _config(), screen_window=120, n_jobs=2, force_parallel=True
+        )
+        assert report.notes == []
+        assert report.findings == serial.findings
+        assert report.skipped == serial.skipped
+        # The 6 pairs fit one screen block, so stage 1 runs in process and
+        # the one pool is stage 3's.
+        assert pools == [2]
+
+
 class TestTopK:
     def test_top_k_ranks_strongest_first(self, collection):
         report = cascade_scan(collection, _config(), screen_window=120)

@@ -1,6 +1,6 @@
-"""Tests for the process-pool pairwise scanner.
+"""Tests for the process-pool pairwise scan.
 
-The contract under test: for any worker count, transport, and chunking,
+The contract under test: for any worker count and transport,
 ``scan_pairs(..., n_jobs=N)`` returns a report byte-identical to the
 serial scan -- findings and failures, each in submission order -- and
 one poisoned pair never aborts the scan.
@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.pairwise import PairFailure, scan_pairs
-from repro.analysis.parallel import resolve_n_jobs, scan_pairs_parallel
+from repro.analysis.parallel import resolve_n_jobs
 from repro.core.config import TycosConfig
 
 
@@ -44,27 +44,24 @@ def serial_report(collection):
 
 class TestParallelDeterminism:
     def test_two_workers_match_serial(self, collection, serial_report):
-        parallel = scan_pairs(collection, _config(), n_jobs=2)
+        # 6 pairs over 2 workers: four chunks per worker rounds up to
+        # one pair per chunk.
+        parallel = scan_pairs(collection, _config(), n_jobs=2, force_parallel=True)
         assert _snapshot(parallel) == _snapshot(serial_report)
 
-    def test_pickle_transport_matches_serial(self, collection, serial_report):
-        parallel = scan_pairs_parallel(
-            collection,
-            _config(),
-            n_jobs=2,
-            use_shared_memory=False,
-            force_parallel=True,
-        )
-        assert _snapshot(parallel) == _snapshot(serial_report)
+    def test_pickle_transport_matches_serial(self, collection, serial_report, monkeypatch):
+        """Without a shared block (no /dev/shm), series are pickled instead."""
+        import repro.analysis.parallel as parallel_mod
 
-    def test_single_pair_chunks_match_serial(self, collection, serial_report):
-        parallel = scan_pairs_parallel(
-            collection,
-            _config(),
-            n_jobs=2,
-            chunk_size=1,
-            force_parallel=True,
-        )
+        calls = []
+
+        def no_shared_memory(series):
+            calls.append(list(series))
+            raise OSError("shared memory unavailable")
+
+        monkeypatch.setattr(parallel_mod, "pack_series", no_shared_memory)
+        parallel = scan_pairs(collection, _config(), n_jobs=2, force_parallel=True)
+        assert calls == [list(collection)]
         assert _snapshot(parallel) == _snapshot(serial_report)
 
     def test_explicit_pair_order_is_preserved(self, collection):
@@ -131,7 +128,7 @@ class TestNJobsHandling:
     def test_mismatched_lengths_rejected(self):
         series = {"a": np.zeros(100), "b": np.zeros(99)}
         with pytest.raises(ValueError, match="share a length"):
-            scan_pairs_parallel(series, _config(), n_jobs=2)
+            scan_pairs(series, _config(), n_jobs=2)
 
     def test_workers_clamped_to_pair_count(self, collection, monkeypatch):
         """Asking for more workers than pairs must not spawn idle workers."""
@@ -147,13 +144,7 @@ class TestNJobsHandling:
 
         monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", RecordingExecutor)
         pairs = [("a", "b"), ("c", "d")]
-        report = scan_pairs_parallel(
-            collection,
-            _config(),
-            pairs=pairs,
-            n_jobs=6,
-            force_parallel=True,
-        )
+        report = scan_pairs(collection, _config(), pairs=pairs, n_jobs=6, force_parallel=True)
         assert recorded == [2]
         serial = scan_pairs(collection, _config(), pairs=pairs)
         assert _snapshot(report) == _snapshot(serial)
@@ -167,9 +158,7 @@ class TestNJobsHandling:
 
         monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", fail)
         pairs = [("a", "b")]
-        report = scan_pairs_parallel(
-            collection, _config(), pairs=pairs, n_jobs=4
-        )
+        report = scan_pairs(collection, _config(), pairs=pairs, n_jobs=4)
         serial = scan_pairs(collection, _config(), pairs=pairs)
         assert _snapshot(report) == _snapshot(serial)
 
@@ -208,9 +197,7 @@ class TestOneCoreSerialFallback:
     ):
         self._one_core(monkeypatch)
         with caplog.at_level("WARNING", logger="repro.analysis.parallel"):
-            report = scan_pairs_parallel(
-                collection, _config(), n_jobs=2
-            )
+            report = scan_pairs(collection, _config(), n_jobs=2)
         assert _snapshot(report) == _snapshot(serial_report)
         assert any("1-core host" in note for note in report.notes)
         assert "(note:" in report.to_text()

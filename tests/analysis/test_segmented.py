@@ -86,19 +86,22 @@ class TestSequentialParallelEquivalence:
         assert parallel.stats.stitch_dedups == reference.stats.stitch_dedups
         assert parallel.stats.stitch_rescores == reference.stats.stitch_rescores
 
-    def test_pickle_transport_matches_shared_memory(self, rng):
+    def test_pickle_transport_matches_shared_memory(self, rng, monkeypatch):
+        """Without a shared block (no /dev/shm), the pair is pickled instead."""
+        import repro.analysis.parallel as parallel_mod
+
         x, y = _coupled_pair(rng)
         cfg = _config()
         shm = _run_segments(x, y, cfg, n_segments=2, n_jobs=2, force_parallel=True)
-        pickled = _run_segments(
-            x,
-            y,
-            cfg,
-            n_segments=2,
-            n_jobs=2,
-            use_shared_memory=False,
-            force_parallel=True,
-        )
+        calls = []
+
+        def no_shared_memory(series):
+            calls.append(list(series))
+            raise OSError("shared memory unavailable")
+
+        monkeypatch.setattr(parallel_mod, "pack_series", no_shared_memory)
+        pickled = _run_segments(x, y, cfg, n_segments=2, n_jobs=2, force_parallel=True)
+        assert calls == [["x", "y"]]
         assert _signature(pickled) == _signature(shm)
 
     def test_one_core_fallback_matches_reference_and_sets_flag(self, rng, monkeypatch):

@@ -157,12 +157,10 @@ class TestPoolAttach:
     byte-identical to the serial scan over the in-memory collection."""
 
     def test_store_transport_matches_serial(self, tmp_path, collection):
-        from repro.analysis.parallel import scan_pairs_parallel
-
         config = TycosConfig(sigma=0.3, s_min=8, s_max=40, td_max=6, jitter=1e-6, seed=1)
         store = SeriesStore.write(tmp_path / "store", collection)
         serial = scan_pairs(collection, config)
-        pooled = scan_pairs_parallel(
+        pooled = scan_pairs(
             store.series(),
             config,
             n_jobs=2,

@@ -1,7 +1,12 @@
 """Shared fixtures for the TYCOS reproduction test suite."""
 
+import contextlib
+
 import numpy as np
 import pytest
+
+from repro.core.thresholds import BatchScorer
+from repro.mi.ksg import KSGEstimator
 
 
 @pytest.fixture
@@ -24,3 +29,29 @@ def independent_pair(rng):
     """Two independent Gaussian series."""
     n = 600
     return rng.normal(size=n), rng.normal(size=n)
+
+
+@pytest.fixture
+def scalar_scoring(monkeypatch):
+    """A context manager that scores one window per call while it is open.
+
+    It swaps ``BatchScorer.value_many`` and ``KSGEstimator.mi_many`` --
+    the stacked calls the search makes -- for per-window loops over
+    ``value`` and ``mi``: the scalar reference the stacked search paths
+    must reproduce exactly.
+    """
+
+    def value_many(self, windows):
+        return [self.value(w) for w in windows]
+
+    def mi_many(self, xs, ys):
+        return np.array([self.mi(x, y) for x, y in zip(xs, ys)], dtype=np.float64)
+
+    @contextlib.contextmanager
+    def scalar():
+        with monkeypatch.context() as patch:
+            patch.setattr(BatchScorer, "value_many", value_many)
+            patch.setattr(KSGEstimator, "mi_many", mi_many)
+            yield
+
+    return scalar

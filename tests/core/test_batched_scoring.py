@@ -160,12 +160,16 @@ def _counters(result):
 
 
 class TestEngineEquivalence:
+    """The search's stacked calls against the ``scalar_scoring`` reference."""
+
     @pytest.mark.parametrize("use_incremental", [False, True])
-    def test_search_identical_with_and_without_batching(self, use_incremental):
+    def test_search_identical_with_and_without_batching(self, use_incremental, scalar_scoring):
         x, y = _coupled_pair(n=320)
         config = TycosConfig(sigma=0.3, s_min=8, s_max=48, td_max=8, jitter=1e-6, seed=2)
-        plain = Tycos(config, use_incremental=use_incremental, batched_scoring=False).search(x, y)
-        batched = Tycos(config, use_incremental=use_incremental, batched_scoring=True).search(x, y)
+        engine = Tycos(config, use_incremental=use_incremental)
+        with scalar_scoring():
+            plain = engine.search(x, y)
+        batched = engine.search(x, y)
         assert [r.window for r in plain.windows] == [r.window for r in batched.windows]
         assert [r.mi for r in plain.windows] == [r.mi for r in batched.windows]
         assert plain.stats.windows_evaluated == batched.stats.windows_evaluated
@@ -174,7 +178,9 @@ class TestEngineEquivalence:
 
     @pytest.mark.parametrize("use_noise", [False, True])
     @pytest.mark.parametrize("use_incremental", [False, True])
-    def test_tied_unjittered_pair_identical_for_every_variant(self, use_noise, use_incremental):
+    def test_tied_unjittered_pair_identical_for_every_variant(
+        self, use_noise, use_incremental, scalar_scoring
+    ):
         # No jitter: ties reach argpartition and the marginal counts.  The
         # permutation test and the noise probes run their stacked paths.
         x, y = _tied_pair(n=360)
@@ -182,13 +188,10 @@ class TestEngineEquivalence:
             sigma=0.3, s_min=12, s_max=110, td_max=12, init_delay_step=1,
             significance_permutations=6, seed=5,
         )
-        runs = [
-            Tycos(
-                config, use_noise=use_noise, use_incremental=use_incremental,
-                batched_scoring=batched,
-            ).search(x, y)
-            for batched in (False, True)
-        ]
+        engine = Tycos(config, use_noise=use_noise, use_incremental=use_incremental)
+        with scalar_scoring():
+            runs = [engine.search(x, y)]
+        runs.append(engine.search(x, y))
         plain, batched = (
             [(r.window.key(), r.mi.hex(), r.nmi.hex()) for r in run.windows] for run in runs
         )

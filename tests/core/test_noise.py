@@ -137,7 +137,7 @@ class TestSubsequentNoiseDetection:
 
 
 class TestBatchedProbes:
-    """``batched=True`` scores the same probes in one stacked call."""
+    """The stacked probe calls match the ``scalar_scoring`` reference."""
 
     def _pair(self, rng):
         x = rng.integers(0, 5, 400).astype(float)  # unjittered, tied
@@ -145,12 +145,12 @@ class TestBatchedProbes:
         y[100:260] = x[97:257]
         return x, y
 
-    def test_inspect_matches_sequential_probes(self, rng):
+    def test_inspect_matches_sequential_probes(self, rng, scalar_scoring):
         x, y = self._pair(rng)
-        runs = []
-        for batched in (False, True):
+
+        def run():
             scorer, config, pair = _scorer_for(x, y, td_max=4)
-            detector = NoiseDetector(scorer=scorer, config=config, n=pair.n, batched=batched)
+            detector = NoiseDetector(scorer=scorer, config=config, n=pair.n)
             blocks = []
             for start, end, delay in [
                 (218, 259, 3), (100, 141, 3), (140, 200, 3), (10, 60, -4), (300, 398, 0),
@@ -159,19 +159,25 @@ class TestBatchedProbes:
                 detector.reset()
                 detector.inspect(window, scorer.value(window))
                 blocks.append(sorted(detector.blocked))
-            runs.append((blocks, detector.prunes, scorer.evaluations, scorer.cache_hits))
-        assert runs[0] == runs[1]
-        assert runs[0][1] > 0  # some direction was blocked
+            return blocks, detector.prunes, scorer.evaluations, scorer.cache_hits
 
-    def test_seeding_matches_sequential_grid(self, rng):
+        with scalar_scoring():
+            scalar = run()
+        assert run() == scalar
+        assert scalar[1] > 0  # some direction was blocked
+
+    def test_seeding_matches_sequential_grid(self, rng, scalar_scoring):
         x, y = self._pair(rng)
-        runs = []
-        for batched in (False, True):
+
+        def run():
             scorer, config, pair = _scorer_for(x, y, td_max=6)
             seeds = [
-                find_initial_window(scorer, config, pair.n, scan_from, batched=batched)
+                find_initial_window(scorer, config, pair.n, scan_from)
                 for scan_from in (0, 90, 250)
             ]
-            runs.append((seeds, scorer.evaluations, scorer.cache_hits))
-        assert runs[0] == runs[1]
-        assert any(seed is not None for seed in runs[0][0])
+            return seeds, scorer.evaluations, scorer.cache_hits
+
+        with scalar_scoring():
+            scalar = run()
+        assert run() == scalar
+        assert any(seed is not None for seed in scalar[0])

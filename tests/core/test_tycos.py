@@ -103,12 +103,13 @@ class TestDeterminism:
 
 
 class TestBatchedSeeding:
-    def test_plain_variant_seeding_matches_scalar_path(self):
+    def test_plain_variant_seeding_matches_scalar_path(self, scalar_scoring):
         """Batched delay-grid seeding is a pure perf change for TYCOS_L."""
         x, y = _planted_pair()
-        cfg = _config()
-        batched = Tycos(cfg, use_noise=False, batched_scoring=True).search(x, y)
-        scalar = Tycos(cfg, use_noise=False, batched_scoring=False).search(x, y)
+        engine = Tycos(_config(), use_noise=False)
+        batched = engine.search(x, y)
+        with scalar_scoring():
+            scalar = engine.search(x, y)
         assert [(r.window, r.mi, r.nmi) for r in batched.windows] == [
             (r.window, r.mi, r.nmi) for r in scalar.windows
         ]

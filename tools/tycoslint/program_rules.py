@@ -213,7 +213,7 @@ class MultiprocessingOutsideParallelRule(ProjectRule):
     audit when spread across modules; the repo concentrates them in the
     modules registered in ``registry.PARALLEL_MODULES`` so fork-safety
     review has one place to look.  Everything else submits work through
-    ``pooled_map`` / ``scan_pairs_parallel``.
+    ``pooled_map`` / ``scan_pairs``.
     """
 
     code = "TY102"

@@ -101,7 +101,7 @@ FAST_PATH_GATES: Dict[str, str] = {
 
 #: Callables whose invocation marks "a pool has been spawned" for TY103.
 POOL_SPAWNERS: FrozenSet[str] = frozenset(
-    {"ProcessPoolExecutor", "Pool", "pooled_map", "scan_pairs_parallel"}
+    {"ProcessPoolExecutor", "Pool", "pooled_map", "scan_pairs"}
 )
 
 #: Modules allowed to open memory maps and to spell the store file names

@@ -115,7 +115,7 @@ def build_payload(
     execution advisories (``report.notes``) are deliberately excluded:
     they attribute a run, they are not results.
     """
-    from repro.analysis.parallel import scan_pairs_parallel
+    from repro.analysis.pairwise import scan_pairs
     from repro.analysis.planner import SearchPlan, execute_plan
 
     series = _make_series(length, seed)
@@ -149,9 +149,7 @@ def build_payload(
         "stitch_rescores": result.stats.stitch_rescores,
     }
 
-    report = scan_pairs_parallel(
-        series, config, n_jobs=n_jobs, force_parallel=n_jobs > 1
-    )
+    report = scan_pairs(series, config, n_jobs=n_jobs, force_parallel=n_jobs > 1)
     payload["scan"] = {
         "findings": [
             {
