@@ -14,11 +14,11 @@ cost and most pairs are obviously unrelated.  This module prunes pairs
    correlation scores through ``d^2 = 2m(1 - r)``.  Both are
    O(n log n)-class and touch no KSG machinery.  The scan runs this
    stage *collection-level*: per-series screen state is precomputed
-   once (:mod:`repro.analysis.screen_state`, cached on disk for store
-   collections) and pairs are scored in batched blocks of
-   ``screen_block`` pairs, optionally fanned over the process pool --
-   with scores bit-identical to calling :func:`fft_screen_score` per
-   pair, at every block size and worker count.
+   once in memory by each process that scores
+   (:mod:`repro.analysis.screen_state`) and pairs are scored in batched
+   blocks of ``screen_block`` pairs, optionally fanned over the process
+   pool -- with scores bit-identical to calling :func:`fft_screen_score`
+   per pair, at every block size and worker count.
 2. **Coarse NMI screen** (:func:`coarse_nmi_score`): the repository's
    one coarse-NMI filtering mechanism, run only on stage-1 survivors.
 3. **Full TYCOS search**: :func:`repro.analysis.pairwise.scan_pairs`
@@ -40,7 +40,6 @@ silently dropped.
 from __future__ import annotations
 
 import argparse
-import logging
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple, Union
@@ -58,7 +57,6 @@ from repro.analysis.pairwise import (
 from repro.analysis.parallel import effective_workers, pooled_map, worker_state
 from repro.analysis.screen_state import (
     ScreenGeometry,
-    SeriesScreenState,
     batched_screen_scores,
     build_screen_states,
 )
@@ -77,8 +75,6 @@ __all__ = [
     "cascade_scan",
     "main",
 ]
-
-logger = logging.getLogger(__name__)
 
 
 def coarse_nmi_score(
@@ -105,10 +101,16 @@ def coarse_nmi_score(
         td_max: largest |delay| to probe.
 
     Returns:
-        The maximum normalized MI over all probes.
+        The maximum normalized MI over all probes.  Series too short for
+        one probe at every delay get the aligned NMI of their whole
+        length when ``td_max`` is 0, and ``inf`` otherwise: an aligned
+        score says nothing about a lagged coupling, so the screen
+        abstains rather than prune on it.
     """
     n = min(x.size, y.size)
-    if n < probe + td_max:
+    if n < probe + 2 * td_max:
+        if td_max > 0:
+            return float("inf")
         return normalized_mi(x[:n], y[:n]) if n >= 8 else 0.0
     best = 0.0
     positions = np.linspace(td_max, n - probe - td_max, stride).astype(int)
@@ -173,46 +175,13 @@ def fft_screen_score(
     return best
 
 
-def _collection_states(
-    series: Dict[str, FloatArray],
-    names: List[str],
-    geometry: ScreenGeometry,
-    store_path: Optional[Union[str, Path]],
-) -> List[SeriesScreenState]:
-    """Per-series screen states, indexed like ``names``.
-
-    Collections that live in a series store are served from the store's
-    memory-mapped screen cache
-    (:meth:`repro.analysis.store.SeriesStore.screen_states`); any cache
-    trouble -- an unwritable directory, a store that doesn't cover the
-    collection -- falls back to building in memory rather than failing
-    the scan.
-    """
-    if store_path is not None:
-        from repro.analysis.store import SeriesStore
-
-        try:
-            by_name = SeriesStore.open(store_path).screen_states(geometry)
-            return [by_name[name] for name in names]
-        except Exception as exc:  # noqa: BLE001 - cache trouble must not fail the scan
-            logger.warning(
-                "screen-state cache at %s unavailable (%s: %s); building in memory",
-                store_path,
-                type(exc).__name__,
-                exc,
-            )
-    by_name = build_screen_states(series, geometry)
-    return [by_name[name] for name in names]
-
-
 def _screen_block_task(
     task: Tuple[int, List[Tuple[int, int]]]
 ) -> Tuple[int, List[float]]:
     """Worker task: stage-1 scores of one ``(start, index pairs)`` block.
 
-    The per-series states are built once per worker process (from the
-    attached store's screen cache when the collection has one, else from
-    the shipped series) and memoized in :func:`worker_state`, so every
+    The per-series states are built once per worker process from the
+    series it was shipped and memoized in :func:`worker_state`, so every
     later block the worker draws only pays the batched kernels.  A
     block whose screen crashes abstains: every pair scores ``inf`` and
     advances, matching the serial path's containment.
@@ -223,21 +192,10 @@ def _screen_block_task(
     try:
         states = state.get("screen_states")
         if states is None:
+            series = state["series"]
             names: List[str] = state["screen_names"]
-            store = state.get("store")
-            by_name: Optional[Dict[str, SeriesScreenState]] = None
-            if store is not None:
-                try:
-                    by_name = store.screen_states(geometry, write=False)
-                    states = [by_name[name] for name in names]
-                except Exception:  # noqa: BLE001 - fall back to in-memory build
-                    states = None
-            if states is None:
-                by_name = build_screen_states(
-                    {name: state["series"][name] for name in names}, geometry
-                )
-                states = [by_name[name] for name in names]
-            state["screen_states"] = states
+            by_name = build_screen_states({name: series[name] for name in names}, geometry)
+            states = state["screen_states"] = list(by_name.values())
         return start, batched_screen_scores(states, pair_block, geometry)
     except Exception:  # noqa: BLE001 - a crashed screen abstains
         return start, [float("inf")] * len(pair_block)
@@ -279,21 +237,6 @@ def _screen_scores(
     )
     scores = [float("inf")] * len(pair_idx)
     if workers > 1:
-        if store_path is not None:
-            # Build (and persist) the store's screen cache once in the
-            # parent, so every worker just memory-maps it.
-            from repro.analysis.store import SeriesStore
-
-            try:
-                SeriesStore.open(store_path).screen_states(geometry)
-            except Exception as exc:  # noqa: BLE001 - workers rebuild in memory
-                logger.warning(
-                    "could not pre-build the screen cache at %s (%s: %s); "
-                    "workers will build states in memory",
-                    store_path,
-                    type(exc).__name__,
-                    exc,
-                )
         for start, block_scores in pooled_map(
             _screen_block_task,
             blocks,
@@ -304,7 +247,7 @@ def _screen_scores(
         ):
             scores[start : start + len(block_scores)] = block_scores
         return scores
-    states = _collection_states(series, names, geometry, store_path)
+    states = list(build_screen_states(series, geometry).values())
     for start, pair_block in blocks:
         try:
             block_scores = batched_screen_scores(states, pair_block, geometry)
@@ -367,10 +310,9 @@ def cascade_scan(
             the stage-3 searches (see
             :func:`~repro.analysis.pairwise.scan_pairs`).
         store_path: directory of the series store the collection was
-            attached from.  Stage 1 then serves its per-series state
-            from the store's memory-mapped screen cache (built once,
-            reused across scans), and pool workers memory-map instead
-            of copying.
+            attached from.  Pool workers of both stage 1 and stage 3
+            then memory-map the store instead of receiving copies of
+            the series.
         screen_block: pairs per stage-1 batch.  Any block size produces
             bit-identical scores; larger blocks amortize kernel launch
             overhead against peak memory.

@@ -54,9 +54,6 @@ __all__ = [
     "build_screen_state",
     "build_screen_states",
     "batched_screen_scores",
-    "screen_state_width",
-    "pack_screen_state",
-    "unpack_screen_state",
 ]
 
 
@@ -67,9 +64,8 @@ class ScreenGeometry:
     Every series in a cascade collection shares a length, so the screen
     window, delay band and probe layout -- and everything derived from
     them -- are collection-wide constants.  Freezing them in one value
-    keeps the state builder, the batched kernels and the on-disk cache
-    (:meth:`repro.analysis.store.SeriesStore.screen_states`) in exact
-    agreement about array shapes.
+    keeps the state builder and the batched kernels in exact agreement
+    about array shapes.
 
     Attributes:
         length: shared series length ``n``.
@@ -149,10 +145,6 @@ class ScreenGeometry:
     def probe_positions(self) -> np.ndarray:
         """MASS query start positions, the reference's ``linspace`` grid."""
         return np.linspace(0, self.length - self.window, self.mass_probes).astype(int)
-
-    def key(self) -> Tuple[int, int, int, int]:
-        """Cache key of this geometry (see the store's screen cache)."""
-        return (self.length, self.window, self.td_max, self.mass_probes)
 
 
 @dataclass(frozen=True)
@@ -294,98 +286,6 @@ def build_screen_states(
 ) -> Dict[str, SeriesScreenState]:
     """Screen states for a whole collection, keyed like ``series``."""
     return {name: build_screen_state(values, geometry) for name, values in series.items()}
-
-
-def _state_layout(geometry: ScreenGeometry) -> List[Tuple[str, int, int]]:
-    """Field layout of one packed state row: (field, offset, float64 slots).
-
-    Complex fields come first so their byte offsets are multiples of 16
-    (rows are padded to an even slot count), letting a memory-mapped row
-    be re-viewed as complex128 without a copy.  Bool fields travel as
-    0.0/1.0 floats.
-    """
-    rows, n = geometry.rows, geometry.length
-    out_w, probes, bins = geometry.out_width, geometry.mass_probes, geometry.spectrum_bins
-    sizes = [
-        ("spectrum", 2 * bins),
-        ("query_spectra", probes * 2 * bins),
-        ("xs", rows * n),
-        ("ys", rows * n),
-        ("sx", rows * out_w),
-        ("sy", rows * out_w),
-        ("px", rows * out_w),
-        ("py", rows * out_w),
-        ("sigma", out_w),
-        ("msig_safe", out_w),
-        ("sigma_ok", out_w),
-        ("query_degenerate", probes),
-    ]
-    layout = []
-    offset = 0
-    for field_name, size in sizes:
-        layout.append((field_name, offset, size))
-        offset += size
-    return layout
-
-
-def screen_state_width(geometry: ScreenGeometry) -> int:
-    """Float64 slots of one packed state row (padded to an even count)."""
-    if geometry.abstains:
-        return 0
-    _, offset, size = _state_layout(geometry)[-1]
-    total = offset + size
-    return total + (total % 2)
-
-
-def pack_screen_state(
-    state: SeriesScreenState, geometry: ScreenGeometry, out: FloatArray
-) -> None:
-    """Flatten one state into a float64 row (the store cache's format).
-
-    The packing is lossless: float64 fields are copied verbatim,
-    complex fields as their real/imaginary float64 pairs, bool masks as
-    0.0/1.0 -- so :func:`unpack_screen_state` reproduces every float of
-    the in-memory state bit-for-bit.
-    """
-    if geometry.abstains:
-        return
-    for field_name, offset, size in _state_layout(geometry):
-        value = getattr(state, field_name)
-        if np.iscomplexobj(value):
-            flat = np.ascontiguousarray(value).view(np.float64).ravel()
-        else:
-            flat = np.asarray(value, dtype=np.float64).ravel()
-        out[offset : offset + size] = flat
-
-
-def unpack_screen_state(row: FloatArray, geometry: ScreenGeometry) -> SeriesScreenState:
-    """Rebuild a state from a packed row, zero-copy where possible.
-
-    Float and complex fields are *views* of ``row`` (a memory-mapped
-    cache row stays memory-mapped); only the two small bool masks are
-    materialized.
-    """
-    if geometry.abstains:
-        return _empty_state(geometry)
-    rows, n = geometry.rows, geometry.length
-    out_w, probes, bins = geometry.out_width, geometry.mass_probes, geometry.spectrum_bins
-    fields: Dict[str, np.ndarray] = {}
-    for field_name, offset, size in _state_layout(geometry):
-        fields[field_name] = row[offset : offset + size]
-    return SeriesScreenState(
-        xs=fields["xs"].reshape(rows, n),
-        ys=fields["ys"].reshape(rows, n),
-        sx=fields["sx"].reshape(rows, out_w),
-        sy=fields["sy"].reshape(rows, out_w),
-        px=fields["px"].reshape(rows, out_w),
-        py=fields["py"].reshape(rows, out_w),
-        spectrum=fields["spectrum"].view(np.complex128),
-        query_spectra=fields["query_spectra"].view(np.complex128).reshape(probes, bins),
-        query_degenerate=fields["query_degenerate"] != 0.0,
-        sigma=fields["sigma"],
-        sigma_ok=fields["sigma_ok"] != 0.0,
-        msig_safe=fields["msig_safe"],
-    )
 
 
 def batched_screen_scores(

@@ -2,7 +2,7 @@
 
 A thousand-series collection is quadratic trouble twice over: O(N^2)
 candidate pairs, and -- under the process pool -- N series shipped to
-every worker.  The PR-2 shared-memory block already ships a collection
+every worker.  The pool's shared-memory block already ships a collection
 once per *scan*, but it still materializes a full copy of every series
 in RAM and rebuilds that copy for each scan.  This module is the durable
 variant: the collection is written **once** to disk as a single
@@ -19,6 +19,12 @@ Layout of a store directory::
                        "length": n, "dtype": "float64", "order": "C"}
       series.bin      n_series x length float64, C-order, row i = series i
 
+A store holds the series and nothing derived from them; any other file
+in the directory is ignored.  State computed from the series, such as
+the cascade's stage-1 screen state, is built in memory by the process
+that scores.  Rewriting a store replaces both files whole, so a store
+already open on the directory keeps reading the data it mapped.
+
 This module is the repository's **only** place that may open memory
 maps or touch the store file names (tycoslint rule TY116, registry
 ``STORE_MODULES``): mmap lifetimes are easy to leak and the manifest is
@@ -27,44 +33,28 @@ a format contract, so both get a single audited owner.
 
 from __future__ import annotations
 
-import hashlib
 import json
+import os
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Union
+from typing import Dict, Iterator, List, Union
 
 import numpy as np
 
 from repro._types import FloatArray
-from repro.analysis.screen_state import (
-    ScreenGeometry,
-    SeriesScreenState,
-    build_screen_state,
-    pack_screen_state,
-    screen_state_width,
-    unpack_screen_state,
-)
 
 __all__ = [
     "SeriesStore",
     "STORE_SCHEMA",
-    "SCREEN_SCHEMA",
     "MANIFEST_FILENAME",
     "DATA_FILENAME",
-    "SCREEN_MANIFEST_FILENAME",
-    "SCREEN_DATA_FILENAME",
 ]
 
 #: Manifest schema identifier; bump on any layout change.
 STORE_SCHEMA = "tycos-store/1"
 
-#: Screen-state cache schema identifier; bump on any layout change.
-SCREEN_SCHEMA = "tycos-screen/1"
-
 #: File names inside a store directory (format contract, see TY116).
 MANIFEST_FILENAME = "manifest.json"
 DATA_FILENAME = "series.bin"
-SCREEN_MANIFEST_FILENAME = "screen.json"
-SCREEN_DATA_FILENAME = "screen.bin"
 
 
 class SeriesStore:
@@ -91,34 +81,39 @@ class SeriesStore:
         """Pack an in-memory collection into a store directory.
 
         Args:
-            path: directory to create (parents included); an existing
-                store at this path is overwritten atomically enough for
-                single-writer use (manifest last).
-            series: name -> series mapping; all series must share a
-                length and contain only finite-or-NaN float data (any
-                numeric dtype, converted to float64).
+            path: directory to create (parents included).  An existing
+                store at this path is replaced for single-writer use:
+                both files are written under temporary names and renamed
+                into place, data first and manifest last, so stores
+                already open on the old files keep their data.
+            series: name -> series mapping; names must be non-empty
+                strings, and all series must share a length and contain
+                only finite-or-NaN float data (any numeric dtype,
+                converted to float64).
 
         Returns:
             The freshly written store, opened read-only.
 
         Raises:
-            ValueError: on an empty collection or mismatched lengths.
+            ValueError: on an empty collection, a name that is not a
+                non-empty string, or mismatched lengths -- before the
+                directory is touched.
         """
         names = list(series)
         if not names:
             raise ValueError("cannot write an empty series store")
+        for name in names:
+            if not isinstance(name, str) or not name:
+                raise ValueError(f"series names must be non-empty strings, got {name!r}")
         lengths = sorted({int(np.asarray(series[name]).size) for name in names})
         if len(lengths) != 1:
             raise ValueError(f"all series must share a length, got {lengths}")
         length = lengths[0]
         if length == 0:
             raise ValueError("cannot store zero-length series")
-        directory = Path(path)
-        directory.mkdir(parents=True, exist_ok=True)
         matrix = np.empty((len(names), length), dtype=np.float64, order="C")
         for row, name in enumerate(names):
             matrix[row, :] = np.asarray(series[name], dtype=np.float64).ravel()
-        matrix.tofile(directory / DATA_FILENAME)
         manifest = {
             "schema": STORE_SCHEMA,
             "series": names,
@@ -126,9 +121,18 @@ class SeriesStore:
             "dtype": "float64",
             "order": "C",
         }
-        with (directory / MANIFEST_FILENAME).open("w") as handle:
-            json.dump(manifest, handle, indent=2)
-            handle.write("\n")
+        directory = Path(path)
+        directory.mkdir(parents=True, exist_ok=True)
+        data_tmp = directory / f".{DATA_FILENAME}.{os.getpid()}.tmp"
+        manifest_tmp = directory / f".{MANIFEST_FILENAME}.{os.getpid()}.tmp"
+        try:
+            matrix.tofile(data_tmp)
+            manifest_tmp.write_text(json.dumps(manifest, indent=2) + "\n")
+            os.replace(data_tmp, directory / DATA_FILENAME)
+            os.replace(manifest_tmp, directory / MANIFEST_FILENAME)
+        finally:
+            data_tmp.unlink(missing_ok=True)
+            manifest_tmp.unlink(missing_ok=True)
         return cls.open(directory)
 
     @classmethod
@@ -243,130 +247,3 @@ class SeriesStore:
             view.flags.writeable = False
             out[name] = view
         return out
-
-    # ------------------------------------------------------------------ #
-    # Screen-state cache
-
-    def fingerprint(self) -> str:
-        """SHA-256 of the series data file, memoized per open store.
-
-        The invalidation key of every derived cache in the directory:
-        rewriting the store changes the fingerprint, so stale sidecars
-        are recomputed instead of silently served.
-        """
-        if not hasattr(self, "_fingerprint"):
-            digest = hashlib.sha256()
-            with (self._path / DATA_FILENAME).open("rb") as handle:
-                for chunk in iter(lambda: handle.read(1 << 20), b""):
-                    digest.update(chunk)
-            self._fingerprint = digest.hexdigest()
-        return self._fingerprint
-
-    def screen_states(
-        self, geometry: ScreenGeometry, write: bool = True
-    ) -> Dict[str, SeriesScreenState]:
-        """Per-series screen states, served from the on-disk cache.
-
-        The cascade's stage-1 state
-        (:mod:`repro.analysis.screen_state`) is a pure function of the
-        series matrix and the screen geometry, so it is cached next to
-        the data as a second memory-mapped matrix (``screen.bin`` plus
-        the ``screen.json`` sidecar manifest).  A valid cache -- same
-        schema, same geometry, same series :meth:`fingerprint` -- is
-        attached zero-copy, exactly like the series themselves; a
-        missing or stale cache is rebuilt from the series and, when
-        ``write`` is true and the directory is writable, persisted for
-        the next consumer (pool workers attaching through
-        ``store_path`` hit the cache the parent just wrote).  Packing
-        is lossless, so cached states reproduce freshly built ones
-        bit-for-bit -- and therefore the per-pair reference screen too.
-
-        Args:
-            geometry: the collection's screen geometry; its ``length``
-                must match the store's.
-            write: persist a freshly built cache when possible.
-
-        Returns:
-            name -> :class:`SeriesScreenState`, in manifest order.
-        """
-        if geometry.length != self.length:
-            raise ValueError(
-                f"geometry length {geometry.length} does not match store length {self.length}"
-            )
-        if geometry.abstains:
-            return {
-                name: build_screen_state(self._matrix[row], geometry)
-                for row, name in enumerate(self._names)
-            }
-        cached = self._load_screen_cache(geometry)
-        if cached is not None:
-            return cached
-        states = {
-            name: build_screen_state(self._matrix[row], geometry)
-            for row, name in enumerate(self._names)
-        }
-        if write:
-            try:
-                self._write_screen_cache(states, geometry)
-            except OSError:
-                return states  # read-only directory: serve the in-memory build
-            reloaded = self._load_screen_cache(geometry)
-            if reloaded is not None:
-                return reloaded
-        return states
-
-    def _screen_manifest(self, geometry: ScreenGeometry) -> Dict[str, object]:
-        return {
-            "schema": SCREEN_SCHEMA,
-            "fingerprint": self.fingerprint(),
-            "geometry": list(geometry.key()),
-            "state_width": screen_state_width(geometry),
-        }
-
-    def _load_screen_cache(
-        self, geometry: ScreenGeometry
-    ) -> Optional[Dict[str, SeriesScreenState]]:
-        """Attach a valid screen cache read-only, or None on any mismatch."""
-        manifest_path = self._path / SCREEN_MANIFEST_FILENAME
-        data_path = self._path / SCREEN_DATA_FILENAME
-        if not manifest_path.is_file() or not data_path.is_file():
-            return None
-        try:
-            with manifest_path.open() as handle:
-                manifest = json.load(handle)
-        except (OSError, json.JSONDecodeError):
-            return None
-        width = screen_state_width(geometry)
-        expected = {
-            "schema": SCREEN_SCHEMA,
-            "fingerprint": self.fingerprint(),
-            "geometry": list(geometry.key()),
-            "state_width": width,
-        }
-        if not isinstance(manifest, dict) or {
-            key: manifest.get(key) for key in expected
-        } != expected:
-            return None
-        expected_bytes = len(self._names) * width * np.dtype(np.float64).itemsize
-        if data_path.stat().st_size != expected_bytes:
-            return None
-        matrix = np.memmap(
-            data_path, dtype=np.float64, mode="r", shape=(len(self._names), width)
-        )
-        return {
-            name: unpack_screen_state(matrix[row], geometry)
-            for row, name in enumerate(self._names)
-        }
-
-    def _write_screen_cache(
-        self, states: Dict[str, SeriesScreenState], geometry: ScreenGeometry
-    ) -> None:
-        """Persist the cache (data first, manifest last, single-writer)."""
-        width = screen_state_width(geometry)
-        matrix = np.zeros((len(self._names), width), dtype=np.float64)
-        for row, name in enumerate(self._names):
-            pack_screen_state(states[name], geometry, matrix[row])
-        matrix.tofile(self._path / SCREEN_DATA_FILENAME)
-        with (self._path / SCREEN_MANIFEST_FILENAME).open("w") as handle:
-            json.dump(self._screen_manifest(geometry), handle, indent=2)
-            handle.write("\n")

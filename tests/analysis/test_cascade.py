@@ -14,6 +14,7 @@ import pytest
 from repro.analysis.cascade import cascade_scan, fft_screen_score, main
 from repro.analysis.pairwise import scan_pairs
 from repro.analysis.planner import SearchPlan
+from repro.analysis.store import DATA_FILENAME, MANIFEST_FILENAME, SeriesStore
 from repro.core.config import TycosConfig
 from repro.core.tycos import tycos_lmn
 
@@ -33,6 +34,15 @@ def _config(**kwargs):
 
 def _snapshot(report):
     return (report.findings, report.skipped, report.failures)
+
+
+def _ledger(report):
+    return (
+        report.pairs_screened,
+        report.pairs_pruned_fft,
+        report.pairs_pruned_nmi,
+        report.pairs_searched,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -225,6 +235,25 @@ class TestForcedPool:
         # The 6 pairs fit one screen block, so stage 1 runs in process and
         # the one pool is stage 3's.
         assert pools == [2]
+
+    def test_store_backed_pooled_screen_matches_serial(self, collection, tmp_path):
+        """Pool workers attached to a store build their screen states from
+        its views: the report equals the serial in-memory cascade, and the
+        scan leaves nothing in the store directory but the series."""
+        serial = cascade_scan(collection, _config(), screen_window=120)
+        store = SeriesStore.write(tmp_path / "store", collection)
+        pooled = cascade_scan(
+            store.series(),
+            _config(),
+            screen_window=120,
+            n_jobs=2,
+            force_parallel=True,
+            screen_block=3,
+            store_path=store.path,
+        )
+        assert _snapshot(pooled) == _snapshot(serial)
+        assert _ledger(pooled) == _ledger(serial)
+        assert sorted(p.name for p in store.path.iterdir()) == [MANIFEST_FILENAME, DATA_FILENAME]
 
 
 class TestTopK:

@@ -102,3 +102,17 @@ class TestPrefilter:
 
     def test_tiny_series_scores_zero(self, rng):
         assert coarse_nmi_score(rng.normal(size=4), rng.normal(size=4)) == 0.0
+
+    @pytest.mark.parametrize("n", [120, 137, 140, 145])
+    def test_too_short_for_every_delay_abstains(self, rng, n):
+        # A probe at every delay needs probe + 2 * td_max = 148 samples.
+        # Shorter series get no aligned-only score (blind to the lag) and
+        # no crash: the screen abstains with inf, so the pair is searched.
+        x = rng.normal(size=n)
+        y = np.concatenate([rng.normal(size=8), x[:-8]])
+        assert coarse_nmi_score(x, y, probe=128, td_max=10) == float("inf")
+
+    def test_exact_fit_probes_every_delay(self, rng):
+        x = rng.normal(size=148)
+        y = np.concatenate([rng.normal(size=8), x[:-8]])
+        assert coarse_nmi_score(x, y, probe=128, td_max=10) > 0.5

@@ -4,8 +4,8 @@ The contract under test -- the TY121 bit-exactness gate of
 ``repro.analysis.screen_state``: every score produced by
 ``batched_screen_scores`` is bit-identical to the per-pair reference
 ``repro.analysis.cascade.fft_screen_score`` on the same pair, at every
-block size, for odd collection sizes, through the pack/unpack cache
-format, and in the abstaining short-series geometries.
+block size, for odd collection sizes, and in the abstaining
+short-series geometries.
 """
 
 import numpy as np
@@ -17,9 +17,6 @@ from repro.analysis.screen_state import (
     batched_screen_scores,
     build_screen_state,
     build_screen_states,
-    pack_screen_state,
-    screen_state_width,
-    unpack_screen_state,
 )
 from repro.core.config import TycosConfig
 
@@ -142,41 +139,6 @@ class TestAbstention:
     def test_empty_pair_block(self):
         geometry = ScreenGeometry(length=50, window=10, td_max=1)
         assert batched_screen_scores([], [], geometry) == []
-
-
-class TestPackedFormat:
-    def test_pack_unpack_round_trips_scores(self):
-        series = _collection(5, n=130)
-        names = list(series)
-        geometry = ScreenGeometry(length=130, window=36, td_max=3)
-        width = screen_state_width(geometry)
-        fresh = [build_screen_state(series[name], geometry) for name in names]
-        matrix = np.zeros((len(names), width), dtype=np.float64)
-        for row, state in enumerate(fresh):
-            pack_screen_state(state, geometry, matrix[row])
-        unpacked = [unpack_screen_state(matrix[row], geometry) for row in range(len(names))]
-        pairs = _all_pairs(names)
-        assert batched_screen_scores(unpacked, pairs, geometry) == batched_screen_scores(
-            fresh, pairs, geometry
-        )
-
-    def test_packed_fields_round_trip_bitwise(self):
-        geometry = ScreenGeometry(length=90, window=20, td_max=2)
-        state = build_screen_state(
-            np.cumsum(np.random.default_rng(8).normal(size=90)), geometry
-        )
-        row = np.zeros(screen_state_width(geometry))
-        pack_screen_state(state, geometry, row)
-        back = unpack_screen_state(row, geometry)
-        assert np.array_equal(back.xs, state.xs)
-        assert np.array_equal(back.spectrum, state.spectrum)
-        assert np.array_equal(back.query_spectra, state.query_spectra)
-        assert np.array_equal(back.query_degenerate, state.query_degenerate)
-        assert np.array_equal(back.sigma_ok, state.sigma_ok)
-        assert np.array_equal(back.msig_safe, state.msig_safe)
-
-    def test_abstaining_geometry_has_zero_width(self):
-        assert screen_state_width(ScreenGeometry(length=5, window=50, td_max=2)) == 0
 
 
 class TestGeometryValidation:

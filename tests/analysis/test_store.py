@@ -2,8 +2,10 @@
 
 The contract under test: a store round-trips a collection exactly
 (float64, bit-for-bit), attaches read-only without copies, validates
-its manifest before trusting it, and serves pool workers through the
-path-only transport with reports byte-identical to every other path.
+its manifest before trusting it, is replaced whole by a rewrite (views
+already open keep their data; a rejected write leaves the previous
+store intact), and serves pool workers through the path-only transport
+with reports byte-identical to every other path.
 """
 
 import json
@@ -12,12 +14,9 @@ import numpy as np
 import pytest
 
 from repro.analysis.pairwise import scan_pairs
-from repro.analysis.screen_state import ScreenGeometry, batched_screen_scores
 from repro.analysis.store import (
     DATA_FILENAME,
     MANIFEST_FILENAME,
-    SCREEN_DATA_FILENAME,
-    SCREEN_MANIFEST_FILENAME,
     STORE_SCHEMA,
     SeriesStore,
 )
@@ -91,6 +90,31 @@ class TestWriteValidation:
     def test_rejects_zero_length_series(self, tmp_path):
         with pytest.raises(ValueError, match="zero-length"):
             SeriesStore.write(tmp_path / "store", {"a": np.empty(0)})
+
+
+class TestRewrite:
+    """A rewrite replaces the store's files whole, and only once the new
+    collection has passed validation: open stores keep the data they
+    mapped, and a rejected write leaves the previous store in place."""
+
+    def test_open_view_survives_same_size_rewrite(self, tmp_path):
+        directory = tmp_path / "store"
+        view = SeriesStore.write(directory, {"a": np.arange(4.0)})["a"]
+        rewritten = SeriesStore.write(directory, {"a": -np.arange(4.0)})
+        assert view.tolist() == [0.0, 1.0, 2.0, 3.0]
+        assert np.array_equal(rewritten["a"], -np.arange(4.0))
+        assert sorted(p.name for p in directory.iterdir()) == [MANIFEST_FILENAME, DATA_FILENAME]
+
+    @pytest.mark.parametrize("bad_name", [1, ""])
+    def test_rejected_name_leaves_previous_store_intact(self, tmp_path, collection, bad_name):
+        directory = tmp_path / "store"
+        SeriesStore.write(directory, collection)
+        with pytest.raises(ValueError, match="non-empty strings"):
+            SeriesStore.write(directory, {bad_name: collection["a"]})
+        reopened = SeriesStore.open(directory)
+        assert reopened.names == list(collection)
+        for name, values in collection.items():
+            assert np.array_equal(reopened[name], values)
 
 
 class TestManifestValidation:
@@ -179,80 +203,3 @@ class TestPoolAttach:
         from_store = scan_pairs(store.series(), config)
         from_memory = scan_pairs(collection, config)
         assert from_store.findings == from_memory.findings
-
-
-class TestScreenCache:
-    """The screen-state cache: built once, attached zero-copy after, and
-    invalidated by the series fingerprint -- never served stale."""
-
-    _GEOMETRY = ScreenGeometry(length=240, window=64, td_max=4)
-
-    def _scores(self, states):
-        names = list(states)
-        pairs = [(i, j) for i in range(len(names)) for j in range(i + 1, len(names))]
-        return batched_screen_scores([states[n] for n in names], pairs, self._GEOMETRY)
-
-    def test_first_call_writes_the_cache(self, tmp_path, collection):
-        store = SeriesStore.write(tmp_path / "store", collection)
-        store.screen_states(self._GEOMETRY)
-        assert (store.path / SCREEN_DATA_FILENAME).is_file()
-        assert json.loads((store.path / SCREEN_MANIFEST_FILENAME).read_text())[
-            "fingerprint"
-        ] == store.fingerprint()
-
-    def test_cached_states_score_identically(self, tmp_path, collection):
-        store = SeriesStore.write(tmp_path / "store", collection)
-        fresh = self._scores(store.screen_states(self._GEOMETRY))  # builds + writes
-        reopened = SeriesStore.open(store.path)
-        cached = self._scores(reopened.screen_states(self._GEOMETRY))  # attaches
-        assert cached == fresh
-
-    def test_rewritten_data_invalidates_the_cache(self, tmp_path, collection):
-        directory = tmp_path / "store"
-        store = SeriesStore.write(directory, collection)
-        store.screen_states(self._GEOMETRY)
-        stale = (directory / SCREEN_DATA_FILENAME).read_bytes()
-        changed = {name: values + 1.0 for name, values in collection.items()}
-        rewritten = SeriesStore.write(directory, changed)
-        states = rewritten.screen_states(self._GEOMETRY)
-        assert (directory / SCREEN_DATA_FILENAME).read_bytes() != stale
-        expected = SeriesStore.open(directory).screen_states(self._GEOMETRY)
-        assert self._scores(states) == self._scores(expected)
-
-    def test_write_false_leaves_no_files(self, tmp_path, collection):
-        store = SeriesStore.write(tmp_path / "store", collection)
-        store.screen_states(self._GEOMETRY, write=False)
-        assert not (store.path / SCREEN_DATA_FILENAME).exists()
-        assert not (store.path / SCREEN_MANIFEST_FILENAME).exists()
-
-    def test_unwritable_cache_serves_in_memory(self, tmp_path, collection, monkeypatch):
-        store = SeriesStore.write(tmp_path / "store", collection)
-
-        def refuse(states, geometry):
-            raise OSError("read-only directory")
-
-        monkeypatch.setattr(store, "_write_screen_cache", refuse)
-        states = store.screen_states(self._GEOMETRY)
-        assert not (store.path / SCREEN_DATA_FILENAME).exists()
-        assert list(states) == store.names
-        assert self._scores(states) == self._scores(
-            SeriesStore.open(store.path).screen_states(self._GEOMETRY, write=False)
-        )
-
-    def test_corrupt_manifest_is_rebuilt(self, tmp_path, collection):
-        store = SeriesStore.write(tmp_path / "store", collection)
-        first = self._scores(store.screen_states(self._GEOMETRY))
-        (store.path / SCREEN_MANIFEST_FILENAME).write_text("not json")
-        again = SeriesStore.open(store.path).screen_states(self._GEOMETRY)
-        assert self._scores(again) == first
-
-    def test_geometry_length_must_match_store(self, tmp_path, collection):
-        store = SeriesStore.write(tmp_path / "store", collection)
-        with pytest.raises(ValueError, match="does not match store length"):
-            store.screen_states(ScreenGeometry(length=99, window=10, td_max=1))
-
-    def test_abstaining_geometry_is_not_cached(self, tmp_path, collection):
-        store = SeriesStore.write(tmp_path / "store", collection)
-        states = store.screen_states(ScreenGeometry(length=240, window=999, td_max=1))
-        assert list(states) == store.names
-        assert not (store.path / SCREEN_DATA_FILENAME).exists()

@@ -109,10 +109,7 @@ POOL_SPAWNERS: FrozenSet[str] = frozenset(
 #: ``repro.analysis.store.SeriesStore``.
 STORE_MODULES: FrozenSet[str] = frozenset({"repro.analysis.store"})
 
-#: File names of the on-disk series store and its derived screen-state
-#: cache (format contract).  Spelling one of these outside
-#: ``STORE_MODULES`` means a second module is interpreting the store
-#: layout; route it through ``SeriesStore``.
-STORE_FILENAMES: FrozenSet[str] = frozenset(
-    {"manifest.json", "series.bin", "screen.json", "screen.bin"}
-)
+#: File names of the on-disk series store (format contract).  Spelling
+#: one of these outside ``STORE_MODULES`` means a second module is
+#: interpreting the store layout; route it through ``SeriesStore``.
+STORE_FILENAMES: FrozenSet[str] = frozenset({"manifest.json", "series.bin"})
