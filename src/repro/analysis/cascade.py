@@ -16,9 +16,10 @@ cost and most pairs are obviously unrelated.  This module prunes pairs
    stage *collection-level*: per-series screen state is precomputed
    once in memory by each process that scores
    (:mod:`repro.analysis.screen_state`) and pairs are scored in batched
-   blocks of ``screen_block`` pairs, optionally fanned over the process
-   pool -- with scores bit-identical to calling :func:`fft_screen_score`
-   per pair, at every block size and worker count.
+   tiles of bounded size, optionally fanned over the process pool in
+   blocks of pairs -- with scores bit-identical to calling
+   :func:`fft_screen_score` per pair, at every tile shape and worker
+   count.
 2. **Coarse NMI screen** (:func:`coarse_nmi_score`): the repository's
    one coarse-NMI filtering mechanism, run only on stage-1 survivors.
 3. **Full TYCOS search**: :func:`repro.analysis.pairwise.scan_pairs`
@@ -75,6 +76,11 @@ __all__ = [
     "cascade_scan",
     "main",
 ]
+
+#: Pairs per stage-1 task: the unit a pool worker draws, and the unit a
+#: crashed screen abstains on.  Memory is bounded inside the kernel
+#: (:data:`repro.analysis.screen_state.TILE_ELEMENTS`), not by this.
+_SCREEN_BLOCK = 256
 
 
 def coarse_nmi_score(
@@ -175,7 +181,7 @@ def fft_screen_score(
     return best
 
 
-def _screen_block_task(
+def _screen_task(
     task: Tuple[int, List[Tuple[int, int]]]
 ) -> Tuple[int, List[float]]:
     """Worker task: stage-1 scores of one ``(start, index pairs)`` block.
@@ -205,29 +211,27 @@ def _screen_scores(
     series: Dict[str, FloatArray],
     pair_list: List[Tuple[str, str]],
     geometry: ScreenGeometry,
-    block: int,
     n_jobs: Optional[int],
     store_path: Optional[Union[str, Path]],
     force_parallel: bool,
 ) -> List[float]:
     """Stage-1 screen scores of every pair, blocked and optionally pooled.
 
-    Pairs are scored in blocks of ``block`` through
+    Pairs are scored in blocks of :data:`_SCREEN_BLOCK` through
     :func:`repro.analysis.screen_state.batched_screen_scores`, fanned
     over the process pool when ``n_jobs`` asks for workers (with the
     usual 1-core serial fallback of
     :func:`repro.analysis.parallel.effective_workers`).  Scores come
     back in original pair order and are bit-identical to per-pair
-    :func:`fft_screen_score` at every block size and worker count.  A
-    block whose screen raises abstains (all ``inf``) instead of failing
-    the scan.
+    :func:`fft_screen_score` at every worker count.  A block whose
+    screen raises abstains (all ``inf``) instead of failing the scan.
     """
     names = list(series)
     index = {name: k for k, name in enumerate(names)}
     pair_idx = [(index[s], index[t]) for s, t in pair_list]
     blocks = [
-        (start, pair_idx[start : start + block])
-        for start in range(0, len(pair_idx), block)
+        (start, pair_idx[start : start + _SCREEN_BLOCK])
+        for start in range(0, len(pair_idx), _SCREEN_BLOCK)
     ]
     workers, _ = effective_workers(
         1 if n_jobs is None else n_jobs,
@@ -238,7 +242,7 @@ def _screen_scores(
     scores = [float("inf")] * len(pair_idx)
     if workers > 1:
         for start, block_scores in pooled_map(
-            _screen_block_task,
+            _screen_task,
             blocks,
             workers=workers,
             series=series,
@@ -268,7 +272,6 @@ def cascade_scan(
     engine: Optional[Tycos] = None,
     n_jobs: Optional[int] = None,
     store_path: Optional[Union[str, Path]] = None,
-    screen_block: int = 256,
     force_parallel: bool = False,
     plan: Union["SearchPlan", str, None] = None,
 ) -> PairwiseReport:
@@ -313,9 +316,6 @@ def cascade_scan(
             attached from.  Pool workers of both stage 1 and stage 3
             then memory-map the store instead of receiving copies of
             the series.
-        screen_block: pairs per stage-1 batch.  Any block size produces
-            bit-identical scores; larger blocks amortize kernel launch
-            overhead against peak memory.
         force_parallel: run the requested pools of stage 1 and stage 3
             even on a 1-core host, where the default falls back to serial
             (see :func:`repro.analysis.parallel.effective_workers`).
@@ -337,8 +337,6 @@ def cascade_scan(
     pair_list = checked_pairs(series, pairs)
     if not screen_margin >= 0:  # also rejects NaN
         raise ValueError(f"screen_margin must be >= 0, got {screen_margin}")
-    if screen_block < 1:
-        raise ValueError(f"screen_block must be >= 1, got {screen_block}")
     window = max(config.s_min, min(config.s_max, 64)) if screen_window is None else screen_window
     fft_cut = screen_threshold - screen_margin
     nmi_cut = nmi_threshold - screen_margin
@@ -364,7 +362,7 @@ def cascade_scan(
         else:
             geometry = ScreenGeometry(length=length, window=window, td_max=config.td_max)
             fft_scores = _screen_scores(
-                series, pair_list, geometry, screen_block, n_jobs, store_path, force_parallel
+                series, pair_list, geometry, n_jobs, store_path, force_parallel
             )
         return [
             (pair, "fft" if score < fft_cut else _stage2(*pair))
@@ -462,11 +460,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="stage-1 window size (default: clamp(64, s_min, s_max))",
     )
     parser.add_argument(
-        "--screen-block", type=int, default=256,
-        help="pairs per batched stage-1 screen block (default 256; any size "
-             "scores bit-identically)",
-    )
-    parser.add_argument(
         "--profile", action="store_true",
         help="append the per-phase wall-clock ledger (screen vs search) "
              "to the report",
@@ -554,7 +547,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             nmi_threshold=args.nmi_threshold,
             screen_margin=args.screen_margin,
             screen_window=args.screen_window,
-            screen_block=args.screen_block,
             n_jobs=args.n_jobs,
             store_path=store_path,
             plan=args.plan,

@@ -13,14 +13,23 @@ every query it will ever meet):
   derived quantity (padded FFT size, band slice lengths, probe
   positions) is computed once and agreed on by builders and kernels.
 * :func:`build_screen_state` precomputes, per series, everything the
-  screen needs from that series alone: the zero-padded delay-band
-  blocks with their rolling moments for the windowed-PCC scan, and the
-  padded rfft spectrum, normalized query spectra and rolling window
-  sigmas for the MASS probes.
-* :func:`batched_screen_scores` screens a whole *block* of pairs in a
-  few batched numpy kernels: one row-wise cumulative sum over the
-  stacked band blocks (the cross moment is the only per-pair rolling
-  sum left) and one batched irfft over the stacked spectra products.
+  screen needs from that series alone: the rolling moments of its
+  delay-band rows for the windowed-PCC scan, and the padded rfft
+  spectrum, normalized query spectra and rolling window sigmas for the
+  MASS probes.
+* :func:`batched_screen_scores` screens any number of pairs in tiles
+  whose slabs hold at most :data:`TILE_ELEMENTS` floats: per tile, one
+  row-wise cumulative sum over the pairs' band rows of the cross
+  product (the only per-pair rolling sum; its rows are sliced from the
+  series) and one batched irfft over the stacked spectra products.  A
+  tile holds several whole pairs, or some delay rows of one pair when a
+  single pair's band does not fit; a running maximum over row tiles
+  gives the band maximum exactly.
+
+Peak memory is therefore the tile's (a fixed multiple of
+``8 * TILE_ELEMENTS`` bytes, whatever the pair count or delay band)
+plus the states themselves: about ``4 * (2 * td_max + 1) * (n - m + 1)``
+floats per series, plus its spectra.
 
 Bit-exactness is the contract, not an aspiration: every arithmetic step
 replays the reference's expressions on the reference's floats -- the
@@ -30,11 +39,10 @@ the distance conversion of
 scalar ``1.0 - float(d) ** 2 / (2.0 * m)`` tail -- and row-wise numpy
 reductions (``cumsum(axis=1)``, ``irfft(axis=1)``) are per-row
 identical to their 1-D forms, so every returned score is bit-identical
-to ``fft_screen_score`` on the same pair (TY121 gate, asserted by the
-tier-1 suite).  A
-geometry the reference would abstain on (window < 2, series shorter
-than the window) abstains here identically: every score is ``inf`` and
-no pair is pruned.
+to ``fft_screen_score`` on the same pair at every tile shape (TY121
+gate, asserted by the tier-1 suite).  A geometry the reference would
+abstain on (window < 2, series shorter than the window) abstains here
+identically: every score is ``inf`` and no pair is pruned.
 """
 
 from __future__ import annotations
@@ -49,12 +57,25 @@ from repro.baselines.mass import mass_fft_size
 from repro.baselines.pearson import roll_sum_rows
 
 __all__ = [
+    "TILE_ELEMENTS",
     "ScreenGeometry",
     "SeriesScreenState",
     "build_screen_state",
     "build_screen_states",
     "batched_screen_scores",
 ]
+
+#: Float64 elements of one stage-1 tile's slab (512 KiB): the ``pairs x
+#: rows x n`` cross-product rows of the windowed-PCC scan and the ``pairs
+#: x probes x fft_size`` irfft rows of the MASS probes each stay at or
+#: under it, unless one band row or one pair's probes alone exceed it.
+#: Measured per pair on a 2-vCPU host (all pairs of 6-40 random walks,
+#: n = 300-4000, td_max = 8-160, two sets of seven alternating runs),
+#: 2**16 was the fastest budget, or within 9% of 2**15 at td_max >= 50;
+#: 2**17 and 2**18 ran up to 2.4x slower once a tile's temporaries
+#: outgrew the 2 MiB L2 cache.  2**16 took 17-62% less time per pair
+#: than scoring each 256-pair block as one slab.
+TILE_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -152,15 +173,17 @@ class SeriesScreenState:
     """Everything the stage-1 screen needs from one series alone.
 
     Both roles are precomputed because an all-pairs scan uses every
-    series as the pair's ``x`` side (band block ``xs``, query spectra)
-    and as its ``y`` side (band block ``ys``, series spectrum, rolling
-    sigmas) about equally often.
+    series as the pair's ``x`` side (band moments ``sx``/``px``, query
+    spectra) and as its ``y`` side (band moments ``sy``/``py``, series
+    spectrum, rolling sigmas) about equally often.  The band rows
+    themselves are not kept: a tile slices them from ``values``.
 
     Attributes:
-        xs: zero-padded x-side band block, shape ``(rows, n)``.
-        ys: zero-padded y-side band block, shape ``(rows, n)``.
-        sx: rolling window sums of ``xs``, shape ``(rows, out_width)``.
-        sy: rolling window sums of ``ys``.
+        values: the series, shape ``(n,)``.
+        sx: rolling window sums of the x-side band rows, shape
+            ``(rows, out_width)``; row ``j`` covers the samples
+            ``sliding_pcc_band`` pairs at delay ``band[j]``.
+        sy: rolling window sums of the y-side band rows.
         px: clamped x variance term ``max(sxx - sx*sx/m, 0)``.
         py: clamped y variance term.
         spectrum: padded rfft of the series (MASS y side), ``(bins,)``.
@@ -169,15 +192,14 @@ class SeriesScreenState:
             degenerate probes.
         query_degenerate: per-probe flag for zero-variance queries
             (their profile is the constant ``sqrt(2m)``).
-        sigma: rolling window standard deviations of the series (MASS
-            y side), shape ``(out_width,)``.
-        sigma_ok: the reference's ``sigma > 1e-12`` validity mask.
+        sigma_ok: the reference's ``sigma > 1e-12`` validity mask of the
+            rolling window standard deviations (MASS y side), shape
+            ``(out_width,)``.
         msig_safe: ``m * sigma`` with invalid entries replaced by 1.0,
             the safe divisor of the batched distance conversion.
     """
 
-    xs: FloatArray
-    ys: FloatArray
+    values: FloatArray
     sx: FloatArray
     sy: FloatArray
     px: FloatArray
@@ -185,7 +207,6 @@ class SeriesScreenState:
     spectrum: np.ndarray
     query_spectra: np.ndarray
     query_degenerate: np.ndarray
-    sigma: FloatArray
     sigma_ok: np.ndarray
     msig_safe: FloatArray
 
@@ -194,11 +215,11 @@ def _empty_state(geometry: ScreenGeometry) -> SeriesScreenState:
     """The all-abstaining placeholder for unusable geometries."""
     empty = np.empty((0, 0))
     return SeriesScreenState(
-        xs=empty, ys=empty, sx=empty, sy=empty, px=empty, py=empty,
+        values=np.empty(0), sx=empty, sy=empty, px=empty, py=empty,
         spectrum=np.empty(0, dtype=np.complex128),
         query_spectra=np.empty((0, 0), dtype=np.complex128),
         query_degenerate=np.empty(0, dtype=bool),
-        sigma=np.empty(0), sigma_ok=np.empty(0, dtype=bool), msig_safe=np.empty(0),
+        sigma_ok=np.empty(0, dtype=bool), msig_safe=np.empty(0),
     )
 
 
@@ -227,7 +248,7 @@ def build_screen_state(values: FloatArray, geometry: ScreenGeometry) -> SeriesSc
         return _empty_state(geometry)
     n, m = geometry.length, geometry.window
 
-    # -- windowed-PCC band blocks (sliding_pcc_band's construction) ---- #
+    # -- windowed-PCC band moments (sliding_pcc_band's construction) --- #
     rows = geometry.rows
     lengths = geometry.band_lengths()
     xs = np.zeros((rows, n))
@@ -274,10 +295,10 @@ def build_screen_state(values: FloatArray, geometry: ScreenGeometry) -> SeriesSc
         query_spectra[p] = np.fft.rfft(q_norm[::-1], size)
 
     return SeriesScreenState(
-        xs=xs, ys=ys, sx=sx, sy=sy, px=px, py=py,
+        values=series, sx=sx, sy=sy, px=px, py=py,
         spectrum=spectrum, query_spectra=query_spectra,
         query_degenerate=query_degenerate,
-        sigma=sigma, sigma_ok=sigma_ok, msig_safe=msig_safe,
+        sigma_ok=sigma_ok, msig_safe=msig_safe,
     )
 
 
@@ -288,12 +309,102 @@ def build_screen_states(
     return {name: build_screen_state(values, geometry) for name, values in series.items()}
 
 
+def _tile_shape(geometry: ScreenGeometry) -> Tuple[int, int]:
+    """``(pairs, rows)`` of one tile under :data:`TILE_ELEMENTS`.
+
+    Delay rows are split only when one pair's band does not fit, so a
+    tile holds either whole bands of several pairs or some rows of one.
+    """
+    n = geometry.length
+    rows = max(1, min(geometry.rows, TILE_ELEMENTS // n))
+    per_pair = max(rows * n, geometry.mass_probes * geometry.fft_size)
+    return max(1, TILE_ELEMENTS // per_pair), rows
+
+
+def _pcc_best(
+    states: Sequence[SeriesScreenState],
+    tile: Sequence[Tuple[int, int]],
+    geometry: ScreenGeometry,
+    row_tile: int,
+    valid: np.ndarray,
+) -> FloatArray:
+    """Best in-range windowed |PCC| of each pair of ``tile`` over the band.
+
+    The band is walked ``row_tile`` delay rows at a time; ``max`` is
+    exact, so the running maximum equals one maximum over every row.
+    """
+    n, m = geometry.length, geometry.window
+    band = geometry.band
+    lengths = geometry.band_lengths()
+    pairs = len(tile)
+    x = np.stack([states[i].values for i, _ in tile])
+    y = np.stack([states[j].values for _, j in tile])
+    best = np.zeros(pairs)
+    for first in range(0, geometry.rows, row_tile):
+        rows = slice(first, min(first + row_tile, geometry.rows))
+        count = rows.stop - first
+        # The cross moment is the only per-pair rolling sum.  Each row is
+        # the product of the pair's aligned slices, zero-padded like
+        # sliding_pcc_band's block; the padding never enters a valid prefix.
+        xy = np.zeros((pairs, count, n))
+        for k, d in enumerate(band[rows]):
+            lo, length = max(0, -d), lengths[first + k]
+            np.multiply(
+                x[:, lo : lo + length], y[:, lo + d : lo + d + length], out=xy[:, k, :length]
+            )
+        sxy = roll_sum_rows(xy.reshape(pairs * count, n), m).reshape(pairs, count, -1)
+        sx = np.stack([states[i].sx[rows] for i, _ in tile])
+        sy = np.stack([states[j].sy[rows] for _, j in tile])
+        px = np.stack([states[i].px[rows] for i, _ in tile])
+        py = np.stack([states[j].py[rows] for _, j in tile])
+        cov = sxy - sx * sy / m
+        denom = np.sqrt(px * py)
+        out = np.zeros_like(cov)
+        np.divide(cov, denom, out=out, where=denom > 1e-12)
+        out = np.clip(out, -1.0, 1.0)
+        # Window positions past a band row's valid prefix cover zero
+        # padding the reference never sees; mask them to its 0.0 floor.
+        magnitude = np.where(valid[rows], np.abs(out), 0.0)
+        np.maximum(best, magnitude.reshape(pairs, -1).max(axis=1), out=best)
+    return best
+
+
+def _mass_extremes(
+    states: Sequence[SeriesScreenState],
+    tile: Sequence[Tuple[int, int]],
+    geometry: ScreenGeometry,
+) -> Tuple[FloatArray, FloatArray]:
+    """``(pairs, probes)`` min and max MASS distances of each pair of ``tile``."""
+    n, m = geometry.length, geometry.window
+    probes, bins = geometry.mass_probes, geometry.spectrum_bins
+    pairs = len(tile)
+    products = np.empty((pairs, probes, bins), dtype=np.complex128)
+    for b, (i, j) in enumerate(tile):
+        # Reference operand order: fft(series) * fft(query).
+        products[b] = states[j].spectrum[None, :] * states[i].query_spectra
+    qt = np.fft.irfft(products.reshape(pairs * probes, bins), geometry.fft_size, axis=1)
+    qt = qt[:, m - 1 : n].reshape(pairs, probes, -1)
+    ok = np.stack([states[j].sigma_ok for _, j in tile])[:, None, :]
+    msig = np.stack([states[j].msig_safe for _, j in tile])[:, None, :]
+    dist_sq = np.where(ok, 2.0 * m * (1.0 - qt / msig), 2.0 * m)
+    profile = np.sqrt(np.maximum(dist_sq, 0.0))
+    mins = profile.min(axis=2)
+    maxs = profile.max(axis=2)
+    flat = float(np.sqrt(2.0 * m))
+    for b, (i, _) in enumerate(tile):
+        degenerate = states[i].query_degenerate
+        if degenerate.any():
+            mins[b, degenerate] = flat
+            maxs[b, degenerate] = flat
+    return mins, maxs
+
+
 def batched_screen_scores(
     states: Sequence[SeriesScreenState],
     pair_indices: Sequence[Tuple[int, int]],
     geometry: ScreenGeometry,
 ) -> List[float]:
-    """Stage-1 screen scores of a block of pairs, batched.
+    """Stage-1 screen scores of any number of pairs, in bounded tiles.
 
     Args:
         states: per-series screen states (any indexable collection).
@@ -309,67 +420,23 @@ def batched_screen_scores(
     """
     if geometry.abstains or not pair_indices:
         return [float("inf")] * len(pair_indices)
-    n, m = geometry.length, geometry.window
-    rows = geometry.rows
-    out_w = geometry.out_width
-    block = len(pair_indices)
-
-    # -- windowed PCC: only the cross moment is per-pair --------------- #
-    xs = np.concatenate([states[i].xs for i, _ in pair_indices])
-    ys = np.concatenate([states[j].ys for _, j in pair_indices])
-    sxy = roll_sum_rows(xs * ys, m)
-    sx = np.concatenate([states[i].sx for i, _ in pair_indices])
-    sy = np.concatenate([states[j].sy for _, j in pair_indices])
-    px = np.concatenate([states[i].px for i, _ in pair_indices])
-    py = np.concatenate([states[j].py for _, j in pair_indices])
-    cov = sxy - sx * sy / m
-    denom = np.sqrt(px * py)
-    out = np.zeros_like(cov)
-    ok = denom > 1e-12
-    out[ok] = cov[ok] / denom[ok]
-    out = np.clip(out, -1.0, 1.0)
-    # Window positions past a band row's valid prefix cover zero padding
-    # the reference never sees; mask them to the reference's 0.0 floor.
-    valid = np.tile(geometry.valid_mask(), (block, 1))
-    magnitude = np.where(valid, np.abs(out), 0.0)
-    pcc_best = magnitude.reshape(block, rows * out_w).max(axis=1)
-
-    # -- MASS probes: one batched irfft over all (pair, probe) rows ---- #
+    m = geometry.window
     probes = geometry.mass_probes
-    if probes:
-        bins = geometry.spectrum_bins
-        products = np.empty((block, probes, bins), dtype=np.complex128)
-        for b, (i, j) in enumerate(pair_indices):
-            # Reference operand order: fft(series) * fft(query).
-            products[b] = states[j].spectrum[None, :] * states[i].query_spectra
-        qt = np.fft.irfft(products.reshape(block * probes, bins), geometry.fft_size, axis=1)
-        qt = qt[:, m - 1 : n]
-        ok_rows = np.repeat(
-            np.stack([states[j].sigma_ok for _, j in pair_indices]), probes, axis=0
-        )
-        msig = np.repeat(
-            np.stack([states[j].msig_safe for _, j in pair_indices]), probes, axis=0
-        )
-        dist_sq = np.where(ok_rows, 2.0 * m * (1.0 - qt / msig), 2.0 * m)
-        profile = np.sqrt(np.maximum(dist_sq, 0.0))
-        mins = profile.min(axis=1).reshape(block, probes)
-        maxs = profile.max(axis=1).reshape(block, probes)
-        flat = float(np.sqrt(2.0 * m))
-        for b, (i, _) in enumerate(pair_indices):
-            degenerate = states[i].query_degenerate
-            if degenerate.any():
-                mins[b, degenerate] = flat
-                maxs[b, degenerate] = flat
-
+    pair_tile, row_tile = _tile_shape(geometry)
+    valid = geometry.valid_mask()
     scores: List[float] = []
-    for b in range(block):
-        best = float(pcc_best[b])
+    for start in range(0, len(pair_indices), pair_tile):
+        tile = pair_indices[start : start + pair_tile]
+        pcc_best = _pcc_best(states, tile, geometry, row_tile, valid)
         if probes:
+            mins, maxs = _mass_extremes(states, tile, geometry)
+        for b in range(len(tile)):
+            best = float(pcc_best[b])
             # The reference's Python-scalar tail, probe by probe; max()
             # ignores NaN exactly as the per-pair accumulation does.
             for p in range(probes):
                 r_hi = 1.0 - float(mins[b, p]) ** 2 / (2.0 * m)
                 r_lo = 1.0 - float(maxs[b, p]) ** 2 / (2.0 * m)
                 best = max(best, abs(r_hi), abs(r_lo))
-        scores.append(best)
+            scores.append(best)
     return scores

@@ -42,8 +42,9 @@ def roll_sum_rows(block: np.ndarray, window: int) -> np.ndarray:
     Returns:
         ``(rows, width - m + 1)`` rolling sums.
     """
-    rows = block.shape[0]
-    c = np.concatenate([np.zeros((rows, 1)), np.cumsum(block, axis=1)], axis=1)
+    rows, width = block.shape
+    c = np.zeros((rows, width + 1))
+    np.cumsum(block, axis=1, out=c[:, 1:])
     return c[:, window:] - c[:, :-window]
 
 

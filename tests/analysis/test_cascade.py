@@ -11,6 +11,7 @@ the plain scan exactly.
 import numpy as np
 import pytest
 
+import repro.analysis.cascade as cascade_mod
 from repro.analysis.cascade import cascade_scan, fft_screen_score, main
 from repro.analysis.pairwise import scan_pairs
 from repro.analysis.planner import SearchPlan
@@ -236,19 +237,22 @@ class TestForcedPool:
         # the one pool is stage 3's.
         assert pools == [2]
 
-    def test_store_backed_pooled_screen_matches_serial(self, collection, tmp_path):
+    def test_store_backed_pooled_screen_matches_serial(
+        self, collection, tmp_path, monkeypatch
+    ):
         """Pool workers attached to a store build their screen states from
         its views: the report equals the serial in-memory cascade, and the
         scan leaves nothing in the store directory but the series."""
         serial = cascade_scan(collection, _config(), screen_window=120)
         store = SeriesStore.write(tmp_path / "store", collection)
+        # Blocks of 3 split the 28 pairs into several stage-1 pool tasks.
+        monkeypatch.setattr(cascade_mod, "_SCREEN_BLOCK", 3)
         pooled = cascade_scan(
             store.series(),
             _config(),
             screen_window=120,
             n_jobs=2,
             force_parallel=True,
-            screen_block=3,
             store_path=store.path,
         )
         assert _snapshot(pooled) == _snapshot(serial)

@@ -4,13 +4,18 @@ The contract under test -- the TY121 bit-exactness gate of
 ``repro.analysis.screen_state``: every score produced by
 ``batched_screen_scores`` is bit-identical to the per-pair reference
 ``repro.analysis.cascade.fft_screen_score`` on the same pair, at every
-block size, for odd collection sizes, and in the abstaining
-short-series geometries.
+block size and tile shape, for odd collection sizes, on non-finite and
+flat inputs, and in the abstaining short-series geometries -- and one
+call's memory stays within a fixed multiple of the tile budget.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import repro.analysis.cascade as cascade_mod
+import repro.analysis.screen_state as screen_state_mod
 from repro.analysis.cascade import cascade_scan, fft_screen_score
 from repro.analysis.screen_state import (
     ScreenGeometry,
@@ -116,6 +121,76 @@ class TestBitExactness:
         assert got == _reference_scores(series, names, pairs, geometry)
 
 
+def _rough_collection(n, seed=13):
+    """Six series holding every input the screen must survive."""
+    rng = np.random.default_rng(seed)
+    walk = np.cumsum(rng.normal(size=n))
+    gap = walk + rng.normal(scale=0.1, size=n)
+    gap[50:60] = np.nan
+    stretch = rng.normal(size=n)
+    stretch[20:90] = 1.5  # longer than the window: zero-variance windows
+    spike = rng.normal(size=n)
+    spike[100] = np.inf
+    return {
+        "walk": walk,
+        "lagged": np.roll(walk, 3) + rng.normal(scale=0.1, size=n),
+        "gap": gap,
+        "stretch": stretch,
+        "flat": np.ones(n),
+        "spike": spike,
+    }
+
+
+class TestTileEdges:
+    """Tiles that split the band or the pairs score exactly like the reference."""
+
+    N, WINDOW, TD_MAX = 160, 40, 5  # an 11-row band
+
+    def _tile(self, case):
+        n, rows = self.N, 2 * self.TD_MAX + 1
+        geometry = ScreenGeometry(length=n, window=self.WINDOW, td_max=self.TD_MAX)
+        one_pair = max(rows * n, geometry.mass_probes * geometry.fft_size)
+        return {
+            "one row": n,
+            "one pair": one_pair,
+            "4 of 11 rows": 4 * n,
+            "4 pairs of 30": 4 * one_pair,
+        }[case]
+
+    @pytest.mark.parametrize("case", ["one row", "one pair", "4 of 11 rows", "4 pairs of 30"])
+    def test_every_tile_shape_matches_reference(self, case, monkeypatch):
+        series = _rough_collection(self.N)
+        names = list(series)
+        geometry = ScreenGeometry(length=self.N, window=self.WINDOW, td_max=self.TD_MAX)
+        pairs = [(i, j) for i in range(len(names)) for j in range(len(names)) if i != j]
+        monkeypatch.setattr(screen_state_mod, "TILE_ELEMENTS", self._tile(case))
+        with np.errstate(invalid="ignore"):
+            states = [build_screen_state(series[name], geometry) for name in names]
+            got = batched_screen_scores(states, pairs, geometry)
+            want = _reference_scores(series, names, pairs, geometry)
+        assert [score.hex() for score in got] == [score.hex() for score in want]
+
+
+class TestMemoryBound:
+    """One call's peak allocation is bounded by the tile budget alone."""
+
+    @pytest.mark.parametrize("td_max", [8, 80])
+    @pytest.mark.parametrize("all_pairs", [False, True])
+    def test_peak_stays_within_a_multiple_of_the_tile(self, td_max, all_pairs):
+        rng = np.random.default_rng(3)
+        series = [np.cumsum(rng.normal(size=600)) for _ in range(8)]
+        geometry = ScreenGeometry(length=600, window=64, td_max=td_max)
+        states = [build_screen_state(values, geometry) for values in series]
+        pairs = _all_pairs(series) if all_pairs else [(0, 1)]
+        tracemalloc.start()
+        try:
+            batched_screen_scores(states, pairs, geometry)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 8 * screen_state_mod.TILE_ELEMENTS
+
+
 class TestAbstention:
     def test_short_series_abstain_with_inf(self):
         # Series shorter than the window: the reference returns inf for
@@ -165,12 +240,14 @@ class TestCascadeIntegration:
             significance_permutations=5,
         )
 
-    def test_block_size_never_changes_the_report(self):
+    def test_tile_size_never_changes_the_report(self, monkeypatch):
         series = _collection(6, n=240, seed=9)
-        reports = [
-            cascade_scan(series, self._config(), screen_window=120, screen_block=block)
-            for block in (1, 4, 256)
-        ]
+        rows = 2 * self._config().td_max + 1
+        reports = []
+        # One delay row, one pair's band, and the module default.
+        for tile in (240, rows * 240, screen_state_mod.TILE_ELEMENTS):
+            monkeypatch.setattr(screen_state_mod, "TILE_ELEMENTS", tile)
+            reports.append(cascade_scan(series, self._config(), screen_window=120))
         first = reports[0]
         for report in reports[1:]:
             assert report.findings == first.findings
@@ -178,14 +255,15 @@ class TestCascadeIntegration:
             assert report.pairs_pruned_fft == first.pairs_pruned_fft
             assert report.pairs_pruned_nmi == first.pairs_pruned_nmi
 
-    def test_pooled_screen_matches_serial(self):
+    def test_pooled_screen_matches_serial(self, monkeypatch):
         series = _collection(6, n=240, seed=9)
         serial = cascade_scan(series, self._config(), screen_window=120)
+        # Blocks of 4 split the 15 pairs into several stage-1 pool tasks.
+        monkeypatch.setattr(cascade_mod, "_SCREEN_BLOCK", 4)
         pooled = cascade_scan(
             series,
             self._config(),
             screen_window=120,
-            screen_block=4,
             n_jobs=2,
             force_parallel=True,
         )
@@ -200,8 +278,3 @@ class TestCascadeIntegration:
         assert all(v >= 0.0 for v in report.phase_seconds.values())
         assert "phase screen" not in report.to_text()
         assert "phase screen" in report.to_text(include_timings=True)
-
-    def test_rejects_bad_screen_block(self):
-        series = _collection(4, n=240, seed=9)
-        with pytest.raises(ValueError, match="screen_block"):
-            cascade_scan(series, self._config(), screen_block=0)
