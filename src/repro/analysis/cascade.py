@@ -33,9 +33,10 @@ falls below ``threshold - screen_margin`` (default ``0.25``).
 disables pruning entirely, making :func:`cascade_scan` byte-identical to
 the unscreened :func:`~repro.analysis.pairwise.scan_pairs` -- the tier-1
 recall tests assert exactly that discipline.  A screen that cannot
-produce evidence (series shorter than the screen window) or raises
-*abstains*: the pair passes to the next stage rather than being
-silently dropped.
+produce evidence (series shorter than the screen window, or holding a
+NaN or an ``inf``) or raises *abstains*: the pair passes to the next
+stage rather than being silently dropped, so a non-finite series fails
+its pairs in stage 3 exactly as in the unscreened scan.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ from repro.analysis.pairwise import (
 )
 from repro.analysis.parallel import effective_workers, pooled_map, worker_state
 from repro.analysis.screen_state import (
+    MASS_PROBES,
     ScreenGeometry,
     batched_screen_scores,
     build_screen_states,
@@ -132,7 +134,6 @@ def fft_screen_score(
     y: FloatArray,
     window: int,
     td_max: int,
-    mass_probes: int = 3,
 ) -> float:
     """Stage-1 screen: the best linear-correlation evidence of a pair.
 
@@ -140,25 +141,28 @@ def fft_screen_score(
 
     * the batched windowed-PCC scan over every window start at every
       delay in ``[-td_max, td_max]`` (all starts, bounded delays), and
-    * MASS distance profiles of a few query subsequences of ``x``
-      against all of ``y`` (few starts, *all* offsets), converted to
-      correlation through ``d^2 = 2m(1 - r)``; both the best and the
-      worst match are used so anti-correlated shapes score by |r| too.
+    * MASS distance profiles of ``MASS_PROBES`` (3) query subsequences
+      of ``x`` against all of ``y`` (few starts, *all* offsets),
+      converted to correlation through ``d^2 = 2m(1 - r)``; both the
+      best and the worst match are used so anti-correlated shapes score
+      by |r| too.
 
     Args:
         x: first series.
         y: second series (same length).
         window: screen window size ``m >= 2``.
         td_max: largest |delay| of the PCC band.
-        mass_probes: number of MASS query positions (evenly spaced).
 
     Returns:
         The largest |r| either proxy found, or ``inf`` when the series
-        are too short for any window to fit -- an abstaining screen must
-        pass the pair, never prune it.
+        are too short for any window to fit or either holds a NaN or an
+        ``inf`` -- an abstaining screen must pass the pair, never prune
+        it, and the search then reports the non-finite series itself.
     """
     x = np.asarray(x, dtype=np.float64).ravel()
     y = np.asarray(y, dtype=np.float64).ravel()
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        return float("inf")
     m = window
     best = 0.0
     fitted = False
@@ -168,8 +172,8 @@ def fft_screen_score(
             fitted = True
             best = max(best, float(np.max(np.abs(row))))
     n = min(x.size, y.size)
-    if n >= m and mass_probes > 0:
-        positions = np.linspace(0, x.size - m, mass_probes).astype(int)
+    if n >= m:
+        positions = np.linspace(0, x.size - m, MASS_PROBES).astype(int)
         for s in positions:
             profile = mass_distance_profile(x[s : s + m], y)
             fitted = True

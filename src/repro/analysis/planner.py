@@ -54,13 +54,12 @@ procedure cuts that count by locating coarsely and refining exactly:
    threshold, ``sigma * coarse_sigma_ratio`` (block means dilute MI, so
    the locate pass under-bids to avoid false dismissals).
 2. Each coarse hit maps exactly -- the pyramid containment lemma -- to a
-   full-resolution ``(region, delay band)``
-   :class:`~repro.core.pyramid.RefinementCell`, widened by
-   ``config.refinement_margin()`` to absorb coarse positioning error;
-   overlapping cells merge.  Then the **plain full-resolution search
-   itself** runs over the whole pair with one change: restart positions
-   outside every cell are skipped, the scan jumping to the next cell in
-   whole ``s_min`` strides.
+   full-resolution region (:func:`~repro.core.pyramid.refinement_cell`),
+   widened by ``config.refinement_margin()`` to absorb coarse positioning
+   error; overlapping regions merge.  Then the **plain full-resolution
+   search itself** runs over the whole pair, every delay included, with
+   one change: restart positions outside every region are skipped, the
+   scan jumping to the next region in whole ``s_min`` strides.
 
 *Why the surviving windows are bit-identical to exhaustive search.*
 The refinement is the plain search minus some restarts.  Every restart
@@ -99,15 +98,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro._types import AnyArray, FloatArray, WindowKey
 from repro.analysis.parallel import effective_workers, pooled_map, worker_state
 from repro.core.config import TycosConfig
-from repro.core.pyramid import (
-    RefinementCell,
-    build_level,
-    coarse_config,
-    coarse_length,
-    refinement_cell,
-)
+from repro.core.pyramid import build_level, coarse_config, coarse_length, refinement_cell
 from repro.core.results import ResultSet, WindowResult
-from repro.core.segmentation import Span, overlap_zones, segment_spans
+from repro.core.segmentation import Span, merge_spans, overlap_zones, segment_spans
 from repro.core.thresholds import BatchScorer
 from repro.core.tycos import SearchStats, Tycos, TycosResult
 from repro.core.window import PairView, TimeDelayWindow
@@ -467,30 +460,28 @@ def _segmented_search(
     return result
 
 
-def _cell_scan_hook(
-    cells: Sequence[RefinementCell], s_min: int
-) -> Callable[[int], Optional[int]]:
+def _cell_scan_hook(cells: Sequence[Span], s_min: int) -> Callable[[int], Optional[int]]:
     """The restart filter of the restricted scan.
 
     Maps each prospective scan position to the next allowed one: inside
-    a cell the position passes through untouched; in a pruned gap the
-    scan jumps forward in whole ``s_min`` strides -- the exact strides
-    the exhaustive search's failed restarts would take -- until it lands
-    in a cell again, so the restart phase (``scan_from mod s_min``) is
-    preserved across every gap.  ``None`` past the last cell ends the
-    scan.
+    a cell (a half-open refinement region) the position passes through
+    untouched; in a pruned gap the scan jumps forward in whole ``s_min``
+    strides -- the exact strides the exhaustive search's failed restarts
+    would take -- until it lands in a cell again, so the restart phase
+    (``scan_from mod s_min``) is preserved across every gap.  ``None``
+    past the last cell ends the scan.
     """
-    ordered = sorted(cells, key=lambda c: (c.lo, c.hi))
+    ordered = sorted(cells)
 
     def hook(scan_from: int) -> Optional[int]:
-        for cell in ordered:
-            if scan_from >= cell.hi:
+        for lo, hi in ordered:
+            if scan_from >= hi:
                 continue
-            if scan_from >= cell.lo:
+            if scan_from >= lo:
                 return scan_from
-            strides = -(-(cell.lo - scan_from) // s_min)
+            strides = -(-(lo - scan_from) // s_min)
             scan_from += strides * s_min
-            if scan_from < cell.hi:
+            if scan_from < hi:
                 return scan_from
             # The phase-aligned entry overshot this (tiny) cell; keep the
             # advanced position and try the next cell.
@@ -499,27 +490,7 @@ def _cell_scan_hook(
     return hook
 
 
-def _merge_cells(cells: Sequence[RefinementCell]) -> List[RefinementCell]:
-    """Coalesce cells with overlapping (or touching) regions.
-
-    Merging unions both the region and the delay band, so a merged cell
-    still contains everything its parts contained; it exists to stop two
-    near-identical coarse hits from keeping the scan in the same stretch
-    of timeline twice.
-    """
-    ordered = sorted(cells, key=lambda c: (c.lo, c.hi, c.delay_lo, c.delay_hi))
-    merged: List[RefinementCell] = []
-    for cell in ordered:
-        if merged and cell.lo <= merged[-1].hi:
-            merged[-1] = merged[-1].merge(cell)
-        else:
-            merged.append(cell)
-    return merged
-
-
-def _pruning_accounts(
-    merged: Sequence[RefinementCell], n: int, config: TycosConfig
-) -> Tuple[int, int]:
+def _pruning_accounts(merged: Sequence[Span], n: int, config: TycosConfig) -> Tuple[int, int]:
     """(refined, pruned) counts over maximal-footprint timeline tiles.
 
     The timeline is measured in tiles of ``s_max + td_max`` samples (one
@@ -530,9 +501,9 @@ def _pruning_accounts(
     tile = max(1, config.s_max + config.td_max)
     total = max(1, -(-n // tile))
     covered = set()
-    for cell in merged:
-        first = cell.lo // tile
-        last = min(total - 1, (max(cell.lo, cell.hi - 1)) // tile)
+    for lo, hi in merged:
+        first = lo // tile
+        last = min(total - 1, (max(lo, hi - 1)) // tile)
         covered.update(range(first, last + 1))
     return len(merged), total - len(covered)
 
@@ -557,10 +528,10 @@ def _coarse_search(engine: Tycos, x: AnyArray, y: AnyArray, factor: int) -> Tyco
     coarse = _jitter_free(engine, c_cfg)._search_whole(level.x, level.y)
     coarse_seconds = time.perf_counter() - coarse_started
 
+    # Merging stops two near-identical coarse hits from keeping the scan
+    # in the same stretch of timeline twice.
     margin = cfg.refinement_margin()
-    merged = _merge_cells(
-        [refinement_cell(r.window, factor, n, cfg.td_max, margin) for r in coarse.windows]
-    )
+    merged = merge_spans(refinement_cell(r.window, factor, n, margin) for r in coarse.windows)
     refine_started = time.perf_counter()
     refined = refine_engine._search_whole(
         pair.x, pair.y, scan_hook=_cell_scan_hook(merged, cfg.s_min)

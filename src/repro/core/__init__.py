@@ -7,9 +7,7 @@ from repro.core.neighborhood import Neighbor, neighborhood
 from repro.core.noise import NoiseDetector, find_initial_window, is_noise
 from repro.core.pyramid import (
     PyramidLevel,
-    RefinementCell,
     build_level,
-    build_pyramid,
     coarse_config,
     paa_downsample,
     refinement_cell,
@@ -67,10 +65,8 @@ __all__ = [
     "overlap_zones",
     "span_containing",
     "PyramidLevel",
-    "RefinementCell",
     "paa_downsample",
     "build_level",
-    "build_pyramid",
     "refinement_cell",
     "coarse_config",
     "BatchScorer",

@@ -68,10 +68,11 @@ class TycosConfig:
             re-applies the full ``sigma``.
         delay_band: when set, restricts the search to delays in this
             inclusive ``(lo, hi)`` range (intersected with
-            ``[-td_max, td_max]``).  The multiscale refinement uses it to
-            confine each cell's search to the delays its coarse hit maps
-            to; it composes with every engine feature because both the
-            initial-window grid and the LAHC neighborhood respect it.
+            ``[-td_max, td_max]``).  Only a caller sets it; no plan does.
+            It composes with every engine feature because both the
+            initial-window grid and the LAHC neighborhood respect it, and
+            :func:`repro.core.pyramid.coarse_config` maps it outward onto
+            a coarse level.
         init_delay_step: stride of the coarse delay grid probed when
             choosing an initial window (default ``max(1, s_min // 2)``).
             Algorithm 1 seeds the search at delay 0 only, but the MI

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import FrozenSet, Iterator, List, Tuple
+from typing import FrozenSet, List, Tuple
 
 from repro.core.window import TimeDelayWindow
 
@@ -124,12 +124,3 @@ def _is_blocked(direction: Direction, blocked: FrozenSet[Direction]) -> bool:
             if any(bb != 0 for bb in b):
                 return True
     return False
-
-
-def axis_directions() -> Iterator[Direction]:
-    """The six pure single-axis directions (used by the noise detector)."""
-    for axis in range(3):
-        for sign in (-1, 1):
-            d = [0, 0, 0]
-            d[axis] = sign
-            yield tuple(d)  # type: ignore[misc]

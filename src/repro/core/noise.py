@@ -24,11 +24,11 @@ from dataclasses import dataclass, field
 from typing import Optional, Set, Tuple
 
 from repro.core.config import TycosConfig
-from repro.core.neighborhood import Direction, Neighbor
+from repro.core.neighborhood import Direction
 from repro.core.thresholds import BatchScorer
 from repro.core.window import TimeDelayWindow
 
-__all__ = ["is_noise", "find_initial_window", "NoiseDetector"]
+__all__ = ["is_noise", "best_block_over_delays", "find_initial_window", "NoiseDetector"]
 
 #: A growth probe: the direction it tests, the segment, the concatenation.
 _Probe = Tuple[Direction, TimeDelayWindow, TimeDelayWindow]
@@ -55,7 +55,7 @@ def is_noise(
     return following_value < epsilon and concatenated_value < followed_value
 
 
-def _best_block_over_delays(
+def best_block_over_delays(
     scorer: BatchScorer,
     config: TycosConfig,
     n: int,
@@ -67,7 +67,12 @@ def _best_block_over_delays(
     candidate start is the implementation choice that makes distant delay
     basins reachable (see ``TycosConfig.init_delay_step``).  The whole
     grid is scored in one :meth:`BatchScorer.value_many` call; ties keep
-    the earliest grid delay.
+    the earliest grid delay.  Both seeding paths use it: the noise-aware
+    hierarchy of :func:`find_initial_window` and the plain variants'
+    single probe at the scan position.
+
+    Returns:
+        ``(block, value)``, or None when no grid delay fits the series.
     """
     end = pos + config.s_min - 1
     candidates = (_feasible_or_none(pos, end, tau, n) for tau in config.delay_grid())
@@ -112,7 +117,7 @@ def find_initial_window(
     current_value = 0.0
     pos = scan_from
     while pos + s_min - 1 < n:
-        probed = _best_block_over_delays(scorer, config, n, pos)
+        probed = best_block_over_delays(scorer, config, n, pos)
         if probed is None:
             return None
         best_block, best_block_value = probed
@@ -163,10 +168,11 @@ class NoiseDetector:
     """Subsequent noise detection during neighborhood exploration (6.2.2).
 
     Tracks, for the current LAHC solution, which growth directions have
-    been proven noisy.  ``filter_neighbors`` removes candidates lying in a
-    blocked direction; ``inspect`` runs the Def.-6.4 test on a growth move
-    and blocks its direction on a hit.  The blocked set resets whenever the
-    search accepts a new solution (the geometry changed).
+    been proven noisy.  ``inspect`` runs the Def.-6.4 test on a growth
+    move and blocks its direction on a hit; the search drops candidates
+    lying in a blocked direction through ``neighborhood(blocked=)``.  The
+    blocked set resets whenever the search accepts a new solution (the
+    geometry changed).
 
     Attributes:
         prunes: number of direction blocks issued (for the stats report).
@@ -181,22 +187,6 @@ class NoiseDetector:
     def reset(self) -> None:
         """Forget blocked directions (called after each accepted move)."""
         self.blocked.clear()
-
-    def filter_neighbors(self, neighbors: list[Neighbor]) -> list[Neighbor]:
-        """Drop candidates whose direction matches a blocked one."""
-        if not self.blocked:
-            return neighbors
-        out = []
-        for nb in neighbors:
-            if not self._direction_blocked(nb.direction):
-                out.append(nb)
-        return out
-
-    def _direction_blocked(self, direction: Direction) -> bool:
-        for b in self.blocked:
-            if all(bb == 0 or dd == bb for bb, dd in zip(b, direction)):
-                return True
-        return False
 
     def inspect(self, window: TimeDelayWindow, window_value: float) -> None:
         """Test the two growth directions of ``window`` and block noisy ones.

@@ -23,21 +23,23 @@ of :mod:`repro.analysis.planner`) relies on reduces to one fact, the
     1. The coarse image interval ``[t_s // f, t_e // f]`` expands back
        (:func:`footprint`) to a full-resolution interval **containing**
        ``[t_s, t_e]``.
-    2. Any coarse delay ``c`` with ``|c * f - tau| <= f - 1`` -- in
-       particular ``round(tau / f)`` -- has ``tau`` inside its
-       full-resolution delay band (:func:`delay_band`).
+    2. The coarse delay ``c = round(tau / f)`` is a faithful image of
+       ``tau`` (``|c * f - tau| <= f - 1``) inside the coarse pass's
+       delay bound ``ceil(td_max / f)`` (:func:`coarse_config`).
 
     *Proof.* (1) ``(t_s // f) * f <= t_s`` and
     ``t_e < (t_e // f + 1) * f``, by the definition of floor division.
-    (2) is the definition of the band. ∎
+    (2) ``|c * f - tau| <= f / 2`` and
+    ``|c| <= round(td_max / f) <= ceil(td_max / f)``. ∎
 
 Therefore a refinement cell built from the coarse image of ``w`` with
 any non-negative margin (:func:`refinement_cell`) contains ``w``'s X
-interval and delay outright; the margin only buys slack for the coarse
-*search* locating the image inexactly.  The lemma is property-tested in
-``tests/core/test_pyramid.py`` across factors and lengths not divisible
-by the factor, mirroring the segment containment lemma of
-:mod:`repro.core.segmentation`.
+interval outright; the margin only buys slack for the coarse *search*
+locating the image inexactly.  The refinement searches every delay of
+the full-resolution band, so a cell carries no delay range of its own.
+The lemma is property-tested in ``tests/core/test_pyramid.py`` across
+factors and lengths not divisible by the factor, mirroring the segment
+containment lemma of :mod:`repro.core.segmentation`.
 
 Downsampled pairs must be constructed **only** through this module
 (:func:`build_level` / :func:`paa_downsample`); hand-rolled
@@ -48,14 +50,14 @@ mapping above.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from repro._types import FloatArray
 from repro.core.config import TycosConfig
+from repro.core.segmentation import Span
 from repro.core.window import PairView, TimeDelayWindow
 
 __all__ = [
@@ -63,11 +65,8 @@ __all__ = [
     "paa_downsample",
     "PyramidLevel",
     "build_level",
-    "build_pyramid",
     "cell_span",
     "footprint",
-    "delay_band",
-    "RefinementCell",
     "refinement_cell",
     "coarse_config",
 ]
@@ -131,14 +130,11 @@ class PyramidLevel:
         factor: full-resolution samples aggregated per coarse cell.
         x: coarse first series (block means of the jittered original).
         y: coarse second series.
-        base_n: length of the full-resolution pair the level was built
-            from (needed to clip expanded footprints).
     """
 
     factor: int
     x: FloatArray
     y: FloatArray
-    base_n: int
 
     @property
     def n(self) -> int:
@@ -159,20 +155,7 @@ def build_level(pair: PairView, factor: int) -> PyramidLevel:
         factor=factor,
         x=paa_downsample(pair.x, factor),
         y=paa_downsample(pair.y, factor),
-        base_n=pair.n,
     )
-
-
-def build_pyramid(pair: PairView, factors: Sequence[int]) -> List[PyramidLevel]:
-    """Build one :class:`PyramidLevel` per requested factor.
-
-    Args:
-        pair: the full-resolution pair (jitter already applied, so every
-            level aggregates bit-identical base samples).
-        factors: aggregation factors, typically increasing powers of two;
-            duplicates and order are preserved as given.
-    """
-    return [build_level(pair, factor) for factor in factors]
 
 
 def cell_span(index: int, factor: int, n: int) -> Tuple[int, int]:
@@ -199,94 +182,20 @@ def footprint(window: TimeDelayWindow, factor: int, n: int) -> Tuple[int, int]:
     return lo, hi
 
 
-def delay_band(
-    coarse_delay: int, factor: int, td_max: int, margin: int = 0
-) -> Tuple[int, int]:
-    """Full-resolution delays whose coarse image is ``coarse_delay``.
+def refinement_cell(window: TimeDelayWindow, factor: int, n: int, margin: int) -> Span:
+    """The full-resolution search region of a coarse hit.
 
-    A full-resolution delay ``tau`` shifts the Y interval by ``tau``
-    samples, which at factor ``f`` appears as a coarse shift of
-    ``tau / f`` -- any coarse delay ``c`` with ``|c * f - tau| <= f - 1``
-    is a faithful image.  The inverse is therefore the inclusive band
-    ``[c * f - (f - 1), c * f + (f - 1)]``, widened by ``margin`` for
-    coarse-search slack and clipped to the feasible ``[-td_max, td_max]``.
-
-    Returns:
-        ``(delay_lo, delay_hi)``; always non-empty for a feasible coarse
-        delay (``|c| <= ceil(td_max / f)``), because clipping can at most
-        pin the band to an endpoint of the feasible range.
-    """
-    if margin < 0:
-        raise ValueError(f"margin must be >= 0, got {margin}")
-    center = coarse_delay * factor
-    lo = max(-td_max, center - (factor - 1) - margin)
-    hi = min(td_max, center + (factor - 1) + margin)
-    if lo > hi:
-        raise ValueError(
-            f"coarse delay {coarse_delay} at factor {factor} maps outside "
-            f"|tau| <= {td_max}"
-        )
-    return lo, hi
-
-
-@dataclass(frozen=True)
-class RefinementCell:
-    """A full-resolution search region distilled from one coarse window.
-
-    Attributes:
-        lo: first full-resolution index of the region (inclusive).
-        hi: end of the region (exclusive, matching
-            :data:`repro.core.segmentation.Span` convention).
-        delay_lo: smallest full-resolution delay worth probing.
-        delay_hi: largest full-resolution delay worth probing.
-    """
-
-    lo: int
-    hi: int
-    delay_lo: int
-    delay_hi: int
-
-    @property
-    def span(self) -> Tuple[int, int]:
-        """The region as a half-open ``(lo, hi)`` span."""
-        return (self.lo, self.hi)
-
-    def merge(self, other: "RefinementCell") -> "RefinementCell":
-        """Union of two overlapping cells (region and delay band)."""
-        return RefinementCell(
-            lo=min(self.lo, other.lo),
-            hi=max(self.hi, other.hi),
-            delay_lo=min(self.delay_lo, other.delay_lo),
-            delay_hi=max(self.delay_hi, other.delay_hi),
-        )
-
-
-def refinement_cell(
-    window: TimeDelayWindow,
-    factor: int,
-    n: int,
-    td_max: int,
-    margin: int,
-) -> RefinementCell:
-    """The full-resolution ``(region, delay band)`` cell of a coarse hit.
-
-    The region is the coarse window's exact :func:`footprint` expanded by
-    ``margin`` samples on each side (clipped to ``[0, n)``); the delay
-    band is :func:`delay_band` of the coarse delay with a slack of
-    ``ceil(margin / factor)`` coarse-search steps.  With any
-    ``margin >= 0`` the cell contains every full-resolution window whose
-    coarse image is the given window (the pyramid containment lemma);
-    the margin additionally absorbs the coarse LAHC settling a few cells
-    or delay steps away from the true optimum.
+    The coarse window's exact :func:`footprint` expanded by ``margin``
+    samples on each side and clipped to ``[0, n)``, as a half-open span.
+    With any ``margin >= 0`` it contains the X interval of every
+    full-resolution window whose coarse image is the given window (the
+    pyramid containment lemma); the margin additionally absorbs the
+    coarse LAHC settling a few cells away from the true optimum.
     """
     if margin < 0:
         raise ValueError(f"margin must be >= 0, got {margin}")
     foot_lo, foot_hi = footprint(window, factor, n)
-    lo = max(0, foot_lo - margin)
-    hi = min(n, foot_hi + 1 + margin)
-    slack = factor * math.ceil(margin / factor) if margin else 0
-    d_lo, d_hi = delay_band(window.delay, factor, td_max, margin=slack)
-    return RefinementCell(lo=lo, hi=hi, delay_lo=d_lo, delay_hi=d_hi)
+    return max(0, foot_lo - margin), min(n, foot_hi + 1 + margin)
 
 
 def coarse_config(config: TycosConfig, factor: int) -> TycosConfig:

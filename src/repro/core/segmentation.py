@@ -36,9 +36,9 @@ beyond a window); it is not needed for containment itself.
 from __future__ import annotations
 
 import math
-from typing import List, Tuple
+from typing import Iterable, List, Tuple
 
-__all__ = ["segment_spans", "overlap_zones", "span_containing"]
+__all__ = ["segment_spans", "merge_spans", "overlap_zones", "span_containing"]
 
 #: A half-open ``[lo, hi)`` index span of the timeline.
 Span = Tuple[int, int]
@@ -89,6 +89,17 @@ def segment_spans(n: int, n_segments: int, overlap: int) -> List[Span]:
     return spans
 
 
+def merge_spans(spans: Iterable[Span]) -> List[Span]:
+    """Sort spans and coalesce every overlapping or touching run into one."""
+    merged: List[Span] = []
+    for lo, hi in sorted(spans):
+        if merged and lo <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
+        else:
+            merged.append((lo, hi))
+    return merged
+
+
 def overlap_zones(spans: List[Span]) -> List[Span]:
     """The pairwise intersections of a span cover, merged and sorted.
 
@@ -103,14 +114,7 @@ def overlap_zones(spans: List[Span]) -> List[Span]:
             lo, hi = max(lo_i, lo_j), min(hi_i, hi_j)
             if lo < hi:
                 raw.append((lo, hi))
-    raw.sort()
-    merged: List[Span] = []
-    for lo, hi in raw:
-        if merged and lo <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
-        else:
-            merged.append((lo, hi))
-    return merged
+    return merge_spans(raw)
 
 
 def span_containing(spans: List[Span], lo: int, hi: int) -> int:

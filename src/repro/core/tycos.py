@@ -32,7 +32,7 @@ from repro._types import AnyArray
 from repro.core.config import TycosConfig
 from repro.core.lahc import LateAcceptanceHillClimbing
 from repro.core.neighborhood import neighborhood
-from repro.core.noise import NoiseDetector, find_initial_window
+from repro.core.noise import NoiseDetector, best_block_over_delays, find_initial_window
 from repro.core.results import OverlapPolicy, ResultSet, WindowResult
 from repro.core.thresholds import BatchScorer, IncrementalScorer, TopKFilter, make_scorer
 from repro.core.window import PairView, TimeDelayWindow
@@ -78,8 +78,8 @@ class SearchStats:
         coarse_windows_evaluated: windows scored on PAA-downsampled
             levels during the locate pass of a ``coarse=F`` plan
             (:mod:`repro.analysis.planner`); 0 for exhaustive search.
-        refined_cells: full-resolution ``(region, delay band)`` cells the
-            refinement stage actually searched (after merging overlaps).
+        refined_cells: full-resolution regions the refinement stage
+            actually searched (after merging overlaps).
         cells_pruned: coarse timeline tiles the pre-pass ruled out, i.e.
             regions the exhaustive search would have scanned but the
             coarse-to-fine search never touched at full resolution.
@@ -456,26 +456,9 @@ class Tycos:
         cfg = self.config
         if detector is not None:
             return find_initial_window(scorer, cfg, n, scan_from)
-        if scan_from + cfg.s_min - 1 >= n:
-            return None
-        # Plain variants seed with the best minimal window at scan_from over
-        # the coarse delay grid (see TycosConfig.init_delay_step), scored in
-        # one stacked pass; ties keep the earliest grid delay.
-        end = scan_from + cfg.s_min - 1
-        candidates = [
-            TimeDelayWindow(start=scan_from, end=end, delay=tau)
-            for tau in cfg.delay_grid()
-            if scan_from + tau >= 0 and end + tau < n
-        ]
-        if not candidates:
-            return None
-        values = scorer.value_many(candidates)
-        best: Optional[TimeDelayWindow] = None
-        best_value = -np.inf
-        for cand, value in zip(candidates, values):
-            if value > best_value:
-                best, best_value = cand, value
-        return best
+        # Plain variants seed with the best minimal window at scan_from.
+        probed = best_block_over_delays(scorer, cfg, n, scan_from)
+        return None if probed is None else probed[0]
 
 
 # Variant factories matching the paper's naming -------------------------- #

@@ -11,7 +11,7 @@ Two uses:
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from repro.core.window import TimeDelayWindow
 
@@ -92,11 +92,3 @@ def window_set_similarity(
         if any(covers(t, ref, min_cover=min_cover) for t in test):
             matched += 1
     return matched / len(reference)
-
-
-def merged_delay_range(windows: Sequence[TimeDelayWindow]) -> Optional[tuple[int, int]]:
-    """(min, max) delay across a window set, or None when empty."""
-    if not windows:
-        return None
-    delays: List[int] = [w.delay for w in windows]
-    return (min(delays), max(delays))

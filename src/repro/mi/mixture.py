@@ -19,7 +19,7 @@ from typing import Tuple
 import numpy as np
 
 from repro._types import AnyArray, FloatArray
-from repro.mi.discrete import discrete_mi, empirical_joint
+from repro.mi.discrete import discrete_mi
 
 __all__ = ["mix_samples", "mixture_joint", "theorem61_gap"]
 
@@ -103,18 +103,3 @@ def theorem61_gap(
     i_xy = discrete_mi(joint_xy)
     i_zw = discrete_mi(mixture_joint(joint_xy, pu, pv, theta, eta))
     return i_xy, i_zw
-
-
-def empirical_theorem61_gap(
-    x: AnyArray,
-    y: AnyArray,
-    u: AnyArray,
-    v: AnyArray,
-    theta: float,
-    eta: float,
-    rng: np.random.Generator,
-) -> Tuple[float, float]:
-    """Sampled version of :func:`theorem61_gap` on discrete label arrays."""
-    z, _ = mix_samples(x, u, theta, rng)
-    w, _ = mix_samples(y, v, eta, rng)
-    return discrete_mi(empirical_joint(x, y)), discrete_mi(empirical_joint(z, w))

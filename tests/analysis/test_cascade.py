@@ -8,6 +8,8 @@ every screened pair, and ``screen_margin=inf`` turns the cascade into
 the plain scan exactly.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -306,6 +308,23 @@ class TestScreens:
         report = cascade_scan(series, config, screen_window=50)
         assert report.skipped == []
         assert report.pairs_searched == 1
+
+    def test_non_finite_series_are_never_pruned(self):
+        # A NaN or an inf must not read as a flat, prunable series: the
+        # screens abstain, so the cascade reports exactly the unscreened
+        # scan's failures, and no numpy warning escapes either scan.
+        rng = np.random.default_rng(4)
+        series = {f"w{i}": np.cumsum(rng.normal(size=300)) for i in range(5)}
+        series["w1"][120] = np.nan
+        series["w3"][40] = np.inf
+        config = _config(significance_permutations=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            report = cascade_scan(series, config, screen_window=64)
+            reference = scan_pairs(series, config)
+        assert len(reference.failures) == 7
+        assert report.failures == reference.failures
+        assert not [pair for pair in report.skipped if {"w1", "w3"} & set(pair)]
 
 
 class TestCli:

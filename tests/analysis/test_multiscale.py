@@ -13,7 +13,6 @@ import pytest
 
 from repro.analysis.planner import SearchPlan, _cell_scan_hook, execute_plan
 from repro.core.config import TycosConfig
-from repro.core.pyramid import RefinementCell
 from repro.core.tycos import Tycos, tycos_lm, tycos_lmn
 
 
@@ -185,11 +184,11 @@ class TestScanHook:
     """The restart filter: phase-preserving jumps over pruned gaps."""
 
     def test_positions_inside_a_cell_pass_through(self):
-        hook = _cell_scan_hook([RefinementCell(100, 300, -2, 2)], s_min=16)
+        hook = _cell_scan_hook([(100, 300)], s_min=16)
         assert hook(150) == 150
 
     def test_gap_jump_preserves_scan_phase(self):
-        hook = _cell_scan_hook([RefinementCell(500, 900, -2, 2)], s_min=16)
+        hook = _cell_scan_hook([(500, 900)], s_min=16)
         for scan_from in (0, 3, 16, 77):
             landed = hook(scan_from)
             assert landed >= 500
@@ -197,12 +196,12 @@ class TestScanHook:
             assert landed - 16 < 500  # first in-cell stride position
 
     def test_scan_past_last_cell_ends(self):
-        hook = _cell_scan_hook([RefinementCell(100, 300, -2, 2)], s_min=16)
+        hook = _cell_scan_hook([(100, 300)], s_min=16)
         assert hook(300) is None
         assert hook(1000) is None
 
     def test_tiny_cell_overshoot_continues_to_next_cell(self):
-        cells = [RefinementCell(100, 104, 0, 0), RefinementCell(400, 600, 0, 0)]
+        cells = [(100, 104), (400, 600)]
         hook = _cell_scan_hook(cells, s_min=64)
         landed = hook(48)
         assert landed >= 400 and landed % 64 == 48

@@ -5,8 +5,10 @@ The contract under test -- the TY121 bit-exactness gate of
 ``batched_screen_scores`` is bit-identical to the per-pair reference
 ``repro.analysis.cascade.fft_screen_score`` on the same pair, at every
 block size and tile shape, for odd collection sizes, on non-finite and
-flat inputs, and in the abstaining short-series geometries -- and one
-call's memory stays within a fixed multiple of the tile budget.
+flat inputs, for delay bands wider than the series, and in the
+abstaining short-series geometries -- a state keeps one moment row per
+series suffix, and one call's memory stays within a fixed multiple of
+the tile budget.
 """
 
 import tracemalloc
@@ -50,13 +52,7 @@ def _all_pairs(names):
 
 def _reference_scores(series, names, pairs, geometry):
     return [
-        fft_screen_score(
-            series[names[i]],
-            series[names[j]],
-            geometry.window,
-            geometry.td_max,
-            geometry.mass_probes,
-        )
+        fft_screen_score(series[names[i]], series[names[j]], geometry.window, geometry.td_max)
         for i, j in pairs
     ]
 
@@ -111,14 +107,41 @@ class TestBitExactness:
         got = batched_screen_scores(states, pairs, geometry)
         assert got == _reference_scores(series, names, pairs, geometry)
 
-    def test_no_mass_probes_is_pcc_only(self):
-        series = _collection(4, n=100)
+    @pytest.mark.parametrize(
+        "n, window, td_max",
+        [
+            (40, 16, 30),  # td_max >= n - m + 1: band rows fit no window
+            (40, 16, 45),  # td_max >= n: suffix rows past the series end
+        ],
+    )
+    def test_delay_band_wider_than_the_series(self, n, window, td_max):
+        series = _collection(5, n=n)
         names = list(series)
-        geometry = ScreenGeometry(length=100, window=30, td_max=2, mass_probes=0)
+        geometry = ScreenGeometry(length=n, window=window, td_max=td_max)
         states = [build_screen_state(series[name], geometry) for name in names]
-        pairs = _all_pairs(names)
+        pairs = [(i, j) for i in range(len(names)) for j in range(len(names)) if i != j]
         got = batched_screen_scores(states, pairs, geometry)
-        assert got == _reference_scores(series, names, pairs, geometry)
+        want = _reference_scores(series, names, pairs, geometry)
+        assert [score.hex() for score in got] == [score.hex() for score in want]
+
+
+class TestStateLayout:
+    """One moment row per series suffix, shared by both pair roles."""
+
+    @pytest.mark.parametrize("td_max", [0, 3, 45])
+    def test_one_row_per_suffix(self, td_max):
+        n, window = 40, 16
+        geometry = ScreenGeometry(length=n, window=window, td_max=td_max)
+        values = np.cumsum(np.random.default_rng(2).normal(size=n))
+        state = build_screen_state(values, geometry)
+        assert state.sums.shape == (td_max + 1, n - window + 1)
+        assert state.spread.shape == (td_max + 1, n - window + 1)
+        for s in range(min(td_max + 1, n - window + 1)):
+            # Row s holds the moments of values[s:] over its valid prefix.
+            suffix = values[s:]
+            width = suffix.size - window + 1
+            want = np.array([suffix[k : k + window].sum() for k in range(width)])
+            np.testing.assert_allclose(state.sums[s, :width], want, rtol=1e-12, atol=1e-9)
 
 
 def _rough_collection(n, seed=13):
@@ -149,7 +172,7 @@ class TestTileEdges:
     def _tile(self, case):
         n, rows = self.N, 2 * self.TD_MAX + 1
         geometry = ScreenGeometry(length=n, window=self.WINDOW, td_max=self.TD_MAX)
-        one_pair = max(rows * n, geometry.mass_probes * geometry.fft_size)
+        one_pair = max(rows * n, screen_state_mod.MASS_PROBES * geometry.fft_size)
         return {
             "one row": n,
             "one pair": one_pair,
@@ -164,10 +187,9 @@ class TestTileEdges:
         geometry = ScreenGeometry(length=self.N, window=self.WINDOW, td_max=self.TD_MAX)
         pairs = [(i, j) for i in range(len(names)) for j in range(len(names)) if i != j]
         monkeypatch.setattr(screen_state_mod, "TILE_ELEMENTS", self._tile(case))
-        with np.errstate(invalid="ignore"):
-            states = [build_screen_state(series[name], geometry) for name in names]
-            got = batched_screen_scores(states, pairs, geometry)
-            want = _reference_scores(series, names, pairs, geometry)
+        states = [build_screen_state(series[name], geometry) for name in names]
+        got = batched_screen_scores(states, pairs, geometry)
+        want = _reference_scores(series, names, pairs, geometry)
         assert [score.hex() for score in got] == [score.hex() for score in want]
 
 
@@ -222,8 +244,6 @@ class TestGeometryValidation:
             ScreenGeometry(length=0, window=10, td_max=1)
         with pytest.raises(ValueError, match="td_max"):
             ScreenGeometry(length=10, window=5, td_max=-1)
-        with pytest.raises(ValueError, match="mass_probes"):
-            ScreenGeometry(length=10, window=5, td_max=1, mass_probes=-1)
 
     def test_rejects_mismatched_series_length(self):
         geometry = ScreenGeometry(length=100, window=10, td_max=1)

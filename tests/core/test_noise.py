@@ -4,7 +4,6 @@ subsequent direction blocking."""
 import numpy as np
 
 from repro.core.config import TycosConfig
-from repro.core.neighborhood import Neighbor
 from repro.core.noise import NoiseDetector, find_initial_window, is_noise
 from repro.core.thresholds import BatchScorer
 from repro.core.window import PairView, TimeDelayWindow
@@ -117,17 +116,6 @@ class TestSubsequentNoiseDetection:
         assert detector.blocked
         detector.reset()
         assert not detector.blocked
-
-    def test_filter_neighbors_respects_blocks(self, rng):
-        detector, _ = self._detector(rng)
-        detector.blocked.add((0, 1, 0))
-        neighbors = [
-            Neighbor(TimeDelayWindow(0, 10), (0, 1, 0)),
-            Neighbor(TimeDelayWindow(0, 10), (0, 1, 1)),
-            Neighbor(TimeDelayWindow(0, 10), (0, -1, 0)),
-        ]
-        kept = detector.filter_neighbors(neighbors)
-        assert [nb.direction for nb in kept] == [(0, -1, 0)]
 
     def test_zero_value_window_not_inspected(self, rng):
         detector, _ = self._detector(rng)

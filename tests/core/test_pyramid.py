@@ -2,8 +2,9 @@
 
 The contract under test: ``paa_downsample`` computes plain block means
 (nothing fancier), and the coordinate mapping -- cell spans, window
-footprints, delay bands, refinement cells -- satisfies the containment
-lemma for every factor and for lengths not divisible by the factor.
+footprints, the coarse delay bound, refinement cells -- satisfies the
+containment lemma for every factor and for lengths not divisible by the
+factor.
 """
 
 import numpy as np
@@ -13,15 +14,14 @@ from repro.core.config import TycosConfig
 from repro.core.pyramid import (
     PyramidLevel,
     build_level,
-    build_pyramid,
     cell_span,
     coarse_config,
     coarse_length,
-    delay_band,
     footprint,
     paa_downsample,
     refinement_cell,
 )
+from repro.core.segmentation import merge_spans
 from repro.core.window import PairView, TimeDelayWindow
 
 
@@ -100,49 +100,35 @@ class TestCoordinateMapping:
 
     @pytest.mark.parametrize("factor", [2, 4, 8])
     def test_delay_band_contains_every_preimage(self, factor):
-        """Containment lemma, delay side: every tau maps to a coarse image
-        whose band contains tau."""
-        td_max = 10
-        for tau in range(-td_max, td_max + 1):
-            images = {
-                c
-                for c in range(-td_max, td_max + 1)
-                if abs(c * factor - tau) <= factor - 1
-            }
-            assert images, f"tau={tau} has no coarse image at factor {factor}"
-            for c in images:
-                lo, hi = delay_band(c, factor, td_max)
-                assert lo <= tau <= hi
-
-    def test_delay_band_rejects_unreachable_coarse_delay(self):
-        with pytest.raises(ValueError):
-            delay_band(5, 4, td_max=3)
+        """Containment lemma, delay side: every tau has a faithful coarse
+        image inside the coarse pass's delay band."""
+        cfg = TycosConfig(sigma=0.8, s_min=32, s_max=96, td_max=10)
+        td_max_c = coarse_config(cfg, factor).td_max
+        for tau in range(-cfg.td_max, cfg.td_max + 1):
+            c = round(tau / factor)
+            assert abs(c * factor - tau) <= factor - 1
+            assert abs(c) <= td_max_c
 
     @pytest.mark.parametrize("factor", [2, 4, 8])
     def test_refinement_cell_contains_window_and_delay(self, factor):
         n = 500
-        td_max = 8
         w = TimeDelayWindow(start=200, end=260, delay=-5)
         coarse = TimeDelayWindow(
             start=w.start // factor, end=w.end // factor, delay=-(5 // factor)
         )
-        cell = refinement_cell(coarse, factor, n, td_max, margin=0)
-        assert cell.lo <= w.start and w.end < cell.hi
-        assert 0 <= cell.lo and cell.hi <= n
+        lo, hi = refinement_cell(coarse, factor, n, margin=0)
+        assert lo <= w.start and w.end < hi
+        assert 0 <= lo and hi <= n
 
     def test_refinement_cell_margin_clips_to_series(self):
-        cell = refinement_cell(
-            TimeDelayWindow(start=0, end=2, delay=0), 4, 20, td_max=4, margin=100
-        )
-        assert (cell.lo, cell.hi) == (0, 20)
+        cell = refinement_cell(TimeDelayWindow(start=0, end=2, delay=0), 4, 20, margin=100)
+        assert cell == (0, 20)
 
     def test_cells_merge_to_union(self):
-        a = refinement_cell(TimeDelayWindow(0, 3, 0), 4, 200, td_max=4, margin=2)
-        b = refinement_cell(TimeDelayWindow(2, 6, 1), 4, 200, td_max=4, margin=2)
-        union = a.merge(b)
-        assert union.lo == min(a.lo, b.lo) and union.hi == max(a.hi, b.hi)
-        assert union.delay_lo == min(a.delay_lo, b.delay_lo)
-        assert union.delay_hi == max(a.delay_hi, b.delay_hi)
+        a = refinement_cell(TimeDelayWindow(0, 3, 0), 4, 200, margin=2)
+        b = refinement_cell(TimeDelayWindow(2, 6, 1), 4, 200, margin=2)
+        far = refinement_cell(TimeDelayWindow(30, 33, 0), 4, 200, margin=2)
+        assert merge_spans([far, b, a]) == [(min(a[0], b[0]), max(a[1], b[1])), far]
 
 
 class TestBuildLevel:
@@ -155,14 +141,6 @@ class TestBuildLevel:
         np.testing.assert_array_equal(level.x, paa_downsample(pair.x, 4))
         np.testing.assert_array_equal(level.y, paa_downsample(pair.y, 4))
         assert level.n == coarse_length(101, 4)
-        assert level.base_n == 101
-
-    def test_pyramid_preserves_factor_order(self):
-        rng = np.random.default_rng(4)
-        pair = PairView(rng.normal(size=64), rng.normal(size=64), jitter=0.0, seed=0)
-        levels = build_pyramid(pair, [8, 2, 4])
-        assert [lvl.factor for lvl in levels] == [8, 2, 4]
-        assert [lvl.n for lvl in levels] == [8, 32, 16]
 
 
 class TestCoarseConfig:
