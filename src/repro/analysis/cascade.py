@@ -60,6 +60,7 @@ from repro.analysis.parallel import effective_workers, pooled_map, worker_state
 from repro.analysis.screen_state import (
     MASS_PROBES,
     ScreenGeometry,
+    SeriesScreenState,
     batched_screen_scores,
     build_screen_states,
 )
@@ -255,9 +256,13 @@ def _screen_scores(
         ):
             scores[start : start + len(block_scores)] = block_scores
         return scores
-    states = list(build_screen_states(series, geometry).values())
+    # As in _screen_task, the states are built inside the containment: a
+    # build that raises abstains on the block, and the next block retries.
+    states: Optional[List[SeriesScreenState]] = None
     for start, pair_block in blocks:
         try:
+            if states is None:
+                states = list(build_screen_states(series, geometry).values())
             block_scores = batched_screen_scores(states, pair_block, geometry)
         except Exception:  # noqa: BLE001 - a crashed screen abstains
             block_scores = [float("inf")] * len(pair_block)

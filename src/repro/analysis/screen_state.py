@@ -313,6 +313,36 @@ def build_screen_states(
     return {name: build_screen_state(values, geometry) for name, values in series.items()}
 
 
+class _TileBuffers:
+    """Work slabs of one :func:`batched_screen_scores` call, reused by every tile.
+
+    Each slab is sized for the largest tile, and a tile takes a C-ordered
+    view of its front, so a call allocates its slabs once instead of once
+    per tile (allocating them afresh made the screen's speed depend on
+    the allocator's mmap thresholds).  Two views of one slab are never
+    in use at the same time.
+    """
+
+    def __init__(self, geometry: ScreenGeometry, pair_tile: int, row_tile: int) -> None:
+        rows = pair_tile * row_tile
+        n, out_width = geometry.length, geometry.out_width
+        self._slabs: Dict[str, np.ndarray] = {
+            "product": np.empty(rows * n),
+            "prefix": np.empty(rows * (n + 1)),
+            "cross": np.empty(rows * out_width),
+            "side": np.empty(rows * out_width),
+            "spread": np.empty(rows * out_width),
+            "ratio": np.empty(rows * out_width),
+            "usable": np.empty(rows * out_width, dtype=bool),
+            "spectra": np.empty(pair_tile * MASS_PROBES * geometry.spectrum_bins, np.complex128),
+            "distance": np.empty(pair_tile * MASS_PROBES * out_width),
+        }
+
+    def take(self, name: str, shape: Tuple[int, ...]) -> np.ndarray:
+        """A ``shape`` view of the front of slab ``name``."""
+        return self._slabs[name][: int(np.prod(shape))].reshape(shape)
+
+
 def _tile_shape(geometry: ScreenGeometry) -> Tuple[int, int]:
     """``(pairs, rows)`` of one tile under :data:`TILE_ELEMENTS`.
 
@@ -333,6 +363,7 @@ def _pcc_best(
     geometry: ScreenGeometry,
     row_tile: int,
     valid: np.ndarray,
+    work: _TileBuffers,
 ) -> FloatArray:
     """Best in-range windowed |PCC| of each pair of ``tile`` over the band.
 
@@ -359,13 +390,20 @@ def _pcc_best(
         # The cross moment is the only per-pair rolling sum.  Each row is
         # the product of the pair's aligned slices, zero-padded like
         # sliding_pcc_band's block; the padding never enters a valid prefix.
-        xy = np.zeros((pairs, count, n))
+        xy = work.take("product", (pairs, count, n))
         for k, d in enumerate(band[rows]):
             lo, length = max(0, -d), lengths[first + k]
             np.multiply(
                 x[:, lo : lo + length], y[:, lo + d : lo + d + length], out=xy[:, k, :length]
             )
-        sxy = roll_sum_rows(xy.reshape(pairs * count, n), m).reshape(pairs, count, -1)
+            xy[:, k, length:] = 0.0
+        shape = (pairs, count, geometry.out_width)
+        sxy = roll_sum_rows(
+            xy.reshape(pairs * count, n),
+            m,
+            prefix=work.take("prefix", (pairs * count, n + 1)),
+            out=work.take("cross", (pairs * count, shape[2])),
+        ).reshape(shape)
         # Band row d reads its x side from suffix max(0, -d) and its y side
         # from suffix max(0, d): within a tile one side runs over suffix
         # rows and the other is suffix 0, broadcast.
@@ -381,13 +419,18 @@ def _pcc_best(
         # sliding_pcc_band's expressions, evaluated in place: the cross
         # moment's rolling sums become the covariance, the product of
         # the variance terms the denominator.
-        sxy -= sx * sy / m
-        denom = px * py
+        moment = np.multiply(sx, sy, out=work.take("side", shape))
+        moment /= m
+        sxy -= moment
+        denom = np.multiply(px, py, out=work.take("spread", shape))
         np.sqrt(denom, out=denom)
         # Window positions past a band row's valid prefix cover zero
         # padding the reference never sees; they keep its 0.0 floor.
-        r = np.zeros_like(sxy)
-        np.divide(sxy, denom, out=r, where=(denom > 1e-12) & valid[rows])
+        usable = np.greater(denom, 1e-12, out=work.take("usable", shape))
+        usable &= valid[rows]
+        r = work.take("ratio", shape)
+        r.fill(0.0)
+        np.divide(sxy, denom, out=r, where=usable)
         np.clip(r, -1.0, 1.0, out=r)
         np.abs(r, out=r)
         np.maximum(best, r.reshape(pairs, -1).max(axis=1), out=best)
@@ -398,21 +441,30 @@ def _mass_extremes(
     states: Sequence[SeriesScreenState],
     tile: Sequence[Tuple[int, int]],
     geometry: ScreenGeometry,
+    work: _TileBuffers,
 ) -> Tuple[FloatArray, FloatArray]:
     """``(pairs, probes)`` min and max MASS distances of each pair of ``tile``."""
     n, m = geometry.length, geometry.window
     bins = geometry.spectrum_bins
     pairs = len(tile)
-    products = np.empty((pairs, MASS_PROBES, bins), dtype=np.complex128)
+    products = work.take("spectra", (pairs, MASS_PROBES, bins))
     for b, (i, j) in enumerate(tile):
         # Reference operand order: fft(series) * fft(query).
-        products[b] = states[j].spectrum[None, :] * states[i].query_spectra
+        np.multiply(states[j].spectrum[None, :], states[i].query_spectra, out=products[b])
+    # The one slab still allocated per tile: irfft takes an output array
+    # only from numpy 2.0 on.
     qt = np.fft.irfft(products.reshape(pairs * MASS_PROBES, bins), geometry.fft_size, axis=1)
     qt = qt[:, m - 1 : n].reshape(pairs, MASS_PROBES, -1)
     ok = np.stack([states[j].sigma_ok for _, j in tile])[:, None, :]
     msig = np.stack([states[j].msig_safe for _, j in tile])[:, None, :]
-    dist_sq = np.where(ok, 2.0 * m * (1.0 - qt / msig), 2.0 * m)
-    profile = np.sqrt(np.maximum(dist_sq, 0.0))
+    # mass_distance_profile's 2m(1 - qt / (m sigma)), in place, with 2m
+    # where the window's sigma is degenerate.
+    profile = np.divide(qt, msig, out=work.take("distance", qt.shape))
+    np.subtract(1.0, profile, out=profile)
+    profile *= 2.0 * m
+    np.copyto(profile, 2.0 * m, where=~ok)
+    np.maximum(profile, 0.0, out=profile)
+    np.sqrt(profile, out=profile)
     mins = profile.min(axis=2)
     maxs = profile.max(axis=2)
     flat = float(np.sqrt(2.0 * m))
@@ -450,11 +502,12 @@ def batched_screen_scores(
     m = geometry.window
     pair_tile, row_tile = _tile_shape(geometry)
     valid = geometry.valid_mask()
+    work = _TileBuffers(geometry, min(pair_tile, len(live)), row_tile)
     scores: List[float] = []
     for start in range(0, len(live), pair_tile):
         tile = live[start : start + pair_tile]
-        pcc_best = _pcc_best(states, tile, geometry, row_tile, valid)
-        mins, maxs = _mass_extremes(states, tile, geometry)
+        pcc_best = _pcc_best(states, tile, geometry, row_tile, valid, work)
+        mins, maxs = _mass_extremes(states, tile, geometry, work)
         for b in range(len(tile)):
             best = float(pcc_best[b])
             # The reference's Python-scalar tail, probe by probe; max()

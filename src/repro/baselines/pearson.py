@@ -25,7 +25,12 @@ __all__ = [
 ]
 
 
-def roll_sum_rows(block: np.ndarray, window: int) -> np.ndarray:
+def roll_sum_rows(
+    block: np.ndarray,
+    window: int,
+    prefix: Optional[np.ndarray] = None,
+    out: Optional[np.ndarray] = None,
+) -> np.ndarray:
     """Row-wise rolling window sums of a 2-D block, via cumulative sums.
 
     The band kernel's one batched primitive, exposed so the cascade's
@@ -38,14 +43,20 @@ def roll_sum_rows(block: np.ndarray, window: int) -> np.ndarray:
     Args:
         block: ``(rows, width)`` float64 block.
         window: rolling window size ``m``.
+        prefix: optional ``(rows, width + 1)`` float64 work array for the
+            zero-prefixed cumulative sums (allocated when omitted).
+        out: optional ``(rows, width - m + 1)`` float64 array to write
+            the sums into (allocated when omitted).
 
     Returns:
         ``(rows, width - m + 1)`` rolling sums.
     """
     rows, width = block.shape
-    c = np.zeros((rows, width + 1))
-    np.cumsum(block, axis=1, out=c[:, 1:])
-    return c[:, window:] - c[:, :-window]
+    if prefix is None:
+        prefix = np.empty((rows, width + 1))
+    prefix[:, 0] = 0.0
+    np.cumsum(block, axis=1, out=prefix[:, 1:])
+    return np.subtract(prefix[:, window:], prefix[:, :-window], out=out)
 
 
 def pcc(x: np.ndarray, y: np.ndarray) -> float:

@@ -3,7 +3,7 @@
 from repro.core.brute_force import brute_force_search
 from repro.core.config import ENERGY_CONFIG, SMARTCITY_CONFIG, TycosConfig
 from repro.core.lahc import LahcResult, LateAcceptanceHillClimbing
-from repro.core.neighborhood import Neighbor, neighborhood
+from repro.core.neighborhood import neighborhood
 from repro.core.noise import NoiseDetector, find_initial_window, is_noise
 from repro.core.pyramid import (
     PyramidLevel,
@@ -49,7 +49,6 @@ __all__ = [
     "brute_force_search",
     "LateAcceptanceHillClimbing",
     "LahcResult",
-    "Neighbor",
     "neighborhood",
     "NoiseDetector",
     "find_initial_window",

@@ -6,52 +6,60 @@ are the windows reachable by nudging one or more of the three indices by a
 radius ``r`` (in delta units) around the window -- ``N_1`` is the 26-window
 shell of Fig. 5, ``N_2`` the next shell, and so on.
 
-Every generated neighbor carries its *direction* (the sign vector of the
-index offsets), which the noise-pruning layer (Section 6.2.2) uses to block
-whole exploration directions once their extension is identified as noise.
+Every neighbor lies in a *direction*, the sign vector of its index
+offsets, which the noise-pruning layer (Section 6.2.2) uses to block whole
+exploration directions once their extension is identified as noise.
+
+A ring is built as three int arrays -- starts, ends, delays -- from a
+cached offset table, so the search scores it with one
+:meth:`repro.core.thresholds.BatchScorer.value_many` call and turns only
+the chosen neighbor into a :class:`TimeDelayWindow`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
-from typing import FrozenSet, List, Tuple
+from typing import FrozenSet, Optional, Tuple
 
+import numpy as np
+
+from repro._types import IntArray
 from repro.core.window import TimeDelayWindow
 
-__all__ = ["Direction", "Neighbor", "neighborhood"]
+__all__ = ["Direction", "Ring", "neighborhood"]
 
 # A direction is the sign vector (d_start, d_end, d_delay) in {-1, 0, 1}^3.
 Direction = Tuple[int, int, int]
 
-
-@dataclass(frozen=True)
-class Neighbor:
-    """A candidate window plus the direction it was generated in."""
-
-    window: TimeDelayWindow
-    direction: Direction
+#: A ring as ``(starts, ends, delays)`` int arrays, one entry per window.
+Ring = Tuple[IntArray, IntArray, IntArray]
 
 
-def _sign(v: int) -> int:
-    return (v > 0) - (v < 0)
+@lru_cache(maxsize=256)
+def _shell(radius: int, blocked: FrozenSet[Direction]) -> IntArray:
+    """Read-only ``(3, K)`` (start, end, delay) offsets of the radius-r shell.
 
-
-@lru_cache(maxsize=None)
-def _shell(radius: int) -> Tuple[Tuple[int, int, int, Direction], ...]:
-    """The (ds, de, dt, direction) offsets of the radius-r Chebyshev shell.
-
-    The shell depends only on ``radius`` (26 entries for r=1, 98 for r=2,
-    ...), so it is enumerated once and reused by every ``neighborhood``
-    call, in the same ``itertools.product`` order.
+    The shell is the set of offsets with Chebyshev norm exactly
+    ``radius`` (26 entries for r=1, 98 for r=2, ...), minus the blocked
+    directions, in ``(delay, start, end)`` order -- the order the search
+    scores a ring in.  It depends only on its arguments, so it is built
+    once and shared by every ``neighborhood`` call.
     """
-    steps = range(-radius, radius + 1)
-    return tuple(
-        (ds, de, dt, (_sign(ds), _sign(de), _sign(dt)))
-        for ds, de, dt in product(steps, steps, steps)
-        if max(abs(ds), abs(de), abs(dt)) == radius
-    )
+    steps = np.arange(-radius, radius + 1)
+    delay, start, end = (a.ravel() for a in np.meshgrid(steps, steps, steps, indexing="ij"))
+    offsets = np.stack((start, end, delay))
+    keep = np.abs(offsets).max(axis=0) == radius
+    signs = np.sign(offsets)
+    for direction in blocked:
+        # Blocking (0, 1, 0) removes every end-growing move, diagonal ones
+        # included: a move is blocked when it matches the direction on
+        # every axis the direction constrains.
+        axes = [axis for axis, sign in enumerate(direction) if sign != 0]
+        if axes:
+            keep &= ~np.logical_and.reduce([signs[a] == direction[a] for a in axes])
+    shell = np.ascontiguousarray(offsets[:, keep])
+    shell.flags.writeable = False
+    return shell
 
 
 def neighborhood(
@@ -63,7 +71,8 @@ def neighborhood(
     s_max: int,
     td_max: int,
     blocked: FrozenSet[Direction] = frozenset(),
-) -> List[Neighbor]:
+    band: Optional[Tuple[int, int]] = None,
+) -> Ring:
     """The feasible delta-neighbors of ``window`` on the radius-r shell.
 
     Args:
@@ -80,47 +89,24 @@ def neighborhood(
             direction matches a blocked one on every non-zero axis of the
             blocked direction (so blocking ``(0, 1, 0)`` removes all
             end-extending moves, including diagonal ones).
+        band: optional inclusive ``(lo, hi)`` delay range the neighbors
+            must also lie in.
 
     Returns:
-        Feasible :class:`Neighbor` candidates (possibly empty).
+        The feasible neighbors as ``(starts, ends, delays)`` int arrays,
+        sorted by ``(delay, start, end)`` (possibly empty).
     """
     if radius < 1:
         raise ValueError(f"radius must be >= 1, got {radius}")
-    out: List[Neighbor] = []
-    w_start, w_end, w_delay = window.start, window.end, window.delay
-    for ds, de, dt, direction in _shell(radius):
-        if blocked and _is_blocked(direction, blocked):
-            continue
-        start = w_start + ds * delta
-        end = w_end + de * delta
-        delay = w_delay + dt * delta
-        # Feasibility (TimeDelayWindow.is_feasible) checked on plain ints
-        # first, so only the feasible neighbors pay window construction.
-        if (
-            start < 0
-            or end >= n
-            or not s_min <= end - start + 1 <= s_max
-            or abs(delay) > td_max
-            or start + delay < 0
-            or end + delay >= n
-        ):
-            continue
-        cand = TimeDelayWindow(start=start, end=end, delay=delay)
-        out.append(Neighbor(window=cand, direction=direction))
-    return out
-
-
-@lru_cache(maxsize=4096)
-def _is_blocked(direction: Direction, blocked: FrozenSet[Direction]) -> bool:
-    """A direction is blocked when it moves the same way as a blocked one
-    on every axis the blocked direction constrains.
-
-    Memoized: there are only 27 directions and a handful of distinct
-    blocked sets per search, but the test runs for every candidate of
-    every ring.
-    """
-    for b in blocked:
-        if all(bb == 0 or dd == bb for bb, dd in zip(b, direction)):
-            if any(bb != 0 for bb in b):
-                return True
-    return False
+    offsets = _shell(radius, blocked) * delta
+    starts = offsets[0] + window.start
+    ends = offsets[1] + window.end
+    delays = offsets[2] + window.delay
+    lo, hi = -td_max, td_max
+    if band is not None:
+        lo, hi = max(lo, band[0]), min(hi, band[1])
+    sizes = ends - starts
+    keep = (starts >= 0) & (ends < n) & (sizes >= s_min - 1) & (sizes <= s_max - 1)
+    keep &= (delays >= lo) & (delays <= hi)
+    keep &= (starts + delays >= 0) & (ends + delays < n)
+    return starts[keep], ends[keep], delays[keep]

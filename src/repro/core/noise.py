@@ -23,12 +23,21 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Set, Tuple
 
+import numpy as np
+
+from repro._types import FloatArray
 from repro.core.config import TycosConfig
 from repro.core.neighborhood import Direction
 from repro.core.thresholds import BatchScorer
 from repro.core.window import TimeDelayWindow
 
-__all__ = ["is_noise", "best_block_over_delays", "find_initial_window", "NoiseDetector"]
+__all__ = [
+    "is_noise",
+    "best_block_over_delays",
+    "first_best",
+    "find_initial_window",
+    "NoiseDetector",
+]
 
 #: A growth probe: the direction it tests, the segment, the concatenation.
 _Probe = Tuple[Direction, TimeDelayWindow, TimeDelayWindow]
@@ -75,13 +84,27 @@ def best_block_over_delays(
         ``(block, value)``, or None when no grid delay fits the series.
     """
     end = pos + config.s_min - 1
-    candidates = (_feasible_or_none(pos, end, tau, n) for tau in config.delay_grid())
-    blocks = [block for block in candidates if block is not None]
-    values = scorer.value_many(blocks)
-    best: Optional[tuple[TimeDelayWindow, float]] = None
-    for block, value in zip(blocks, values):
-        if best is None or value > best[1]:
-            best = (block, value)
+    if pos < 0 or end >= n:
+        return None
+    grid = np.asarray(config.delay_grid(), dtype=np.int64)
+    delays = grid[(pos + grid >= 0) & (end + grid < n)]
+    if not delays.size:
+        return None
+    values = scorer.value_many(np.full(delays.size, pos), np.full(delays.size, end), delays)
+    best = first_best(values)
+    return TimeDelayWindow(pos, end, int(delays[best])), float(values[best])
+
+
+def first_best(values: FloatArray) -> int:
+    """Index of the value Python's ``max()`` picks: the first maximum.
+
+    ``argmax`` agrees with ``max()`` unless a NaN is present; then
+    ``max()`` keeps its running best past the NaN (or keeps a leading
+    NaN), which the fallback replays exactly.
+    """
+    best = int(values.argmax())
+    if np.isnan(values[best]):
+        best = max(range(values.size), key=values.__getitem__)
     return best
 
 
@@ -211,8 +234,12 @@ class NoiseDetector:
             for probe in (self._forward_probe(window, blk), self._backward_probe(window, blk))
             if probe is not None
         ]
+        if not probes:
+            return
         windows = [w for _, segment, concat in probes for w in (segment, concat)]
-        values = self.scorer.value_many(windows)
+        values = self.scorer.value_many(
+            *(np.array(column) for column in zip(*(w.key() for w in windows)))
+        ).tolist()
         for (direction, _, _), seg_value, concat_value in zip(probes, values[::2], values[1::2]):
             if is_noise(seg_value, concat_value, window_value, self.config.epsilon):
                 self.blocked.add(direction)

@@ -18,25 +18,23 @@ from __future__ import annotations
 
 import heapq
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, cast
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from repro import contracts
-from repro._types import WindowKey
+from repro._types import FloatArray, IntArray, WindowKey
 from repro.core.config import TycosConfig
 from repro.core.window import PairView, TimeDelayWindow
 from repro.mi.entropy import binned_joint_entropy
 from repro.mi.ksg import KSGEstimator
 from repro.mi.incremental import SlidingKSG
-from repro.mi.normalized import normalize_ratio, normalize_value
-from repro.mi.stacked import binned_joint_entropy_many, ksg_mi_many
+from repro.mi.normalized import normalize_ratio, normalize_ratios, normalize_value
+from repro.mi.stacked import binned_joint_entropy_many, gather_rows, ksg_mi_many
 
 __all__ = ["WindowScore", "BatchScorer", "IncrementalScorer", "TopKFilter", "make_scorer"]
 
-@dataclass(frozen=True)
-class WindowScore:
+class WindowScore(NamedTuple):
     """MI readings of one window.
 
     Attributes:
@@ -59,7 +57,7 @@ class BatchScorer:
     table costs no meaningful hit rate while keeping memory flat.
 
     :meth:`score` estimates one window at a time (the scalar reference);
-    :meth:`score_many` scores equal-size windows together through the
+    :meth:`value_many` scores a whole window set in one pass of the
     stacked kernels of :mod:`repro.mi.stacked`, with identical floats and
     bookkeeping.
 
@@ -74,6 +72,8 @@ class BatchScorer:
         self._estimator = KSGEstimator(k=config.k)
         self._cache: "OrderedDict[WindowKey, WindowScore]" = OrderedDict()
         self._cache_capacity = config.cache_capacity
+        # Index of the search objective in a WindowScore (see value()).
+        self._objective = 2 if config.use_normalized else 0
         self.evaluations = 0
         self.cache_hits = 0
 
@@ -95,68 +95,74 @@ class BatchScorer:
             return hit
         return self._evaluate(window)
 
-    def score_many(self, windows: Sequence[TimeDelayWindow]) -> List[WindowScore]:
-        """Scores for many windows in one call, stacking equal sizes.
-
-        Uncached windows the stacked kernels can serve are grouped by size
-        across delays; each group's sample rows are gathered from the pair
-        and scored by :func:`~repro.mi.stacked.ksg_mi_many` (which splits
-        them into chunks of at most :data:`~repro.mi.stacked.CHUNK_ELEMENTS`
-        distance elements) and
-        :func:`~repro.mi.stacked.binned_joint_entropy_many`.  Scores are
-        *exactly* the ones :meth:`score` would produce, with the same
-        ``evaluations`` / ``cache_hits``: a window repeated inside the
-        batch is computed once and then served from the memo, and results
-        enter the memo in input order.  The other windows (non-bruteforce
-        sizes, out-of-bounds windows and -- in the incremental subclass --
-        on-trajectory engine evaluations) go through :meth:`score` in
-        input order.
-        """
-        out: List[Optional[WindowScore]] = [None] * len(windows)
-        by_size: Dict[int, List[int]] = {}
-        first: Dict[WindowKey, int] = {}
-        repeats: List[int] = []
-        for i, w in enumerate(windows):
-            key = w.key()
-            hit = self._cache_get(key)
-            if hit is not None:
-                self.cache_hits += 1
-                out[i] = hit
-            elif not self._batchable(w):
-                out[i] = self.score(w)
-            elif key in first:
-                repeats.append(i)
-            else:
-                first[key] = i
-                by_size.setdefault(w.size, []).append(i)
-        if not by_size:
-            return cast(List[WindowScore], out)
-        readings: Dict[int, Tuple[float, float]] = {}
-        for size, positions in by_size.items():
-            readings.update(self._stacked_readings(windows, positions, size))
-        for i in sorted(readings.keys() | set(repeats)):
-            w = windows[i]
-            if i in readings:
-                out[i] = self._finish(w, *readings[i])
-            else:
-                out[i] = self.score(w)  # a repeat: served from the memo
-        return cast(List[WindowScore], out)
-
     def value(self, window: TimeDelayWindow) -> float:
         """The scalar the search maximizes (unclamped ratio or raw MI)."""
-        score = self.score(window)
-        return score.ratio if self._config.use_normalized else score.mi
+        return self.score(window)[self._objective]
 
-    def value_many(self, windows: Sequence[TimeDelayWindow]) -> List[float]:
-        """Objective values of many windows via one stacked scoring pass.
+    def value_many(self, starts: IntArray, ends: IntArray, delays: IntArray) -> FloatArray:
+        """Objective values of many windows, scored in one stacked pass.
 
-        Equivalent to ``[self.value(w) for w in windows]`` -- same floats,
-        same cache and stats bookkeeping (see :meth:`score_many`).
+        Window ``i`` is ``TimeDelayWindow(starts[i], ends[i], delays[i])``,
+        and ``values[i]`` is bit-identical to its :meth:`value`.  Every
+        window counts as one evaluation or one memo hit, as there.
+
+        Memo hits are served first, in input order.  The uncached windows
+        the stacked kernels can serve (see :meth:`_batch_mask`) are
+        sorted by size, padded to the largest and scored by one
+        :func:`~repro.mi.stacked.ksg_mi_many` and one
+        :func:`~repro.mi.stacked.binned_joint_entropy_many` call, then
+        normalized as arrays and memoized in input order; a window
+        repeated inside the batch is computed once and then served from
+        the memo.  The other windows (non-bruteforce sizes, windows
+        outside the series and -- in the incremental subclass --
+        on-trajectory engine evaluations) go through :meth:`score` in
+        input order, so out-of-bounds windows raise as they do there.
         """
-        scores = self.score_many(windows)
-        if self._config.use_normalized:
-            return [s.ratio for s in scores]
-        return [s.mi for s in scores]
+        starts, ends, delays = (np.asarray(a, dtype=np.int64) for a in (starts, ends, delays))
+        values = np.empty(starts.size)
+        stackable = self._batch_mask(starts, ends, delays).tolist()
+        keys: List[WindowKey] = list(zip(starts.tolist(), ends.tolist(), delays.tolist()))
+        objective = self._objective
+        cache = self._cache
+        fresh: Dict[WindowKey, int] = {}
+        repeats: List[int] = []
+        for i, key in enumerate(keys):
+            hit = cache.get(key)
+            if hit is not None:
+                cache.move_to_end(key)
+                self.cache_hits += 1
+                values[i] = hit[objective]
+            elif not stackable[i]:
+                values[i] = self.score(TimeDelayWindow(*key))[objective]
+            elif key in fresh:
+                repeats.append(i)
+            else:
+                fresh[key] = i
+        if not fresh:
+            return values
+        positions = np.fromiter(fresh.values(), dtype=np.intp, count=len(fresh))
+        mi, entropy = self._stacked(starts[positions], ends[positions], delays[positions])
+        nmi, ratio = normalize_ratios(mi, entropy)
+        values[positions] = ratio if objective == 2 else mi
+        scores = map(WindowScore, mi.tolist(), nmi.tolist(), ratio.tolist())
+        if not repeats and not contracts.checks_enabled():
+            # The same LRU state as storing one window at a time: the new
+            # keys are appended in order, then the oldest entries evicted.
+            cache.update(zip(fresh, scores))
+            for _ in range(len(cache) - self._cache_capacity):
+                cache.popitem(last=False)
+            self.evaluations += len(fresh)
+            return values
+        # A repeat is served from the memo at its own position, after its
+        # first occurrence has been stored.
+        repeated = set(repeats)
+        pending = iter(zip(fresh, scores))
+        for i in sorted([*fresh.values(), *repeats]):
+            if i in repeated:
+                values[i] = self.score(TimeDelayWindow(*keys[i]))[objective]
+            else:
+                self._store(*next(pending))
+        return values
 
     def clear_cache(self) -> None:
         """Drop the memo table (between independent restarts)."""
@@ -178,38 +184,33 @@ class BatchScorer:
 
     # -- stacked scoring ------------------------------------------------ #
 
-    def _batchable(self, window: TimeDelayWindow) -> bool:
-        """Can the stacked kernels score this window?
+    def _batch_mask(self, starts: IntArray, ends: IntArray, delays: IntArray) -> np.ndarray:
+        """Which windows the stacked kernels score (the rest go through :meth:`score`).
 
-        Requires the brute-force k-NN backend (the stacked kernel
-        replicates exactly that math) and in-bounds sample ranges
+        Requires the brute-force k-NN backend (the stacked kernels
+        replicate exactly that math) and in-bounds sample ranges
         (out-of-bounds windows must keep raising through the scalar path).
         """
         n = self._pair.n
-        return (
-            self._estimator.resolved_backend(window.size) == "bruteforce"
-            and 0 <= window.start
-            and window.end < n
-            and 0 <= window.y_start
-            and window.y_end < n
-        )
+        mask = self._estimator.bruteforce_mask(ends - starts + 1)
+        mask &= (starts >= 0) & (ends >= starts) & (ends < n)
+        mask &= (starts + delays >= 0) & (ends + delays < n)
+        return mask
 
-    def _stacked_readings(
-        self, windows: Sequence[TimeDelayWindow], positions: List[int], size: int
-    ) -> Dict[int, Tuple[float, float]]:
-        """``(mi, entropy)`` of the equal-size windows at ``positions``."""
-        starts = np.array([windows[i].start for i in positions])
-        delays = np.array([windows[i].delay for i in positions])
-        rows = starts[:, None] + np.arange(size)
-        # _batchable() already verified the bounds extract() checks.
-        xy = np.empty((2, len(positions), size))
-        np.take(self._pair.x, rows, out=xy[0])
-        rows += delays[:, None]
-        np.take(self._pair.y, rows, out=xy[1])
+    def _stacked(
+        self, starts: IntArray, ends: IntArray, delays: IntArray
+    ) -> Tuple[FloatArray, FloatArray]:
+        """``(mi, entropy)`` of in-bounds windows, in one padded kernel pass."""
+        sizes = ends - starts + 1
+        order = np.argsort(sizes, kind="stable")
+        # _batch_mask() already verified the bounds extract() checks.
+        rows = gather_rows(self._pair.x, self._pair.y, starts[order], delays[order], sizes[order])
         estimator = self._estimator
-        mis = ksg_mi_many(xy, estimator.effective_k(size), estimator.algorithm)
-        entropies = binned_joint_entropy_many(xy)
-        return dict(zip(positions, zip(mis.tolist(), entropies.tolist())))
+        mi = np.empty(sizes.size)
+        entropy = np.empty(sizes.size)
+        mi[order] = ksg_mi_many(rows, estimator.k, estimator.algorithm, sizes[order])
+        entropy[order] = binned_joint_entropy_many(rows, sizes[order])
+        return mi, entropy
 
     def _evaluate(self, window: TimeDelayWindow) -> WindowScore:
         """Estimate one window from scratch (the scalar reference path)."""
@@ -218,16 +219,18 @@ class BatchScorer:
 
     def _finish(self, window: TimeDelayWindow, mi: float, entropy: float) -> WindowScore:
         """Normalize, contract-check, memoize and count one evaluation."""
-        score = WindowScore(
-            mi=mi, nmi=normalize_value(mi, entropy), ratio=normalize_ratio(mi, entropy)
-        )
+        score = WindowScore(mi, normalize_value(mi, entropy), normalize_ratio(mi, entropy))
+        self._store(window.key(), score)
+        return score
+
+    def _store(self, key: WindowKey, score: WindowScore) -> None:
+        """Contract-check, memoize and count one evaluated window."""
         if contracts.checks_enabled():
             where = f"{type(self).__name__}.score"
             contracts.check_mi_finite(score.mi, where=where)
             contracts.check_nmi_range(score.nmi, where=where)
-        self._cache_put(window.key(), score)
+        self._cache_put(key, score)
         self.evaluations += 1
-        return score
 
 
 class IncrementalScorer(BatchScorer):
@@ -270,7 +273,7 @@ class IncrementalScorer(BatchScorer):
         """
         self._trajectory_delay = delay
 
-    def _batchable(self, window: TimeDelayWindow) -> bool:
+    def _batch_mask(self, starts: IntArray, ends: IntArray, delays: IntArray) -> np.ndarray:
         """Batch only the windows :meth:`score` serves via the batch path.
 
         On-trajectory windows of engine size must keep flowing through
@@ -279,11 +282,10 @@ class IncrementalScorer(BatchScorer):
         probes and sub-engine-size windows are pure batch estimates, so
         the stacked kernels may compute them in any grouping.
         """
-        if not super()._batchable(window):
-            return False
-        return window.size < self.min_engine_size or (
-            self._trajectory_delay is not None and window.delay != self._trajectory_delay
-        )
+        off_engine = ends - starts + 1 < self.min_engine_size
+        if self._trajectory_delay is not None:
+            off_engine |= delays != self._trajectory_delay
+        return super()._batch_mask(starts, ends, delays) & off_engine
 
     def score(self, window: TimeDelayWindow) -> WindowScore:
         hit = self._cache_get(window.key())

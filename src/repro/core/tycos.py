@@ -32,7 +32,12 @@ from repro._types import AnyArray
 from repro.core.config import TycosConfig
 from repro.core.lahc import LateAcceptanceHillClimbing
 from repro.core.neighborhood import neighborhood
-from repro.core.noise import NoiseDetector, best_block_over_delays, find_initial_window
+from repro.core.noise import (
+    NoiseDetector,
+    best_block_over_delays,
+    find_initial_window,
+    first_best,
+)
 from repro.core.results import OverlapPolicy, ResultSet, WindowResult
 from repro.core.thresholds import BatchScorer, IncrementalScorer, TopKFilter, make_scorer
 from repro.core.window import PairView, TimeDelayWindow
@@ -64,7 +69,7 @@ class SearchStats:
         mi_incremental_updates: constant-time neighbor-set updates
             (incremental variants only).
         workspace_builds: always 0.  Scoring no longer builds shared
-            distance workspaces (see :meth:`BatchScorer.score_many`); the
+            distance workspaces (see :meth:`BatchScorer.value_many`); the
             field stays because the benchmark's layer trace
             (``perfbench/spans.py``) reads it.
         workspace_hits: always 0, kept for the same reason.
@@ -157,9 +162,9 @@ class Tycos:
     """Configurable TYCOS search engine.
 
     Window sets are scored through one :meth:`BatchScorer.value_many`
-    call each, which stacks equal-size windows across delays into one KSG
-    pass: every delta-neighborhood ring, the seeding delay grid and the
-    noise detector's growth probes.  The permutation test scores its
+    call each, which pads windows of every size into one KSG pass: every
+    delta-neighborhood ring, the seeding delay grid and the noise
+    detector's growth probes.  The permutation test scores its
     shuffles through one :meth:`~repro.mi.ksg.KSGEstimator.mi_many` call.
     Both are bit-identical to scoring one window per call.
 
@@ -373,7 +378,7 @@ class Tycos:
                         detector.inspect(current, scorer.value(current))
                     last_seen[0] = current
                 blocked = frozenset(detector.blocked) if detector is not None else frozenset()
-                nbs = neighborhood(
+                starts, ends, delays = neighborhood(
                     current,
                     radius=1 + idle,
                     delta=cfg.delta,
@@ -382,18 +387,21 @@ class Tycos:
                     s_max=cfg.s_max,
                     td_max=cfg.td_max,
                     blocked=blocked,
+                    band=band,
                 )
-                if band is not None:
-                    nbs = [nb for nb in nbs if band[0] <= nb.window.delay <= band[1]]
-                # Evaluate same-delay candidates consecutively so the
+                # The ring comes sorted by (delay, start, end), so the
                 # incremental scorer's on-trajectory diffs chain between
                 # adjacent windows instead of ping-ponging across the ring.
-                nbs.sort(key=lambda nb: (nb.window.delay, nb.window.start, nb.window.end))
                 score_started = time.perf_counter()
-                ring = [nb.window for nb in nbs]
-                scored = list(zip(ring, scorer.value_many(ring)))
+                values = scorer.value_many(starts, ends, delays)
                 stats.add_phase("scoring", time.perf_counter() - score_started)
-                return scored
+                if not values.size:
+                    return []
+                # LAHC moves to the ring's best neighbor (Algorithm 1 line
+                # 8), the first maximum; only that one becomes a window.
+                best = first_best(values)
+                window = TimeDelayWindow(int(starts[best]), int(ends[best]), int(delays[best]))
+                return [(window, float(values[best]))]
 
             lahc = LateAcceptanceHillClimbing(
                 cfg.history_length,

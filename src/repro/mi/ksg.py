@@ -74,6 +74,12 @@ class KSGEstimator:
             return "grid" if m >= _GRID_CUTOVER else "bruteforce"
         return self.backend
 
+    def bruteforce_mask(self, sizes: IntArray) -> np.ndarray:
+        """``resolved_backend(m) == "bruteforce"`` for each size in ``sizes``."""
+        if self.backend == "auto":
+            return sizes < _GRID_CUTOVER
+        return np.full(sizes.shape, self.backend == "bruteforce")
+
     def _knn(self, x: FloatArray, y: FloatArray, k: int) -> KnnResult:
         backend = self.resolved_backend(x.size)
         if backend == "grid":
@@ -146,7 +152,7 @@ class KSGEstimator:
             raise ValueError("x and y must be finite")
         if w == 0 or self.resolved_backend(m) != "bruteforce":
             return np.array([self.mi(x, y) for x, y in zip(xs, ys)], dtype=np.float64)
-        out = ksg_mi_many(np.stack((xs, ys)), self.effective_k(m), self.algorithm)
+        out = ksg_mi_many(np.stack((xs, ys)), self.k, self.algorithm)
         if contracts.checks_enabled():
             for value in out.tolist():
                 contracts.check_mi_finite(value, where="KSGEstimator.mi_many")

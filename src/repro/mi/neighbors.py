@@ -117,7 +117,8 @@ class PairDistanceWorkspace:
     even tie-breaking inside ``argpartition`` matches the scalar path.
 
     The search no longer scores through a workspace: the batched scorer
-    stacks equal-size windows instead (:mod:`repro.mi.stacked`).  The
+    pads each window set into one stacked pass instead
+    (:mod:`repro.mi.stacked`).  The
     class remains a standalone kernel, and the benchmark's layer trace
     (``perfbench/spans.py``) still wraps its constructor and :meth:`knn`.
 

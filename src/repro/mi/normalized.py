@@ -15,14 +15,16 @@ as a production implementation must do for a user-facing [0, 1] score.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
+
+import numpy as np
 
 from repro import contracts
-from repro._types import AnyArray
+from repro._types import AnyArray, FloatArray
 from repro.mi.entropy import binned_joint_entropy
 from repro.mi.ksg import KSGEstimator
 
-__all__ = ["normalized_mi", "normalize_value", "normalize_ratio"]
+__all__ = ["normalized_mi", "normalize_value", "normalize_ratio", "normalize_ratios"]
 
 # Entropy floor: below this the window is essentially constant and carries
 # no usable information, so its normalized MI is defined as 0.
@@ -46,6 +48,20 @@ def normalize_ratio(mi: float, entropy: float) -> float:
     if entropy <= _H_FLOOR:
         return 0.0
     return max(float(mi / entropy), 0.0)
+
+
+def normalize_ratios(mi: FloatArray, entropy: FloatArray) -> Tuple[FloatArray, FloatArray]:
+    """Element-wise ``(normalize_value, normalize_ratio)`` of two arrays.
+
+    The same float operations as the scalar functions, so every element
+    is bit-identical to theirs: the division only where the entropy
+    clears the floor, then ``max(., 0)`` and ``min(., 1)``, which keep
+    their first operand on a tie or a NaN as Python's ``max``/``min`` do.
+    """
+    ratio = np.zeros_like(mi)
+    np.divide(mi, entropy, out=ratio, where=~(entropy <= _H_FLOOR))
+    np.maximum(ratio, 0.0, out=ratio)
+    return np.minimum(ratio, 1.0), ratio
 
 
 def normalized_mi(

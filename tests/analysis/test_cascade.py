@@ -327,6 +327,31 @@ class TestScreens:
         assert not [pair for pair in report.skipped if {"w1", "w3"} & set(pair)]
 
 
+class TestContainment:
+    def test_failed_state_build_abstains_serially(self, collection, monkeypatch):
+        # A series whose screen state cannot be built makes the serial
+        # stage 1 abstain (every pair scores inf and passes), as the pooled
+        # path does, instead of failing the whole scan.
+        import repro.analysis.screen_state as screen_state_mod
+
+        real = screen_state_mod.build_screen_state
+        poisoned = collection["noise0"]
+
+        def build(values, geometry):
+            if values is poisoned:
+                raise RuntimeError("state build failed")
+            return real(values, geometry)
+
+        monkeypatch.setattr(screen_state_mod, "build_screen_state", build)
+        report = cascade_scan(collection, _config(), screen_window=120)
+        assert report.pairs_screened == 28
+        assert report.pairs_pruned_fft == 0
+        assert (
+            report.pairs_pruned_fft + report.pairs_pruned_nmi + report.pairs_searched
+            == report.pairs_screened
+        )
+
+
 class TestCli:
     @pytest.fixture
     def csv_file(self, tmp_path, rng):

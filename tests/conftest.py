@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.thresholds import BatchScorer
+from repro.core.window import TimeDelayWindow
 from repro.mi.ksg import KSGEstimator
 
 
@@ -41,8 +42,9 @@ def scalar_scoring(monkeypatch):
     must reproduce exactly.
     """
 
-    def value_many(self, windows):
-        return [self.value(w) for w in windows]
+    def value_many(self, starts, ends, delays):
+        keys = zip(*(np.asarray(a).tolist() for a in (starts, ends, delays)))
+        return np.array([self.value(TimeDelayWindow(*key)) for key in keys], dtype=np.float64)
 
     def mi_many(self, xs, ys):
         return np.array([self.mi(x, y) for x, y in zip(xs, ys)], dtype=np.float64)

@@ -1,10 +1,12 @@
 """Tests for batched neighborhood scoring and the capped scorer memo.
 
-The batched path's contract is *exact* equality: ``score_many`` /
-``value_many`` must produce the same floats, the same cache contents, and
-the same bookkeeping counters as the scalar path, for both scorer
-classes -- only the amount of redundant kernel work may differ.  The
-stacked kernels themselves are gated in ``tests/mi/test_stacked.py``.
+The batched path's contract is *exact* equality: ``value_many`` must
+produce the same floats, the same cache contents (in the same LRU
+order), and the same bookkeeping counters as scoring one window at a
+time, for both scorer classes -- only the amount of redundant kernel
+work may differ.  The memo is read back through ``score()`` on both
+sides, which serves every window as a hit.  The stacked kernels
+themselves are gated in ``tests/mi/test_stacked.py``.
 """
 
 import numpy as np
@@ -15,6 +17,18 @@ from repro.core.neighborhood import neighborhood
 from repro.core.thresholds import BatchScorer, IncrementalScorer
 from repro.core.tycos import Tycos
 from repro.core.window import PairView, TimeDelayWindow
+
+# Padded kernel rows invite inf - inf and 0 / 0; none may happen.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
+
+def _arrays(windows):
+    """``(starts, ends, delays)`` arrays of a window list."""
+    return tuple(np.array(column, dtype=np.int64) for column in zip(*(w.key() for w in windows)))
+
+
+def _hex(scores):
+    return [(s.mi.hex(), s.nmi.hex(), s.ratio.hex()) for s in scores]
 
 
 def _coupled_pair(n=400, lag=7, seed=9):
@@ -49,6 +63,8 @@ def _ring(rng, n, count, delay, td_max):
 
 
 class TestScoreManyEquality:
+    """A batch scored by ``value_many`` equals its windows scored one by one."""
+
     @pytest.mark.parametrize("scorer_cls", [BatchScorer, IncrementalScorer])
     def test_batched_floats_equal_scalar_floats(self, scorer_cls):
         x, y = _coupled_pair()
@@ -62,11 +78,14 @@ class TestScoreManyEquality:
         scalar = scorer_cls(PairView(x, y), config)
         expected = [scalar.score(w) for w in windows]
         batched = scorer_cls(pair, config)
-        got = batched.score_many(windows)
+        batched.value_many(*_arrays(windows))
 
-        assert got == expected  # exact float equality, not approximate
         assert batched.evaluations == scalar.evaluations
         assert batched.cache_hits == scalar.cache_hits
+        assert list(batched._cache.items()) == list(scalar._cache.items())
+        got = [batched.score(w) for w in windows]  # memo hits only
+        assert got == expected  # exact float equality, not approximate
+        assert batched.evaluations == scalar.evaluations
 
     def test_value_many_equals_scalar_values(self):
         x, y = _coupled_pair()
@@ -75,17 +94,36 @@ class TestScoreManyEquality:
         windows = _ring(rng, len(x), 10, delay=1, td_max=6)
         scalar = BatchScorer(PairView(x, y), config)
         batched = BatchScorer(PairView(x, y), config)
-        assert batched.value_many(windows) == [scalar.value(w) for w in windows]
+        values = batched.value_many(*_arrays(windows))
+        assert values.dtype == np.float64
+        assert values.tolist() == [scalar.value(w) for w in windows]
+
+    def test_raw_mi_objective(self):
+        x, y = _coupled_pair()
+        config = TycosConfig(s_min=8, s_max=60, td_max=6, use_normalized=False)
+        windows = _ring(np.random.default_rng(6), len(x), 10, delay=-2, td_max=6)
+        scalar = BatchScorer(PairView(x, y), config)
+        batched = BatchScorer(PairView(x, y), config)
+        expected = [scalar.value(w) for w in windows]
+        assert expected == [scalar.score(w).mi for w in windows]
+        assert batched.value_many(*_arrays(windows)).tolist() == expected
 
     def test_duplicates_in_one_batch_hit_the_cache(self):
         x, y = _coupled_pair()
         config = TycosConfig(s_min=8, s_max=60, td_max=6)
         scorer = BatchScorer(PairView(x, y), config)
         w = TimeDelayWindow(start=50, end=80, delay=2)
-        scores = scorer.score_many([w, w, w])
-        assert scores[0] == scores[1] == scores[2]
+        values = scorer.value_many(*_arrays([w, w, w]))
+        assert values[0] == values[1] == values[2]
         assert scorer.evaluations == 1
         assert scorer.cache_hits == 2
+
+    def test_empty_batch(self):
+        x, y = _coupled_pair()
+        scorer = BatchScorer(PairView(x, y), TycosConfig(s_min=8, s_max=60, td_max=6))
+        empty = np.empty(0, dtype=np.int64)
+        assert scorer.value_many(empty, empty, empty).shape == (0,)
+        assert scorer.evaluations == scorer.cache_hits == 0
 
     def test_batch_propagates_scalar_path_errors(self):
         x, y = _coupled_pair()
@@ -93,11 +131,49 @@ class TestScoreManyEquality:
         scorer = BatchScorer(PairView(x, y), config)
         infeasible = TimeDelayWindow(start=0, end=30, delay=-5)  # y range < 0
         with pytest.raises(IndexError):
-            scorer.score_many([infeasible])
+            scorer.value_many(*_arrays([infeasible]))
+
+    @pytest.mark.parametrize("scorer_cls", [BatchScorer, IncrementalScorer])
+    def test_memo_order_matches_reference(self, scorer_cls):
+        # A memo smaller than a batch: hits, repeats and evictions inside
+        # one call leave the same table, in the same order, as the
+        # reference's one window at a time.
+        x, y = _coupled_pair()
+        config = TycosConfig(s_min=8, s_max=60, td_max=6, cache_capacity=5)
+        rng = np.random.default_rng(8)
+        ring = _ring(rng, len(x), 9, delay=1, td_max=6)
+        batches = [ring[:4], ring[2:] + ring[:2], ring[3:6] + ring[3:6] + ring[7:]]
+        reference = scorer_cls(PairView(x, y), config)
+        batched = scorer_cls(PairView(x, y), config)
+        for batch in batches:
+            expected = _reference_value_many(reference, batch)
+            assert batched.value_many(*_arrays(batch)).tolist() == expected
+            assert list(batched._cache.items()) == list(reference._cache.items())
+            assert batched.evaluations == reference.evaluations
+            assert batched.cache_hits == reference.cache_hits
+
+
+def _reference_value_many(scorer, windows):
+    """``value_many``'s memo order, one ``value()`` per window.
+
+    The memo hits first, in input order; then the other windows in input
+    order, each new window evaluated and stored and each repeat of one
+    served from the memo.
+    """
+    values = [None] * len(windows)
+    misses = []
+    for i, w in enumerate(windows):
+        if w.key() in scorer._cache:
+            values[i] = scorer.value(w)
+        else:
+            misses.append(i)
+    for i in misses:
+        values[i] = scorer.value(windows[i])
+    return values
 
 
 class TestStackedRings:
-    """``score_many`` on tied unjittered data equals sequential ``score()``."""
+    """``value_many`` on tied unjittered data equals sequential ``score()``."""
 
     CONFIG = TycosConfig(s_min=16, s_max=140, td_max=40, init_delay_step=1)
 
@@ -114,15 +190,17 @@ class TestStackedRings:
             TimeDelayWindow(150, 255, 9),  # engine-size for the incremental scorer
         ):
             for radius in (1, 2):
-                ring = neighborhood(
+                starts, ends, delays = neighborhood(
                     center, radius=radius, delta=1, n=n, s_min=cfg.s_min,
                     s_max=cfg.s_max, td_max=cfg.td_max,
                 )
-                batches.append([nb.window for nb in ring])
+                batches.append([TimeDelayWindow(*key) for key in zip(starts, ends, delays)])
+        # Mixed sizes in one batch, across the m = 32 marginal-count switch.
+        batches.append([TimeDelayWindow(300 - m, 299, m % 7 - 3) for m in (16, 31, 32, 33, 90)])
         return batches
 
     @pytest.mark.parametrize("scorer_cls", [BatchScorer, IncrementalScorer])
-    def test_score_many_equals_sequential_score(self, scorer_cls):
+    def test_value_many_equals_sequential_score(self, scorer_cls):
         x, y = _tied_pair()
         sequential = scorer_cls(PairView(x, y), self.CONFIG)
         stacked = scorer_cls(PairView(x, y), self.CONFIG)
@@ -133,12 +211,12 @@ class TestStackedRings:
                 sequential.follow_delay(batch[0].delay)
                 stacked.follow_delay(batch[0].delay)
             expected = [sequential.score(w) for w in batch]
-            got = stacked.score_many(batch)
-            assert [(s.mi.hex(), s.nmi.hex(), s.ratio.hex()) for s in got] == [
-                (s.mi.hex(), s.nmi.hex(), s.ratio.hex()) for s in expected
-            ]
+            values = stacked.value_many(*_arrays(batch))
             assert stacked.evaluations == sequential.evaluations
             assert stacked.cache_hits == sequential.cache_hits
+            assert [v.hex() for v in values.tolist()] == [s.ratio.hex() for s in expected]
+            assert _hex(stacked.score(w) for w in batch) == _hex(expected)
+            sequential.cache_hits += len(batch)  # the read-back's hits
         assert stacked.cache_hits > 0
         if scorer_cls is IncrementalScorer:
             assert stacked.engine.full_searches == sequential.engine.full_searches

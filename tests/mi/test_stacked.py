@@ -1,9 +1,10 @@
 """Bit-exactness gate of the stacked KSG / binned-entropy kernels.
 
-``repro.mi.stacked`` scores W equal-size windows in one pass; every row
-must equal the per-window reference -- ``KSGEstimator.mi`` on the
-brute-force backend and ``binned_joint_entropy`` -- to the last bit, so
-the comparisons below are on ``float.hex()`` strings, not tolerances.
+``repro.mi.stacked`` scores W windows in one pass, padded to the largest
+size; every row must equal the per-window reference -- ``KSGEstimator.mi``
+on the brute-force backend and ``binned_joint_entropy`` on its real
+samples -- to the last bit, so the comparisons below are on
+``float.hex()`` strings, not tolerances.
 """
 
 import numpy as np
@@ -17,9 +18,13 @@ from repro.mi.neighbors import chebyshev_knn_bruteforce, marginal_counts
 from repro.mi.stacked import (
     CHUNK_ELEMENTS,
     binned_joint_entropy_many,
+    gather_rows,
     ksg_mi_many,
     marginal_counts_many,
 )
+
+# Padded rows invite inf - inf and 0 / 0; none may happen.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def _tied_rows(rng, w, m):
@@ -119,6 +124,116 @@ class TestStackedEqualsPerWindow:
                 for x, y in zip(xs, ys)
             ]
             assert _hex(ksg_mi_many(np.stack((xs, ys)), 4)) == _hex(off)
+
+
+def _padded(rows):
+    """``(2, W, M)`` rows of ``(x, y)`` samples of mixed sizes, sorted by
+    size and padded as ``gather_rows`` pads them (repeating the first
+    sample), plus the sizes."""
+    rows = sorted(rows, key=lambda xy: len(xy[0]))
+    sizes = np.array([len(x) for x, _ in rows])
+    xy = np.empty((2, len(rows), sizes.max()))
+    for i, (x, y) in enumerate(rows):
+        xy[0, i], xy[1, i] = x[0], y[0]
+        xy[0, i, : x.size], xy[1, i, : y.size] = x, y
+    return xy, sizes
+
+
+def _mixed_rows(kind, sizes, seed):
+    """Rows of ``kind`` for each size in ``sizes`` (three windows per size)."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for m in sizes:
+        xs, ys = ROWS[kind](rng, 3, m)
+        rows.extend(zip(xs, ys))
+    return rows
+
+
+class TestMixedSizes:
+    """One padded batch of windows of several sizes equals each window alone."""
+
+    SIZES = {
+        # Both sides of the m = 32 marginal-count switch.
+        "around_32": [7, 8, 20, 31, 32, 33, 45, 60],
+        # m <= k + 1: each size clamps k to m - 1.
+        "tiny": [2, 3, 4, 5, 6, 9],
+        # Rows long enough to span several point blocks.
+        "long": [100, 127, 128, 129, 200],
+    }
+
+    @pytest.mark.parametrize("sizes", sorted(SIZES))
+    @pytest.mark.parametrize("rows", sorted(ROWS))
+    @pytest.mark.parametrize("algorithm", [1, 2])
+    def test_rows_match_reference_bits(self, sizes, rows, algorithm):
+        pairs = _mixed_rows(rows, self.SIZES[sizes], len(sizes) + algorithm)
+        xy, lengths = _padded(pairs)
+        estimator = KSGEstimator(k=4, algorithm=algorithm, backend="bruteforce")
+        pairs = [(x, y) for x, y in sorted(pairs, key=lambda xy: len(xy[0]))]
+        expected_mi = _hex(estimator.mi(x, y) for x, y in pairs)
+        expected_h = _hex(binned_joint_entropy(x, y) for x, y in pairs)
+        assert _hex(ksg_mi_many(xy, 4, algorithm, lengths)) == expected_mi
+        assert _hex(binned_joint_entropy_many(xy, lengths)) == expected_h
+
+    # Blocks of 1-3 points across 11 windows of 5 sizes: a block holds
+    # some windows' last points, other windows' pads, and skips windows
+    # it lies past.
+    @pytest.mark.parametrize("budget", [11 * 21, 3 * 11 * 21, 7])
+    def test_blocks_cross_window_ends(self, monkeypatch, budget):
+        pairs = _mixed_rows("tied", [5, 9, 12, 18, 21], 17)[:11]
+        xy, lengths = _padded(pairs)
+        pairs = sorted(pairs, key=lambda xy: len(xy[0]))
+        expected = _hex(KSGEstimator(k=4).mi(x, y) for x, y in pairs)
+        monkeypatch.setattr(stacked, "CHUNK_ELEMENTS", budget)
+        assert _hex(ksg_mi_many(xy, 4, 2, lengths)) == expected
+
+    def test_rows_wider_than_every_window(self, monkeypatch):
+        # Pads past the largest size are ignored too, in one block or many.
+        pairs = _mixed_rows("continuous", [5, 9], 3)
+        xy, lengths = _padded(pairs)
+        wide = np.concatenate((xy, np.repeat(xy[:, :, :1], 4, axis=2)), axis=2)
+        expected = _hex(ksg_mi_many(xy, 4, 2, lengths))
+        assert _hex(ksg_mi_many(wide, 4, 2, lengths)) == expected
+        monkeypatch.setattr(stacked, "CHUNK_ELEMENTS", 6)
+        assert _hex(ksg_mi_many(wide, 4, 2, lengths)) == expected
+        assert _hex(binned_joint_entropy_many(wide, lengths)) == _hex(
+            binned_joint_entropy_many(xy, lengths)
+        )
+
+    def test_equal_sizes_match_unpadded_call(self):
+        rng = np.random.default_rng(2)
+        xs, ys = _tied_rows(rng, 6, 24)
+        xy = np.stack((xs, ys))
+        sizes = np.full(6, 24)
+        assert _hex(ksg_mi_many(xy, 4, 2, sizes)) == _hex(ksg_mi_many(xy, 4))
+        assert _hex(binned_joint_entropy_many(xy, sizes)) == _hex(binned_joint_entropy_many(xy))
+
+    def test_gather_rows_pads_with_the_first_sample(self):
+        x = np.arange(30.0)
+        y = 100.0 + np.arange(30.0)
+        rows = gather_rows(x, y, np.array([4, 10]), np.array([2, -3]), np.array([3, 5]))
+        assert rows.tolist() == [
+            [[4, 5, 6, 4, 4], [10, 11, 12, 13, 14]],
+            [[106, 107, 108, 106, 106], [107, 108, 109, 110, 111]],
+        ]
+
+    @pytest.mark.parametrize(
+        "sizes, message",
+        [
+            ([5, 4], "non-decreasing"),
+            ([4, 6], "exceeds"),
+            ([4], "one size per row"),
+            ([1, 5], "at least 2"),
+        ],
+    )
+    def test_rejects_bad_sizes(self, sizes, message):
+        xy = np.zeros((2, len(sizes) if message != "one size per row" else 2, 5))
+        with pytest.raises(ValueError, match=message):
+            ksg_mi_many(xy, 4, 2, np.array(sizes))
+
+    def test_empty_batch(self):
+        empty = np.empty((2, 0, 0))
+        assert ksg_mi_many(empty, 4, 2, np.empty(0, dtype=np.int64)).shape == (0,)
+        assert binned_joint_entropy_many(empty, np.empty(0, dtype=np.int64)).shape == (0,)
 
 
 class TestMarginalCountsMany:
