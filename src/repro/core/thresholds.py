@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import heapq
 from collections import OrderedDict
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -34,7 +35,8 @@ from repro.mi.stacked import binned_joint_entropy_many, gather_rows, ksg_mi_many
 
 __all__ = ["WindowScore", "BatchScorer", "IncrementalScorer", "TopKFilter", "make_scorer"]
 
-class WindowScore(NamedTuple):
+@dataclass(frozen=True)
+class WindowScore:
     """MI readings of one window.
 
     Attributes:
@@ -72,8 +74,6 @@ class BatchScorer:
         self._estimator = KSGEstimator(k=config.k)
         self._cache: "OrderedDict[WindowKey, WindowScore]" = OrderedDict()
         self._cache_capacity = config.cache_capacity
-        # Index of the search objective in a WindowScore (see value()).
-        self._objective = 2 if config.use_normalized else 0
         self.evaluations = 0
         self.cache_hits = 0
 
@@ -97,7 +97,8 @@ class BatchScorer:
 
     def value(self, window: TimeDelayWindow) -> float:
         """The scalar the search maximizes (unclamped ratio or raw MI)."""
-        return self.score(window)[self._objective]
+        score = self.score(window)
+        return score.ratio if self._config.use_normalized else score.mi
 
     def value_many(self, starts: IntArray, ends: IntArray, delays: IntArray) -> FloatArray:
         """Objective values of many windows, scored in one stacked pass.
@@ -122,18 +123,16 @@ class BatchScorer:
         values = np.empty(starts.size)
         stackable = self._batch_mask(starts, ends, delays).tolist()
         keys: List[WindowKey] = list(zip(starts.tolist(), ends.tolist(), delays.tolist()))
-        objective = self._objective
-        cache = self._cache
+        normalized = self._config.use_normalized
         fresh: Dict[WindowKey, int] = {}
         repeats: List[int] = []
         for i, key in enumerate(keys):
-            hit = cache.get(key)
+            hit = self._cache_get(key)
             if hit is not None:
-                cache.move_to_end(key)
                 self.cache_hits += 1
-                values[i] = hit[objective]
+                values[i] = hit.ratio if normalized else hit.mi
             elif not stackable[i]:
-                values[i] = self.score(TimeDelayWindow(*key))[objective]
+                values[i] = self.value(TimeDelayWindow(*key))
             elif key in fresh:
                 repeats.append(i)
             else:
@@ -143,23 +142,14 @@ class BatchScorer:
         positions = np.fromiter(fresh.values(), dtype=np.intp, count=len(fresh))
         mi, entropy = self._stacked(starts[positions], ends[positions], delays[positions])
         nmi, ratio = normalize_ratios(mi, entropy)
-        values[positions] = ratio if objective == 2 else mi
-        scores = map(WindowScore, mi.tolist(), nmi.tolist(), ratio.tolist())
-        if not repeats and not contracts.checks_enabled():
-            # The same LRU state as storing one window at a time: the new
-            # keys are appended in order, then the oldest entries evicted.
-            cache.update(zip(fresh, scores))
-            for _ in range(len(cache) - self._cache_capacity):
-                cache.popitem(last=False)
-            self.evaluations += len(fresh)
-            return values
+        values[positions] = ratio if normalized else mi
         # A repeat is served from the memo at its own position, after its
         # first occurrence has been stored.
         repeated = set(repeats)
-        pending = iter(zip(fresh, scores))
+        pending = zip(fresh, map(WindowScore, mi.tolist(), nmi.tolist(), ratio.tolist()))
         for i in sorted([*fresh.values(), *repeats]):
             if i in repeated:
-                values[i] = self.score(TimeDelayWindow(*keys[i]))[objective]
+                values[i] = self.value(TimeDelayWindow(*keys[i]))
             else:
                 self._store(*next(pending))
         return values

@@ -223,7 +223,7 @@ def _knn_block(
         neighbors = dist.argpartition(k_max - 1, axis=2)[:, :, :k_max]
     else:
         # Each size group partitions its windows' own (m, m) sub-block;
-        # slots past a window's k repeat its nearest neighbor (the max
+        # slots past a window's k repeat one of its k neighbors (the max
         # below ignores a repeat), pad points keep neighbor 0.
         neighbors = np.zeros((w, hi - lo, k_max), dtype=np.intp)
         for (a, b, m), k in live:
