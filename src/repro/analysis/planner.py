@@ -316,15 +316,14 @@ def _jitter_free(engine: Tycos, config: Optional[TycosConfig] = None) -> Tycos:
 
     Every stage applies jitter once, to the whole pair, before slicing or
     aggregating it; the engines it hands the slices, the coarse level or
-    the refinement must not jitter again.  Variant flags, overlap policy,
-    delay band and the significance gate are inherited unchanged.
+    the refinement must not jitter again.  The variant flags and the
+    significance gate are inherited unchanged.
     """
     cfg = engine.config if config is None else config
     return Tycos(
         cfg.scaled(jitter=0.0),
         use_noise=engine.use_noise,
         use_incremental=engine.use_incremental,
-        overlap_policy=engine.overlap_policy,
     )
 
 
@@ -400,7 +399,7 @@ def _stitch(
     def touches_zone(w: TimeDelayWindow) -> bool:
         return any(w.start < z_hi and w.end >= z_lo for z_lo, z_hi in zones)
 
-    accepted = ResultSet(policy=engine.overlap_policy)
+    accepted = ResultSet()
     boundary: List[WindowResult] = []
     for r in candidates.values():
         if touches_zone(r.window):
@@ -566,9 +565,8 @@ def execute_plan(
         x: first time series.
         y: second time series (same length).
         config: search parameters (ignored when ``engine`` is given).
-        engine: optional preconfigured engine whose variant flags and
-            overlap policy every stage inherits (default: TYCOS_LMN over
-            ``config``).
+        engine: optional preconfigured engine whose variant flags every
+            stage inherits (default: TYCOS_LMN over ``config``).
         plan: the plan to run (default: ``plain``).
         n_jobs: worker processes for the spans of a ``segments=K`` plan
             (``-1``: all cores).  1 runs the sequential reference

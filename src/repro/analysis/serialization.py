@@ -9,6 +9,7 @@ dependency-free, and stable under reordering.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
@@ -32,22 +33,7 @@ FORMAT_VERSION = 1
 
 def config_to_dict(config: TycosConfig) -> Dict[str, Any]:
     """A JSON-ready mapping of every configuration field."""
-    return {
-        "sigma": config.sigma,
-        "epsilon_ratio": config.epsilon_ratio,
-        "s_min": config.s_min,
-        "s_max": config.s_max,
-        "td_max": config.td_max,
-        "delta": config.delta,
-        "history_length": config.history_length,
-        "max_idle": config.max_idle,
-        "k": config.k,
-        "use_normalized": config.use_normalized,
-        "jitter": config.jitter,
-        "seed": config.seed,
-        "significance_permutations": config.significance_permutations,
-        "init_delay_step": config.init_delay_step,
-    }
+    return {f.name: getattr(config, f.name) for f in fields(TycosConfig)}
 
 
 def config_from_dict(payload: Dict[str, Any]) -> TycosConfig:

@@ -12,7 +12,7 @@ from repro.core.pyramid import (
     paa_downsample,
     refinement_cell,
 )
-from repro.core.results import OverlapPolicy, ResultSet, WindowResult, merge_overlapping
+from repro.core.results import ResultSet, WindowResult, merge_overlapping
 from repro.core.search_space import enumerate_feasible, exact_count, paper_count
 from repro.core.segmentation import overlap_zones, segment_spans, span_containing
 from repro.core.thresholds import (
@@ -55,7 +55,6 @@ __all__ = [
     "is_noise",
     "ResultSet",
     "WindowResult",
-    "OverlapPolicy",
     "merge_overlapping",
     "enumerate_feasible",
     "exact_count",

@@ -10,7 +10,7 @@ idle budget, the delta moving step, the KSG ``k``).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Optional
 
 __all__ = ["TycosConfig", "ENERGY_CONFIG", "SMARTCITY_CONFIG"]
 
@@ -66,13 +66,6 @@ class TycosConfig:
             aggregation dilutes MI, so the coarse pass must under-bid the
             final threshold to avoid false dismissals; refinement
             re-applies the full ``sigma``.
-        delay_band: when set, restricts the search to delays in this
-            inclusive ``(lo, hi)`` range (intersected with
-            ``[-td_max, td_max]``).  Only a caller sets it; no plan does.
-            It composes with every engine feature because both the
-            initial-window grid and the LAHC neighborhood respect it, and
-            :func:`repro.core.pyramid.coarse_config` maps it outward onto
-            a coarse level.
         init_delay_step: stride of the coarse delay grid probed when
             choosing an initial window (default ``max(1, s_min // 2)``).
             Algorithm 1 seeds the search at delay 0 only, but the MI
@@ -101,7 +94,6 @@ class TycosConfig:
     segment_margin: Optional[int] = None
     refine_margin: Optional[int] = None
     coarse_sigma_ratio: float = 0.5
-    delay_band: Optional[Tuple[int, int]] = None
     init_delay_step: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -144,54 +136,22 @@ class TycosConfig:
             raise ValueError(
                 f"coarse_sigma_ratio must be in (0, 1], got {self.coarse_sigma_ratio}"
             )
-        if self.delay_band is not None:
-            lo, hi = self.delay_band
-            if lo > hi:
-                raise ValueError(f"delay_band lo must be <= hi, got {self.delay_band}")
-            if hi < -self.td_max or lo > self.td_max:
-                raise ValueError(
-                    f"delay_band {self.delay_band} does not intersect "
-                    f"[-td_max, td_max] = [{-self.td_max}, {self.td_max}]"
-                )
 
     @property
     def epsilon(self) -> float:
         """The noise threshold ``epsilon = epsilon_ratio * sigma`` (Def. 6.4)."""
         return self.epsilon_ratio * self.sigma
 
-    def delay_bounds(self) -> Tuple[int, int]:
-        """The inclusive delay range the search may visit.
-
-        ``[-td_max, td_max]`` intersected with ``delay_band`` when one is
-        set; ``__post_init__`` guarantees the intersection is non-empty.
-        """
-        lo, hi = -self.td_max, self.td_max
-        if self.delay_band is not None:
-            lo = max(lo, self.delay_band[0])
-            hi = min(hi, self.delay_band[1])
-        return lo, hi
-
     def delay_grid(self) -> List[int]:
         """The coarse delay grid probed for initial windows.
 
-        Always contains both extremes of :meth:`delay_bounds` and 0 when
-        in range; interior points are spaced ``init_delay_step`` apart
-        (default ``s_min // 2``), measured from 0 so the grid is
-        unchanged by a band that merely clips it.
+        Holds ``-td_max``, 0 and ``td_max`` (Def. 5.1's delay range),
+        plus the multiples of ``init_delay_step`` (default ``s_min // 2``)
+        strictly between them, in ascending order.
         """
         step = self.init_delay_step if self.init_delay_step is not None else max(1, self.s_min // 2)
-        lo, hi = self.delay_bounds()
-        grid = {lo, hi}
-        if lo <= 0 <= hi:
-            grid.add(0)
-        tau = step
-        while tau < hi or -tau > lo:
-            if tau < hi:
-                grid.add(tau)
-            if -tau > lo:
-                grid.add(-tau)
-            tau += step
-        return sorted(d for d in grid if lo <= d <= hi)
+        inner = range(step, self.td_max, step)
+        return sorted({-self.td_max, 0, self.td_max, *inner, *(-tau for tau in inner)})
 
     def segment_overlap(self) -> int:
         """Overlap (samples) between consecutive timeline segments.

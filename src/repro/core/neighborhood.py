@@ -19,7 +19,7 @@ the chosen neighbor into a :class:`TimeDelayWindow`.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import FrozenSet, Optional, Tuple
+from typing import FrozenSet, Tuple
 
 import numpy as np
 
@@ -71,7 +71,6 @@ def neighborhood(
     s_max: int,
     td_max: int,
     blocked: FrozenSet[Direction] = frozenset(),
-    band: Optional[Tuple[int, int]] = None,
 ) -> Ring:
     """The feasible delta-neighbors of ``window`` on the radius-r shell.
 
@@ -89,8 +88,6 @@ def neighborhood(
             direction matches a blocked one on every non-zero axis of the
             blocked direction (so blocking ``(0, 1, 0)`` removes all
             end-extending moves, including diagonal ones).
-        band: optional inclusive ``(lo, hi)`` delay range the neighbors
-            must also lie in.
 
     Returns:
         The feasible neighbors as ``(starts, ends, delays)`` int arrays,
@@ -102,11 +99,8 @@ def neighborhood(
     starts = offsets[0] + window.start
     ends = offsets[1] + window.end
     delays = offsets[2] + window.delay
-    lo, hi = -td_max, td_max
-    if band is not None:
-        lo, hi = max(lo, band[0]), min(hi, band[1])
     sizes = ends - starts
     keep = (starts >= 0) & (ends < n) & (sizes >= s_min - 1) & (sizes <= s_max - 1)
-    keep &= (delays >= lo) & (delays <= hi)
+    keep &= (delays >= -td_max) & (delays <= td_max)
     keep &= (starts + delays >= 0) & (ends + delays < n)
     return starts[keep], ends[keep], delays[keep]

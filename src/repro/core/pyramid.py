@@ -35,8 +35,8 @@ of :mod:`repro.analysis.planner`) relies on reduces to one fact, the
 Therefore a refinement cell built from the coarse image of ``w`` with
 any non-negative margin (:func:`refinement_cell`) contains ``w``'s X
 interval outright; the margin only buys slack for the coarse *search*
-locating the image inexactly.  The refinement searches every delay of
-the full-resolution band, so a cell carries no delay range of its own.
+locating the image inexactly.  The refinement searches every delay in
+``[-td_max, td_max]``, so a cell carries no delay range of its own.
 The lemma is property-tested in ``tests/core/test_pyramid.py`` across
 factors and lengths not divisible by the factor, mirroring the segment
 containment lemma of :mod:`repro.core.segmentation`.
@@ -227,16 +227,6 @@ def coarse_config(config: TycosConfig, factor: int) -> TycosConfig:
     s_max_c = max(s_min_c, -(-config.s_max // factor) + 1)
     td_max_c = -(-config.td_max // factor)
     step = config.init_delay_step
-    band_c = None
-    if config.delay_band is not None:
-        # Outward-rounded coarse image of the user's band: every full-
-        # resolution delay tau in [lo, hi] has all its coarse images c
-        # with |c * factor - tau| <= factor - 1 inside [lo_c, hi_c].
-        lo, hi = config.delay_band
-        band_c = (
-            max(-td_max_c, (lo - factor + 1) // factor),
-            min(td_max_c, -(-(hi + factor - 1) // factor)),
-        )
     return config.scaled(
         sigma=config.sigma * config.coarse_sigma_ratio,
         s_min=s_min_c,
@@ -246,5 +236,4 @@ def coarse_config(config: TycosConfig, factor: int) -> TycosConfig:
         significance_permutations=0,
         init_delay_step=None if step is None else max(1, -(-step // factor)),
         refine_margin=None,
-        delay_band=band_c,
     )

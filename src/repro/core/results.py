@@ -2,20 +2,19 @@
 
 The TYCOS problem statement asks for a set ``S`` of windows with
 ``I_w >= sigma`` in which no window contains another.  :class:`ResultSet`
-enforces that invariant on insertion and additionally supports the stricter
-non-overlap policy the paper's prose describes, plus the overlapped-window
-aggregation used when grading the brute-force baseline (Section 8.4 B).
+enforces that invariant on insertion; :func:`merge_overlapping` is the
+overlapped-window aggregation used when grading the brute-force baseline
+(Section 8.4 B).
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.window import TimeDelayWindow
 
-__all__ = ["WindowResult", "OverlapPolicy", "ResultSet", "merge_overlapping"]
+__all__ = ["WindowResult", "ResultSet", "merge_overlapping"]
 
 
 @dataclass(frozen=True)
@@ -38,44 +37,17 @@ class WindowResult:
         return self.window.delay
 
 
-class OverlapPolicy(enum.Enum):
-    """How aggressively a :class:`ResultSet` rejects overlapping windows."""
-
-    #: Only forbid containment (the problem statement's formal constraint).
-    CONTAINMENT = "containment"
-    #: Forbid any X-interval intersection (the paper's "non-overlapping").
-    STRICT = "strict"
-    #: Forbid Jaccard overlap above a threshold.
-    JACCARD = "jaccard"
-
-
 class ResultSet:
-    """Windows accepted by a search, kept consistent under an overlap policy.
+    """Windows accepted by a search, no one of which contains another.
 
-    On a conflict the higher-scoring window wins: inserting a better window
-    evicts the worse conflicting ones; inserting a worse one is a no-op.
-
-    Args:
-        policy: the overlap policy (default: the formal containment rule).
-        jaccard_threshold: maximum tolerated overlap for
-            :attr:`OverlapPolicy.JACCARD`.
+    Two windows conflict when one contains the other (the problem
+    statement's constraint).  On a conflict the higher-scoring window
+    wins: inserting a better window evicts the worse conflicting ones;
+    inserting a worse one is a no-op.
     """
 
-    def __init__(
-        self,
-        policy: OverlapPolicy = OverlapPolicy.CONTAINMENT,
-        jaccard_threshold: float = 0.5,
-    ):
-        self._policy = policy
-        self._jaccard_threshold = jaccard_threshold
+    def __init__(self) -> None:
         self._items: List[WindowResult] = []
-
-    def _conflicts(self, a: TimeDelayWindow, b: TimeDelayWindow) -> bool:
-        if self._policy is OverlapPolicy.CONTAINMENT:
-            return a.contains(b) or b.contains(a)
-        if self._policy is OverlapPolicy.STRICT:
-            return a.overlaps(b)
-        return a.overlap_fraction(b) > self._jaccard_threshold
 
     def insert(self, result: WindowResult, value: Optional[float] = None) -> bool:
         """Insert a result, resolving conflicts in favor of higher scores.
@@ -89,7 +61,8 @@ class ResultSet:
         """
         if value is None:
             value = result.nmi
-        conflicting = [r for r in self._items if self._conflicts(r.window, result.window)]
+        w = result.window
+        conflicting = [r for r in self._items if r.window.contains(w) or w.contains(r.window)]
         if conflicting:
             best_existing = max(r.nmi for r in conflicting)
             if value <= best_existing:

@@ -104,59 +104,50 @@ class BatchScorer:
         """Objective values of many windows, scored in one stacked pass.
 
         Window ``i`` is ``TimeDelayWindow(starts[i], ends[i], delays[i])``,
-        and ``values[i]`` is bit-identical to its :meth:`value`.  Every
-        window counts as one evaluation or one memo hit, as there.
+        and ``values[i]`` is bit-identical to its :meth:`value`.  The memo
+        ends up with the same entries, in the same LRU order, and the
+        counters with the same counts as calling :meth:`value` on each
+        window in input order.
 
-        Memo hits are served first, in input order.  The uncached windows
-        the stacked kernels can serve (see :meth:`_batch_mask`) are
-        sorted by size, padded to the largest and scored by one
+        A first pass only peeks at the memo.  The uncached windows the
+        stacked kernels can serve (see :meth:`_batch_mask`) are sorted by
+        size, padded to the largest and scored by one
         :func:`~repro.mi.stacked.ksg_mi_many` and one
         :func:`~repro.mi.stacked.binned_joint_entropy_many` call, then
-        normalized as arrays and memoized in input order; a window
-        repeated inside the batch is computed once and then served from
-        the memo.  The other windows (non-bruteforce sizes, windows
-        outside the series and -- in the incremental subclass --
-        on-trajectory engine evaluations) go through :meth:`score` in
-        input order, so out-of-bounds windows raise as they do there.
+        normalized as arrays.  One walk in input order then stores each
+        such new window and serves each memo hit, a repeat inside the
+        batch included.  Everything else goes through :meth:`score` in
+        that walk: non-bruteforce sizes, windows outside the series
+        (which raise there), on-trajectory engine evaluations in the
+        incremental subclass, and hits evicted since the peek.
         """
         starts, ends, delays = (np.asarray(a, dtype=np.int64) for a in (starts, ends, delays))
-        values = np.empty(starts.size)
         stackable = self._batch_mask(starts, ends, delays).tolist()
         keys: List[WindowKey] = list(zip(starts.tolist(), ends.tolist(), delays.tolist()))
-        normalized = self._config.use_normalized
         fresh: Dict[WindowKey, int] = {}
-        repeats: List[int] = []
         for i, key in enumerate(keys):
-            hit = self._cache_get(key)
-            if hit is not None:
-                self.cache_hits += 1
-                values[i] = hit.ratio if normalized else hit.mi
-            elif not stackable[i]:
-                values[i] = self.value(TimeDelayWindow(*key))
-            elif key in fresh:
-                repeats.append(i)
-            else:
+            if stackable[i] and key not in self._cache and key not in fresh:
                 fresh[key] = i
-        if not fresh:
-            return values
-        positions = np.fromiter(fresh.values(), dtype=np.intp, count=len(fresh))
-        mi, entropy = self._stacked(starts[positions], ends[positions], delays[positions])
-        nmi, ratio = normalize_ratios(mi, entropy)
-        values[positions] = ratio if normalized else mi
-        # A repeat is served from the memo at its own position, after its
-        # first occurrence has been stored.
-        repeated = set(repeats)
-        pending = zip(fresh, map(WindowScore, mi.tolist(), nmi.tolist(), ratio.tolist()))
-        for i in sorted([*fresh.values(), *repeats]):
-            if i in repeated:
-                values[i] = self.value(TimeDelayWindow(*keys[i]))
+        scores: Dict[WindowKey, WindowScore] = {}
+        if fresh:
+            positions = np.fromiter(fresh.values(), dtype=np.intp, count=len(fresh))
+            mi, entropy = self._stacked(starts[positions], ends[positions], delays[positions])
+            nmi, ratio = normalize_ratios(mi, entropy)
+            scores = dict(zip(fresh, map(WindowScore, mi.tolist(), nmi.tolist(), ratio.tolist())))
+        normalized = self._config.use_normalized
+        values: List[float] = []
+        for key in keys:
+            score = scores.pop(key, None)
+            if score is not None:
+                self._store(key, score)
             else:
-                self._store(*next(pending))
-        return values
-
-    def clear_cache(self) -> None:
-        """Drop the memo table (between independent restarts)."""
-        self._cache.clear()
+                score = self._cache_get(key)
+                if score is None:
+                    score = self.score(TimeDelayWindow(*key))
+                else:
+                    self.cache_hits += 1
+            values.append(score.ratio if normalized else score.mi)
+        return np.array(values, dtype=np.float64)
 
     # -- memo table (capped LRU) --------------------------------------- #
 
@@ -198,7 +189,7 @@ class BatchScorer:
         estimator = self._estimator
         mi = np.empty(sizes.size)
         entropy = np.empty(sizes.size)
-        mi[order] = ksg_mi_many(rows, estimator.k, estimator.algorithm, sizes[order])
+        mi[order] = ksg_mi_many(rows, estimator.k, sizes[order])
         entropy[order] = binned_joint_entropy_many(rows, sizes[order])
         return mi, entropy
 

@@ -38,7 +38,7 @@ from repro.core.noise import (
     find_initial_window,
     first_best,
 )
-from repro.core.results import OverlapPolicy, ResultSet, WindowResult
+from repro.core.results import ResultSet, WindowResult
 from repro.core.thresholds import BatchScorer, IncrementalScorer, TopKFilter, make_scorer
 from repro.core.window import PairView, TimeDelayWindow
 
@@ -173,7 +173,6 @@ class Tycos:
         use_noise: enable the Section-6 noise theory (the "N" in LN/LMN).
         use_incremental: enable the Section-7 incremental MI computation
             (the "M" in LM/LMN).
-        overlap_policy: how the result set resolves overlapping windows.
     """
 
     def __init__(
@@ -181,12 +180,10 @@ class Tycos:
         config: TycosConfig,
         use_noise: bool = True,
         use_incremental: bool = True,
-        overlap_policy: OverlapPolicy = OverlapPolicy.CONTAINMENT,
     ) -> None:
         self.config = config
         self.use_noise = use_noise
         self.use_incremental = use_incremental
-        self.overlap_policy = overlap_policy
 
     @property
     def name(self) -> str:
@@ -214,7 +211,7 @@ class Tycos:
 
         Returns:
             A :class:`TycosResult` whose windows all score at least
-            ``config.sigma`` and respect the overlap policy.
+            ``config.sigma`` and none of which contains another.
         """
         # Imported lazily: core stays importable without the analysis layer.
         from repro.analysis.planner import execute_plan
@@ -236,7 +233,7 @@ class Tycos:
         restart bit-identical to the exhaustive search's -- see
         :mod:`repro.analysis.planner`.
         """
-        accepted = ResultSet(policy=self.overlap_policy)
+        accepted = ResultSet()
 
         def sigma_of(value: float) -> bool:
             return value >= self.config.sigma
@@ -338,7 +335,6 @@ class Tycos:
         """
         cfg = self.config
         n = pair.n
-        band = cfg.delay_bounds() if cfg.delay_band is not None else None
         seed_base = cfg.seed & 0xFFFFFFFFFFFFFFFF
         scan_from = 0
         while True:
@@ -387,7 +383,6 @@ class Tycos:
                     s_max=cfg.s_max,
                     td_max=cfg.td_max,
                     blocked=blocked,
-                    band=band,
                 )
                 # The ring comes sorted by (delay, start, end), so the
                 # incremental scorer's on-trajectory diffs chain between

@@ -68,7 +68,6 @@ class SlidingKSG:
 
     Args:
         k: number of nearest neighbors.
-        algorithm: KSG variant (2 is the paper's Eq. 2).
 
     Attributes:
         full_searches: number of from-scratch k-NN searches performed
@@ -77,10 +76,9 @@ class SlidingKSG:
             replacements triggered by Lemma 3.
     """
 
-    def __init__(self, k: int = 4, algorithm: int = 2) -> None:
-        self._estimator = KSGEstimator(k=k, algorithm=algorithm, backend="bruteforce")
+    def __init__(self, k: int = 4) -> None:
+        self._estimator = KSGEstimator(k=k, backend="bruteforce")
         self.k = k
-        self.algorithm = algorithm
         # Parallel position-indexed storage (swap-pop on removal), backed
         # by preallocated numpy buffers so adds/removes never rebuild
         # arrays from Python lists.

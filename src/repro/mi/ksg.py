@@ -7,10 +7,8 @@ per window in Definition 4.6 (Eq. 3):
 
 where ``psi`` is the digamma function, ``k`` the number of nearest neighbors
 under the Chebyshev norm, ``n_x``/``n_y`` the marginal neighbor counts inside
-the k-NN rectangle of each point, and ``m`` the window size.  This is KSG
-"algorithm 2"; the classic "algorithm 1"
-(``psi(k) - <psi(n_x + 1) + psi(n_y + 1)> + psi(m)``) is also provided for
-cross-checks.
+the k-NN rectangle of each point, and ``m`` the window size (KSG's
+"algorithm 2").
 
 Estimates are in *nats*.  MI is theoretically non-negative but the estimator
 is unbiased around zero for independent data and can return small negative
@@ -50,21 +48,17 @@ class KSGEstimator:
     Attributes:
         k: number of nearest neighbors (paper default intent: a small
             constant; 4 is the customary choice and our default).
-        algorithm: 2 for the paper's Eq. (2) variant, 1 for classic KSG-1.
         backend: neighbor search backend, one of ``"bruteforce"``, ``"grid"``,
             ``"kdtree"`` or ``"auto"`` (size-based choice between the first
             two; the k-d tree is opt-in, best under heavy clustering).
     """
 
     k: int = 4
-    algorithm: int = 2
     backend: str = "auto"
 
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.algorithm not in (1, 2):
-            raise ValueError(f"algorithm must be 1 or 2, got {self.algorithm}")
         if self.backend not in _BACKENDS:
             raise ValueError(f"backend must be one of {_BACKENDS}, got {self.backend!r}")
 
@@ -152,7 +146,7 @@ class KSGEstimator:
             raise ValueError("x and y must be finite")
         if w == 0 or self.resolved_backend(m) != "bruteforce":
             return np.array([self.mi(x, y) for x, y in zip(xs, ys)], dtype=np.float64)
-        out = ksg_mi_many(np.stack((xs, ys)), self.k, self.algorithm)
+        out = ksg_mi_many(np.stack((xs, ys)), self.k)
         if contracts.checks_enabled():
             for value in out.tolist():
                 contracts.check_mi_finite(value, where="KSGEstimator.mi_many")
@@ -190,12 +184,8 @@ class KSGEstimator:
                 skips the per-call marginal sort without changing counts.
             sorted_y: same for ``y``.
         """
-        if self.algorithm == 2:
-            n_x = marginal_counts(x, knn.eps_x, strict=False, presorted=sorted_x)
-            n_y = marginal_counts(y, knn.eps_y, strict=False, presorted=sorted_y)
-        else:
-            n_x = marginal_counts(x, knn.kth_distance, strict=True, presorted=sorted_x)
-            n_y = marginal_counts(y, knn.kth_distance, strict=True, presorted=sorted_y)
+        n_x = marginal_counts(x, knn.eps_x, presorted=sorted_x)
+        n_y = marginal_counts(y, knn.eps_y, presorted=sorted_y)
         return self.mi_from_counts(n_x, n_y, k, x.size, digamma_table=digamma_table)
 
     def mi_from_counts(
@@ -208,26 +198,21 @@ class KSGEstimator:
     ) -> float:
         """Finish an MI estimate from raw marginal strip counts.
 
-        ``n_x``/``n_y`` are raw :func:`marginal_counts` outputs for the
-        algorithm configured on this estimator (loose radii counts for
-        algorithm 2, strict kth-distance counts for algorithm 1).
+        ``n_x``/``n_y`` are raw :func:`marginal_counts` outputs: the
+        samples inside each point's closed x and y k-NN extents.
         """
         if digamma_table is None:
             digamma_table = shared_digamma_table().prefix(m)
         psi_k = float(digamma_table[k - 1])
         psi_m = float(digamma_table[m - 1])
-        if self.algorithm == 2:
-            # Eq. (2): counts include the k neighbors, so n >= k >= 1 except
-            # in degenerate duplicate layouts; guard psi(0).
-            n_x = np.maximum(n_x, 1)
-            n_y = np.maximum(n_y, 1)
-            psi_sum = digamma_table[n_x - 1] + digamma_table[n_y - 1]
-            # .sum()/m is bit-identical to .mean() (numpy's _mean is
-            # umr_sum over count) without the wrapper's dispatch cost.
-            value = psi_k - 1.0 / k - float(psi_sum.sum() / m) + psi_m
-        else:
-            psi_sum = digamma_table[n_x] + digamma_table[n_y]
-            value = psi_k - float(psi_sum.sum() / m) + psi_m
+        # Eq. (2): counts include the k neighbors, so n >= k >= 1 except
+        # in degenerate duplicate layouts; guard psi(0).
+        n_x = np.maximum(n_x, 1)
+        n_y = np.maximum(n_y, 1)
+        psi_sum = digamma_table[n_x - 1] + digamma_table[n_y - 1]
+        # .sum()/m is bit-identical to .mean() (numpy's _mean is
+        # umr_sum over count) without the wrapper's dispatch cost.
+        value = psi_k - 1.0 / k - float(psi_sum.sum() / m) + psi_m
         if contracts.checks_enabled():
             contracts.check_mi_finite(float(value), where="KSGEstimator.mi_from_counts")
         return float(value)
@@ -237,8 +222,7 @@ def ksg_mi(
     x: AnyArray,
     y: AnyArray,
     k: int = 4,
-    algorithm: int = 2,
     backend: str = "auto",
 ) -> float:
     """Convenience wrapper: estimate I(X; Y) with a throwaway estimator."""
-    return KSGEstimator(k=k, algorithm=algorithm, backend=backend).mi(x, y)
+    return KSGEstimator(k=k, backend=backend).mi(x, y)

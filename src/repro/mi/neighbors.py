@@ -134,8 +134,6 @@ class PairDistanceWorkspace:
             raise ValueError(f"x and y must have equal length, got {x.size} and {y.size}")
         if x.size < 2:
             raise ValueError(f"need at least 2 samples, got {x.size}")
-        self._x = x
-        self._y = y
         # One (3, u, u) block -- [dist, |dx|, |dy|] -- so a window's knn()
         # can slice, copy and gather all three layers in single numpy calls
         # instead of three.  Values are identical to the separate
@@ -149,66 +147,13 @@ class PairDistanceWorkspace:
         np.maximum(full[1], full[2], out=full[0])
         np.fill_diagonal(full[0], np.inf)
         self._full = full
-        self._dist = full[0]
-        self._dx = full[1]
-        self._dy = full[2]
-        # Stable ascending-value orderings of the union projections, built
-        # lazily by sorted_window() and shared by every window of the group.
-        self._order_x: Optional[IntArray] = None
-        self._order_y: Optional[IntArray] = None
-        # Shared digamma prefix, resolved on first digamma_table() call.
-        self._digamma: Optional[FloatArray] = None
         # Row-index column reused by every knn gather (sliced per window).
-        self._rows = np.arange(self._dist.shape[0], dtype=np.intp)[:, None]
+        self._rows = np.arange(u, dtype=np.intp)[:, None]
 
     @property
     def size(self) -> int:
         """Number of samples in the union span."""
-        return self._dist.shape[0]
-
-    def digamma_table(self) -> FloatArray:
-        """``digamma(i)`` for ``i = 1..size`` from the process-wide table.
-
-        ``table[i - 1] == digamma(i)`` exactly (same scipy evaluation on the
-        same float64 inputs), so estimator code can gather instead of
-        re-evaluating the transcendental per window.  The returned array may
-        be longer than ``size``.  Resolved once per workspace.
-        """
-        if self._digamma is None:
-            from repro.mi.digamma import shared_digamma_table
-
-            self._digamma = shared_digamma_table().prefix(self.size)
-        return self._digamma
-
-    #: Below this window size a direct ``np.sort`` of the window beats the
-    #: O(union) mask-gather over the amortized argsort (measured: sorting
-    #: <= a few hundred float64 costs ~1-2us, the mask-gather ~5us).
-    _SORT_DIRECT_MAX = 256
-
-    def sorted_window(self, offset: int, m: int) -> Tuple[FloatArray, FloatArray]:
-        """Sorted x/y projections of the window at ``offset``, span-amortized.
-
-        Two constructions, chosen by measured cost, both returning the
-        ascending sequence of the window's float64 multiset (a sorted
-        multiset has exactly one array realization, so they are
-        elementwise identical and feed :func:`marginal_counts`
-        ``presorted=`` without changing any count):
-
-        * small windows: a direct ``np.sort`` of the window slice;
-        * large windows: the union's stable argsort is computed once (per
-          axis, lazily) and the window's projection is a boolean-mask
-          gather over it -- C loops over ``size`` elements instead of a
-          fresh ``O(m log m)`` sort per window per axis.
-        """
-        hi = offset + m
-        if m < self._SORT_DIRECT_MAX:
-            return np.sort(self._x[offset:hi]), np.sort(self._y[offset:hi])
-        if self._order_x is None or self._order_y is None:
-            self._order_x = np.argsort(self._x, kind="stable")
-            self._order_y = np.argsort(self._y, kind="stable")
-        sel_x = self._order_x[(self._order_x >= offset) & (self._order_x < hi)]
-        sel_y = self._order_y[(self._order_y >= offset) & (self._order_y < hi)]
-        return self._x[sel_x], self._y[sel_y]
+        return self._full.shape[1]
 
     def knn(self, offset: int, m: int, k: int) -> KnnResult:
         """k-NN geometry of the ``m``-sample window at ``offset`` in the union.
@@ -370,26 +315,23 @@ def chebyshev_knn_grid(x: AnyArray, y: AnyArray, k: int) -> KnnResult:
 def marginal_counts(
     values: AnyArray,
     radii: AnyArray,
-    strict: bool,
     presorted: Optional[FloatArray] = None,
 ) -> IntArray:
     """Count, for every point, the neighbors inside its marginal strip.
 
-    For point ``i`` the strip is ``[values[i] - radii[i], values[i] + radii[i]]``
-    (open interval when ``strict``), and the point itself is excluded.
+    For point ``i`` the strip is the closed interval
+    ``[values[i] - radii[i], values[i] + radii[i]]`` (KSG algorithm 2
+    counts ``|v_j - v_i| <= r_i``), and the point itself is excluded.
 
     Args:
         values: 1-D projections of the samples, shape ``(m,)``.
         radii: per-point strip half-widths, shape ``(m,)``.
-        strict: when True count ``|v_j - v_i| < r_i`` (KSG algorithm 1);
-            when False count ``|v_j - v_i| <= r_i`` (KSG algorithm 2).
         presorted: optional ascending float64 array holding exactly the
             multiset of ``values`` (e.g. a maintained
-            :meth:`MarginalIndex.sorted_values` or a
-            :meth:`PairDistanceWorkspace.sorted_window` projection).  When
-            given, the per-call ``O(m log m)`` sort is skipped; because a
-            sorted float64 multiset has exactly one array realization, the
-            counts are identical to the from-scratch path.
+            :meth:`MarginalIndex.sorted_values`).  When given, the
+            per-call ``O(m log m)`` sort is skipped; because a sorted
+            float64 multiset has exactly one array realization, the counts
+            are identical to the from-scratch path.
 
     Returns:
         Integer array of counts, shape ``(m,)``.
@@ -404,12 +346,8 @@ def marginal_counts(
     order = np.sort(values) if presorted is None else presorted
     lo = values - radii
     hi = values + radii
-    if strict:
-        left = order.searchsorted(lo, side="right")
-        right = order.searchsorted(hi, side="left")
-    else:
-        left = order.searchsorted(lo, side="left")
-        right = order.searchsorted(hi, side="right")
+    left = order.searchsorted(lo, side="left")
+    right = order.searchsorted(hi, side="right")
     counts = right - left - 1  # exclude the point itself
     return np.maximum(counts, 0, out=counts)
 

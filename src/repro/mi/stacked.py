@@ -129,7 +129,7 @@ def _layout(
     return sizes, groups, pads
 
 
-def marginal_counts_many(values: FloatArray, radii: FloatArray, strict: bool) -> IntArray:
+def marginal_counts_many(values: FloatArray, radii: FloatArray) -> IntArray:
     """Row-wise :func:`repro.mi.neighbors.marginal_counts` of ``(..., m)`` arrays.
 
     Each count compares the row's values against the strip ends
@@ -151,12 +151,8 @@ def marginal_counts_many(values: FloatArray, radii: FloatArray, strict: bool) ->
     hi = values + radii
     if values.shape[-1] <= _COMPARE_ALL_MAX:
         row = values[..., None, :]
-        if strict:
-            inside = row > lo[..., None]
-            inside &= row < hi[..., None]
-        else:
-            inside = row >= lo[..., None]
-            inside &= row <= hi[..., None]
+        inside = row >= lo[..., None]
+        inside &= row <= hi[..., None]
         # Row sums of the 0/1 bytes as one matrix-vector product: exact
         # (at most 32 per row) and cheaper than a reduction of bools.
         counts = (inside.view(np.uint8) @ np.ones(values.shape[-1], np.uint8)).astype(np.intp)
@@ -170,8 +166,8 @@ def marginal_counts_many(values: FloatArray, radii: FloatArray, strict: bool) ->
         ends.real = keys.real
         ends.imag = lo, hi
         flat = keys.reshape(-1)
-        left = flat.searchsorted(ends[0].reshape(-1), side="right" if strict else "left")
-        counts = flat.searchsorted(ends[1].reshape(-1), side="left" if strict else "right")
+        left = flat.searchsorted(ends[0].reshape(-1), side="left")
+        counts = flat.searchsorted(ends[1].reshape(-1), side="right")
         counts -= left
         counts = counts.reshape(values.shape)
     counts -= 1  # exclude the point itself
@@ -242,9 +238,7 @@ def _knn_block(
     return near.max(axis=1)
 
 
-def ksg_mi_many(
-    xy: FloatArray, k: int, algorithm: int = 2, sizes: Optional[IntArray] = None
-) -> FloatArray:
+def ksg_mi_many(xy: FloatArray, k: int, sizes: Optional[IntArray] = None) -> FloatArray:
     """KSG estimates of ``W`` windows, one per row.
 
     Args:
@@ -254,13 +248,12 @@ def ksg_mi_many(
         k: configured neighbor count; a window of ``m`` samples uses
             ``min(k, m - 1)``, as
             :meth:`~repro.mi.ksg.KSGEstimator.effective_k` does.
-        algorithm: KSG algorithm, 2 (paper Eq. 2) or 1.
         sizes: each row's sample count, non-decreasing; None when every
             row holds ``M`` samples.
 
     Returns:
         ``(W,)`` float64 estimates, row ``i`` bit-identical to
-        ``KSGEstimator(k, algorithm, backend="bruteforce").mi(x_i, y_i)``
+        ``KSGEstimator(k, backend="bruteforce").mi(x_i, y_i)``
         on its ``sizes[i]`` real samples.
     """
     if k < 1:
@@ -277,21 +270,16 @@ def ksg_mi_many(
     if pads is not None:
         values = xy.copy()
         values[:, pads] = np.inf
-    if algorithm == 2:
-        counts = marginal_counts_many(values, extents, strict=False)
-        counts -= 1  # psi(max(n, 1)) sits at index max(n - 1, 0)
-        np.maximum(counts, 0, out=counts)
-    else:
-        extents[:] = np.maximum(extents[0], extents[1])  # the k-th distance
-        counts = marginal_counts_many(values, extents, strict=True)  # psi(n + 1)
+    counts = marginal_counts_many(values, extents)
+    counts -= 1  # psi(max(n, 1)) sits at index max(n - 1, 0)
+    np.maximum(counts, 0, out=counts)
     # psi(i) for i = 1..M sits at index i - 1 (the DigammaTable layout).
     table = shared_digamma_table().prefix(width)
     psi = table[counts]
     psi_sum = psi[0] + psi[1]
     out = np.empty(w)
     for (a, b, m), group_k in zip(groups, ks):
-        psi_k = float(table[group_k - 1])
-        lead = psi_k - 1.0 / group_k if algorithm == 2 else psi_k
+        lead = float(table[group_k - 1]) - 1.0 / group_k
         out[a:b] = lead - psi_sum[a:b, :m].sum(axis=1) / m + float(table[m - 1])
     return out
 

@@ -1,6 +1,7 @@
 """Tests for JSON result serialization."""
 
 import json
+from dataclasses import fields
 
 import pytest
 
@@ -71,11 +72,18 @@ class TestResultRoundTrip:
 class TestConfigRoundTrip:
     def test_round_trip_preserves_fields(self):
         config = TycosConfig(
-            sigma=0.35, s_min=24, s_max=300, td_max=17, jitter=1e-4,
-            significance_permutations=9, init_delay_step=3,
+            sigma=0.35, epsilon_ratio=0.3, s_min=24, s_max=300, td_max=17, delta=2,
+            history_length=7, max_idle=4, k=5, use_normalized=False, jitter=1e-4,
+            seed=11, significance_permutations=9, cache_capacity=500, segment_margin=3,
+            refine_margin=40, coarse_sigma_ratio=0.85, init_delay_step=3,
         )
-        restored = config_from_dict(config_to_dict(config))
-        assert restored == config
+        payload = json.loads(json.dumps(config_to_dict(config)))
+        assert config_from_dict(payload) == config
+        # Every field above differs from its default, so none can be dropped.
+        default = TycosConfig()
+        assert all(
+            getattr(config, f.name) != getattr(default, f.name) for f in fields(TycosConfig)
+        )
 
     def test_unknown_fields_rejected(self):
         payload = config_to_dict(TycosConfig())

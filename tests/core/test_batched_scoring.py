@@ -136,8 +136,8 @@ class TestScoreManyEquality:
     @pytest.mark.parametrize("scorer_cls", [BatchScorer, IncrementalScorer])
     def test_memo_order_matches_reference(self, scorer_cls):
         # A memo smaller than a batch: hits, repeats and evictions inside
-        # one call leave the same table, in the same order, as the
-        # reference's one window at a time.
+        # one call leave the same table, in the same order, as calling
+        # value() on each window in input order.
         x, y = _coupled_pair()
         config = TycosConfig(s_min=8, s_max=60, td_max=6, cache_capacity=5)
         rng = np.random.default_rng(8)
@@ -146,30 +146,11 @@ class TestScoreManyEquality:
         reference = scorer_cls(PairView(x, y), config)
         batched = scorer_cls(PairView(x, y), config)
         for batch in batches:
-            expected = _reference_value_many(reference, batch)
+            expected = [reference.value(w) for w in batch]
             assert batched.value_many(*_arrays(batch)).tolist() == expected
             assert list(batched._cache.items()) == list(reference._cache.items())
             assert batched.evaluations == reference.evaluations
             assert batched.cache_hits == reference.cache_hits
-
-
-def _reference_value_many(scorer, windows):
-    """``value_many``'s memo order, one ``value()`` per window.
-
-    The memo hits first, in input order; then the other windows in input
-    order, each new window evaluated and stored and each repeat of one
-    served from the memo.
-    """
-    values = [None] * len(windows)
-    misses = []
-    for i, w in enumerate(windows):
-        if w.key() in scorer._cache:
-            values[i] = scorer.value(w)
-        else:
-            misses.append(i)
-    for i in misses:
-        values[i] = scorer.value(windows[i])
-    return values
 
 
 class TestStackedRings:

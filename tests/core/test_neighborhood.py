@@ -26,7 +26,7 @@ def _sign(v):
     return (v > 0) - (v < 0)
 
 
-def _reference_ring(window, radius, delta, n, s_min, s_max, td_max, blocked=(), band=None):
+def _reference_ring(window, radius, delta, n, s_min, s_max, td_max, blocked=()):
     out = []
     steps = range(-radius, radius + 1)
     for ds, de, dt in product(steps, steps, steps):
@@ -48,8 +48,6 @@ def _reference_ring(window, radius, delta, n, s_min, s_max, td_max, blocked=(), 
             or start + delay < 0
             or end + delay >= n
         ):
-            continue
-        if band is not None and not band[0] <= delay <= band[1]:
             continue
         out.append((start, end, delay))
     return sorted(out, key=lambda w: (w[2], w[0], w[1]))
@@ -160,12 +158,16 @@ class TestReferenceRing:
     @pytest.mark.parametrize("radius", [1, 2, 3])
     @pytest.mark.parametrize("delta", [1, 2])
     @pytest.mark.parametrize("blocked", BLOCKED)
-    @pytest.mark.parametrize("band", [None, (-1, 4), (2, 2)])
+    # The delay band [-td_max, td_max] at three widths: None is td_max = 6,
+    # which the last window sits on; the narrower bands clip windows
+    # whose own delay lies outside them.
+    @pytest.mark.parametrize("band", [None, (-4, 4), (-2, 2)])
     def test_matches_reference(self, radius, delta, blocked, band):
-        kwargs = dict(radius=radius, delta=delta, n=100, s_min=8, s_max=40, td_max=6)
+        td_max = 6 if band is None else band[1]
+        kwargs = dict(radius=radius, delta=delta, n=100, s_min=8, s_max=40, td_max=td_max)
         for window in self.WINDOWS:
-            expected = _reference_ring(window, blocked=blocked, band=band, **kwargs)
-            assert _ring(window, blocked=blocked, band=band, **kwargs) == expected
+            expected = _reference_ring(window, blocked=blocked, **kwargs)
+            assert _ring(window, blocked=blocked, **kwargs) == expected
 
 
 
@@ -207,10 +209,9 @@ class TestBoundaryClipping:
         assert all(nb.y_end < 100 for nb in ring)
 
     def test_band_bounds_the_delays(self):
-        ring = _ring(
-            _mid_window(), radius=2, delta=1, n=1000, s_min=5, s_max=100, td_max=50, band=(-1, 0)
-        )
-        assert {delay for _, _, delay in ring} == {-1, 0}
+        # The delay band is [-td_max, td_max]; a radius-2 ring reaches past it.
+        ring = _ring(_mid_window(), radius=2, delta=1, n=1000, s_min=5, s_max=100, td_max=1)
+        assert {delay for _, _, delay in ring} == {-1, 0, 1}
 
     @given(st.integers(0, 80), st.integers(5, 30), st.integers(-5, 5), st.integers(1, 3))
     @settings(max_examples=40, deadline=None)

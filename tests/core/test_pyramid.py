@@ -172,13 +172,3 @@ class TestCoarseConfig:
         cfg = self._config(s_min=16, s_max=64)
         c = coarse_config(cfg, 8)
         assert c.s_min == 12
-
-    def test_user_delay_band_maps_outward(self):
-        cfg = self._config(delay_band=(-5, 3))
-        c = coarse_config(cfg, 4)
-        lo, hi = c.delay_band
-        # Every coarse image of every tau in [-5, 3] must fall in the band.
-        for tau in range(-5, 4):
-            for img in range(-c.td_max, c.td_max + 1):
-                if abs(img * 4 - tau) <= 3:
-                    assert lo <= img <= hi

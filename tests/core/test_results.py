@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.results import OverlapPolicy, ResultSet, WindowResult, merge_overlapping
+from repro.core.results import ResultSet, WindowResult, merge_overlapping
 from repro.core.window import TimeDelayWindow
 
 
@@ -32,7 +32,7 @@ class TestResultSetContainment:
         assert rs.windows()[0] == TimeDelayWindow(5, 15)
 
     def test_overlap_without_containment_allowed(self):
-        rs = ResultSet()  # CONTAINMENT policy
+        rs = ResultSet()
         rs.insert(_res(0, 10))
         assert rs.insert(_res(5, 15))
         assert len(rs) == 2
@@ -47,22 +47,6 @@ class TestResultSetContainment:
             for b in windows:
                 if a != b:
                     assert not a.contains(b)
-
-
-class TestResultSetStrict:
-    def test_strict_rejects_any_overlap(self):
-        rs = ResultSet(policy=OverlapPolicy.STRICT)
-        rs.insert(_res(0, 10, nmi=0.8))
-        assert not rs.insert(_res(10, 20, nmi=0.5))
-        assert rs.insert(_res(11, 20, nmi=0.5))
-
-    def test_jaccard_policy(self):
-        rs = ResultSet(policy=OverlapPolicy.JACCARD, jaccard_threshold=0.5)
-        rs.insert(_res(0, 10, nmi=0.8))
-        # Jaccard of [0,10] and [2,12] = 9/13 > 0.5 -> conflict.
-        assert not rs.insert(_res(2, 12, nmi=0.5))
-        # Jaccard of [0,10] and [8,30] = 3/31 < 0.5 -> fine.
-        assert rs.insert(_res(8, 30, nmi=0.5))
 
 
 class TestResultSetAccessors:

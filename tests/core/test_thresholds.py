@@ -49,14 +49,6 @@ class TestBatchScorer:
         assert norm.value(w) == pytest.approx(norm.score(w).ratio)
         assert raw.value(w) == pytest.approx(raw.score(w).mi)
 
-    def test_clear_cache(self, pair, config):
-        scorer = BatchScorer(pair, config)
-        w = TimeDelayWindow(10, 60)
-        scorer.score(w)
-        scorer.clear_cache()
-        scorer.score(w)
-        assert scorer.evaluations == 2
-
 
 class TestIncrementalScorer:
     def test_matches_batch_scorer_exactly(self, pair, config):

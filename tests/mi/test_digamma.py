@@ -98,12 +98,12 @@ def test_digamma_direct_is_plain_scipy():
     assert np.array_equal(digamma_direct(ns), scipy_digamma(ns))
 
 
-@pytest.mark.parametrize("algorithm", [1, 2])
-def test_estimator_identical_with_and_without_table(algorithm, correlated_gaussian):
+@pytest.mark.parametrize("k", [1, 2])
+def test_estimator_identical_with_and_without_table(k, correlated_gaussian):
     """The shared table never changes an estimate: ``mi`` equals the same
     estimate finished from direct scipy evaluations, exactly."""
     x, y = correlated_gaussian
-    estimator = KSGEstimator(k=4, algorithm=algorithm)
+    estimator = KSGEstimator(k=k)
     direct = np.asarray(digamma_direct(np.arange(1, x.size + 1)), dtype=np.float64)
-    knn = chebyshev_knn_bruteforce(x, y, 4)
-    assert estimator.mi(x, y) == estimator.mi_from_geometry(x, y, knn, 4, digamma_table=direct)
+    knn = chebyshev_knn_bruteforce(x, y, k)
+    assert estimator.mi(x, y) == estimator.mi_from_geometry(x, y, knn, k, digamma_table=direct)

@@ -40,14 +40,6 @@ class TestKsgAccuracy:
         transformed = ksg_mi(np.exp(x / 3.0), y)
         assert transformed == pytest.approx(base, abs=0.12)
 
-    def test_algorithms_agree_on_large_samples(self, rng):
-        n = 3000
-        x = rng.normal(size=n)
-        y = 0.6 * x + 0.8 * rng.normal(size=n)
-        a1 = ksg_mi(x, y, algorithm=1)
-        a2 = ksg_mi(x, y, algorithm=2)
-        assert a1 == pytest.approx(a2, abs=0.05)
-
     def test_backends_agree(self, correlated_gaussian):
         x, y = correlated_gaussian
         assert ksg_mi(x, y, backend="bruteforce") == pytest.approx(
@@ -59,10 +51,6 @@ class TestKsgValidation:
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError, match="k must be"):
             KSGEstimator(k=0)
-
-    def test_rejects_bad_algorithm(self):
-        with pytest.raises(ValueError, match="algorithm"):
-            KSGEstimator(algorithm=3)
 
     def test_rejects_bad_backend(self):
         with pytest.raises(ValueError, match="backend"):

@@ -17,21 +17,18 @@ def test_presorted_counts_exactly_equal_scratch_path(rng):
     values = rng.normal(size=200)
     radii = np.abs(rng.normal(size=200)) * 0.5
     presorted = np.sort(values)
-    for strict in (True, False):
-        direct = marginal_counts(values, radii, strict=strict)
-        fast = marginal_counts(values, radii, strict=strict, presorted=presorted)
-        assert np.array_equal(direct, fast)
+    direct = marginal_counts(values, radii)
+    fast = marginal_counts(values, radii, presorted=presorted)
+    assert np.array_equal(direct, fast)
 
 
 def test_presorted_counts_with_duplicates(rng):
     values = rng.integers(0, 10, size=120).astype(np.float64)
     radii = np.full(120, 1.0)
     presorted = np.sort(values)
-    for strict in (True, False):
-        assert np.array_equal(
-            marginal_counts(values, radii, strict=strict),
-            marginal_counts(values, radii, strict=strict, presorted=presorted),
-        )
+    assert np.array_equal(
+        marginal_counts(values, radii), marginal_counts(values, radii, presorted=presorted)
+    )
 
 
 def test_marginal_index_reset_matches_sort(rng):
@@ -101,32 +98,10 @@ def test_marginal_index_randomized_churn_matches_sort(ops):
         if len(live) >= 2:
             values = np.asarray(live, dtype=np.float64)
             radii = np.full(values.size, 0.3)
-            for strict in (True, False):
-                assert np.array_equal(
-                    marginal_counts(values, radii, strict=strict),
-                    marginal_counts(
-                        values, radii, strict=strict, presorted=index.sorted_values()
-                    ),
-                )
-
-
-def test_workspace_sorted_window_matches_np_sort(rng):
-    x = rng.normal(size=64)
-    y = rng.normal(size=64)
-    workspace = PairDistanceWorkspace(x, y)
-    for offset, m in ((0, 64), (5, 20), (40, 24), (10, 2)):
-        sorted_x, sorted_y = workspace.sorted_window(offset, m)
-        assert np.array_equal(sorted_x, np.sort(x[offset : offset + m]))
-        assert np.array_equal(sorted_y, np.sort(y[offset : offset + m]))
-
-
-def test_workspace_sorted_window_with_duplicates():
-    x = np.array([2.0, 1.0, 2.0, 0.0, 1.0, 1.0])
-    y = np.array([0.0, 0.0, 1.0, 1.0, 2.0, 0.5])
-    workspace = PairDistanceWorkspace(x, y)
-    sorted_x, sorted_y = workspace.sorted_window(1, 4)
-    assert np.array_equal(sorted_x, np.sort(x[1:5]))
-    assert np.array_equal(sorted_y, np.sort(y[1:5]))
+            assert np.array_equal(
+                marginal_counts(values, radii),
+                marginal_counts(values, radii, presorted=index.sorted_values()),
+            )
 
 
 def test_workspace_knn_matches_bruteforce_on_every_slice(rng):

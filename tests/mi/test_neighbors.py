@@ -117,29 +117,22 @@ class TestMarginalCounts:
     def test_simple_counts(self):
         values = np.array([0.0, 1.0, 2.0, 5.0])
         radii = np.array([1.5, 1.5, 1.5, 1.5])
-        # Non-strict: |v_j - v_i| <= 1.5, excluding self.
-        counts = marginal_counts(values, radii, strict=False)
+        # Closed strips: |v_j - v_i| <= 1.5, excluding self.
+        counts = marginal_counts(values, radii)
         np.testing.assert_array_equal(counts, [1, 2, 1, 0])
-
-    def test_strict_excludes_boundary(self):
-        values = np.array([0.0, 1.0, 2.0])
-        radii = np.array([1.0, 1.0, 1.0])
-        strict = marginal_counts(values, radii, strict=True)
-        loose = marginal_counts(values, radii, strict=False)
-        np.testing.assert_array_equal(strict, [0, 0, 0])
-        np.testing.assert_array_equal(loose, [1, 2, 1])
+        # A neighbor exactly at the radius lies inside the closed strip.
+        np.testing.assert_array_equal(marginal_counts(values[:3], np.ones(3)), [1, 2, 1])
 
     def test_duplicates_with_zero_radius(self):
         values = np.array([1.0, 1.0, 1.0])
         radii = np.zeros(3)
-        assert np.all(marginal_counts(values, radii, strict=True) == 0)
-        # Non-strict counts the coincident points (self excluded).
-        assert np.all(marginal_counts(values, radii, strict=False) == 2)
+        # The closed strip counts the coincident points (self excluded).
+        assert np.all(marginal_counts(values, radii) == 2)
 
     def test_matches_loop_reference(self, rng):
         values = rng.normal(size=80)
         radii = np.abs(rng.normal(size=80))
-        got = marginal_counts(values, radii, strict=False)
+        got = marginal_counts(values, radii)
         for i in range(80):
             expected = np.sum(np.abs(values - values[i]) <= radii[i]) - 1
             assert got[i] == expected
@@ -150,6 +143,6 @@ class TestMarginalCounts:
         rng = np.random.default_rng(m)
         values = rng.normal(size=m)
         radii = np.abs(rng.normal(size=m)) + 0.01
-        counts = marginal_counts(values, radii, strict=False)
+        counts = marginal_counts(values, radii)
         assert np.all(counts >= 0)
         assert np.all(counts <= m - 1)

@@ -49,14 +49,17 @@ def _constant_rows(rng, w, m):
 
 
 ROWS = {"tied": _tied_rows, "continuous": _continuous_rows, "constant": _constant_rows}
+#: Each bit-exactness configuration runs on two random inputs, drawn with
+#: seeds that differ by the ``draw`` parameter.
+DRAWS = [1, 2]
 
 
 def _hex(values):
     return [float(v).hex() for v in values]
 
 
-def _reference(xs, ys, k, algorithm):
-    estimator = KSGEstimator(k=k, algorithm=algorithm, backend="bruteforce")
+def _reference(xs, ys, k):
+    estimator = KSGEstimator(k=k, backend="bruteforce")
     mis = [estimator.mi(x, y) for x, y in zip(xs, ys)]
     entropies = [binned_joint_entropy(x, y) for x, y in zip(xs, ys)]
     return _hex(mis), _hex(entropies)
@@ -70,27 +73,27 @@ def _rows_over_budget(m):
 class TestStackedEqualsPerWindow:
     @pytest.mark.parametrize("m", [7, 8, 9, 20, 21, 45, 46, 127, 128, 129, 200])
     @pytest.mark.parametrize("rows", sorted(ROWS))
-    @pytest.mark.parametrize("algorithm", [1, 2])
-    def test_rows_match_reference_bits(self, m, rows, algorithm):
-        rng = np.random.default_rng(m * 10 + algorithm)
+    @pytest.mark.parametrize("draw", DRAWS)
+    def test_rows_match_reference_bits(self, m, rows, draw):
+        rng = np.random.default_rng(m * 10 + draw)
         xs, ys = ROWS[rows](rng, _rows_over_budget(m) if m >= 127 else 6, m)
         k = min(4, m - 1)
-        expected_mi, expected_h = _reference(xs, ys, k, algorithm)
+        expected_mi, expected_h = _reference(xs, ys, k)
         xy = np.stack((xs, ys))
-        assert _hex(ksg_mi_many(xy, k, algorithm)) == expected_mi
+        assert _hex(ksg_mi_many(xy, k)) == expected_mi
         assert _hex(binned_joint_entropy_many(xy)) == expected_h
 
     @pytest.mark.parametrize("m", [2, 3, 5, 6])
     @pytest.mark.parametrize("extra", [0, 3])
-    @pytest.mark.parametrize("algorithm", [1, 2])
-    def test_k_at_least_m_minus_one(self, m, extra, algorithm):
+    @pytest.mark.parametrize("draw", DRAWS)
+    def test_k_at_least_m_minus_one(self, m, extra, draw):
         # KSGEstimator clamps k to m - 1; the stacked path must agree.
-        rng = np.random.default_rng(m)
+        rng = np.random.default_rng(m * 10 + draw)
         xs, ys = _tied_rows(rng, 5, m)
-        estimator = KSGEstimator(k=m - 1 + extra, algorithm=algorithm)
+        estimator = KSGEstimator(k=m - 1 + extra)
         expected = _hex(estimator.mi(x, y) for x, y in zip(xs, ys))
         assert _hex(estimator.mi_many(xs, ys)) == expected
-        assert _hex(ksg_mi_many(np.stack((xs, ys)), m - 1, algorithm)) == expected
+        assert _hex(ksg_mi_many(np.stack((xs, ys)), m - 1)) == expected
 
     # Point blocks of 4, then of 1, across the 11 windows: the
     # concatenated blocks equal one pass.
@@ -98,7 +101,7 @@ class TestStackedEqualsPerWindow:
     def test_rows_span_the_chunk_budget(self, monkeypatch, budget):
         rng = np.random.default_rng(7)
         xs, ys = _tied_rows(rng, 11, 18)
-        expected_mi, expected_h = _reference(xs, ys, 4, 2)
+        expected_mi, expected_h = _reference(xs, ys, 4)
         monkeypatch.setattr(stacked, "CHUNK_ELEMENTS", budget)
         xy = np.stack((xs, ys))
         assert _hex(ksg_mi_many(xy, 4)) == expected_mi
@@ -163,15 +166,15 @@ class TestMixedSizes:
 
     @pytest.mark.parametrize("sizes", sorted(SIZES))
     @pytest.mark.parametrize("rows", sorted(ROWS))
-    @pytest.mark.parametrize("algorithm", [1, 2])
-    def test_rows_match_reference_bits(self, sizes, rows, algorithm):
-        pairs = _mixed_rows(rows, self.SIZES[sizes], len(sizes) + algorithm)
+    @pytest.mark.parametrize("draw", DRAWS)
+    def test_rows_match_reference_bits(self, sizes, rows, draw):
+        pairs = _mixed_rows(rows, self.SIZES[sizes], len(sizes) + draw)
         xy, lengths = _padded(pairs)
-        estimator = KSGEstimator(k=4, algorithm=algorithm, backend="bruteforce")
+        estimator = KSGEstimator(k=4, backend="bruteforce")
         pairs = [(x, y) for x, y in sorted(pairs, key=lambda xy: len(xy[0]))]
         expected_mi = _hex(estimator.mi(x, y) for x, y in pairs)
         expected_h = _hex(binned_joint_entropy(x, y) for x, y in pairs)
-        assert _hex(ksg_mi_many(xy, 4, algorithm, lengths)) == expected_mi
+        assert _hex(ksg_mi_many(xy, 4, lengths)) == expected_mi
         assert _hex(binned_joint_entropy_many(xy, lengths)) == expected_h
 
     # Blocks of 1-3 points across 11 windows of 5 sizes: a block holds
@@ -184,17 +187,17 @@ class TestMixedSizes:
         pairs = sorted(pairs, key=lambda xy: len(xy[0]))
         expected = _hex(KSGEstimator(k=4).mi(x, y) for x, y in pairs)
         monkeypatch.setattr(stacked, "CHUNK_ELEMENTS", budget)
-        assert _hex(ksg_mi_many(xy, 4, 2, lengths)) == expected
+        assert _hex(ksg_mi_many(xy, 4, lengths)) == expected
 
     def test_rows_wider_than_every_window(self, monkeypatch):
         # Pads past the largest size are ignored too, in one block or many.
         pairs = _mixed_rows("continuous", [5, 9], 3)
         xy, lengths = _padded(pairs)
         wide = np.concatenate((xy, np.repeat(xy[:, :, :1], 4, axis=2)), axis=2)
-        expected = _hex(ksg_mi_many(xy, 4, 2, lengths))
-        assert _hex(ksg_mi_many(wide, 4, 2, lengths)) == expected
+        expected = _hex(ksg_mi_many(xy, 4, lengths))
+        assert _hex(ksg_mi_many(wide, 4, lengths)) == expected
         monkeypatch.setattr(stacked, "CHUNK_ELEMENTS", 6)
-        assert _hex(ksg_mi_many(wide, 4, 2, lengths)) == expected
+        assert _hex(ksg_mi_many(wide, 4, lengths)) == expected
         assert _hex(binned_joint_entropy_many(wide, lengths)) == _hex(
             binned_joint_entropy_many(xy, lengths)
         )
@@ -204,7 +207,7 @@ class TestMixedSizes:
         xs, ys = _tied_rows(rng, 6, 24)
         xy = np.stack((xs, ys))
         sizes = np.full(6, 24)
-        assert _hex(ksg_mi_many(xy, 4, 2, sizes)) == _hex(ksg_mi_many(xy, 4))
+        assert _hex(ksg_mi_many(xy, 4, sizes)) == _hex(ksg_mi_many(xy, 4))
         assert _hex(binned_joint_entropy_many(xy, sizes)) == _hex(binned_joint_entropy_many(xy))
 
     def test_gather_rows_pads_with_the_first_sample(self):
@@ -228,11 +231,11 @@ class TestMixedSizes:
     def test_rejects_bad_sizes(self, sizes, message):
         xy = np.zeros((2, len(sizes) if message != "one size per row" else 2, 5))
         with pytest.raises(ValueError, match=message):
-            ksg_mi_many(xy, 4, 2, np.array(sizes))
+            ksg_mi_many(xy, 4, np.array(sizes))
 
     def test_empty_batch(self):
         empty = np.empty((2, 0, 0))
-        assert ksg_mi_many(empty, 4, 2, np.empty(0, dtype=np.int64)).shape == (0,)
+        assert ksg_mi_many(empty, 4, np.empty(0, dtype=np.int64)).shape == (0,)
         assert binned_joint_entropy_many(empty, np.empty(0, dtype=np.int64)).shape == (0,)
 
 
@@ -240,9 +243,10 @@ class TestMarginalCountsMany:
     # 32 and 33 straddle the switch from the all-pairs comparison to the
     # sorted search.
     @pytest.mark.parametrize("m", [5, 32, 33, 90])
-    @pytest.mark.parametrize("strict", [False, True])
+    # The reference counts from scratch or from a presorted projection.
+    @pytest.mark.parametrize("presorted", [False, True])
     @pytest.mark.parametrize("rows", sorted(ROWS))
-    def test_counts_equal_marginal_counts(self, m, strict, rows):
+    def test_counts_equal_marginal_counts(self, m, presorted, rows):
         rng = np.random.default_rng(11)
         values, _ = ROWS[rows](rng, 7, m)
         radii = np.abs(rng.normal(size=values.shape))
@@ -250,8 +254,13 @@ class TestMarginalCountsMany:
         radii[0] = 1.0  # integer radii on tied integer values
         values[1, ::2] = -0.0  # signed zeros compare equal to 0.0
         values[1, 1::2] = 0.0
-        expected = np.array([marginal_counts(v, r, strict) for v, r in zip(values, radii)])
-        assert np.array_equal(marginal_counts_many(values, radii, strict), expected)
+        expected = np.array(
+            [
+                marginal_counts(v, r, np.sort(v) if presorted else None)
+                for v, r in zip(values, radii)
+            ]
+        )
+        assert np.array_equal(marginal_counts_many(values, radii), expected)
 
 
 class TestEstimatorMiMany:
