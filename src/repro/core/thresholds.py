@@ -117,9 +117,9 @@ class BatchScorer:
         normalized as arrays.  One walk in input order then stores each
         such new window and serves each memo hit, a repeat inside the
         batch included.  Everything else goes through :meth:`score` in
-        that walk: non-bruteforce sizes, windows outside the series
-        (which raise there), on-trajectory engine evaluations in the
-        incremental subclass, and hits evicted since the peek.
+        that walk: windows outside the series (which raise there),
+        on-trajectory engine evaluations in the incremental subclass, and
+        hits evicted since the peek.
         """
         starts, ends, delays = (np.asarray(a, dtype=np.int64) for a in (starts, ends, delays))
         stackable = self._batch_mask(starts, ends, delays).tolist()
@@ -168,13 +168,11 @@ class BatchScorer:
     def _batch_mask(self, starts: IntArray, ends: IntArray, delays: IntArray) -> np.ndarray:
         """Which windows the stacked kernels score (the rest go through :meth:`score`).
 
-        Requires the brute-force k-NN backend (the stacked kernels
-        replicate exactly that math) and in-bounds sample ranges
-        (out-of-bounds windows must keep raising through the scalar path).
+        Requires in-bounds sample ranges (out-of-bounds windows must keep
+        raising through the scalar path).
         """
         n = self._pair.n
-        mask = self._estimator.bruteforce_mask(ends - starts + 1)
-        mask &= (starts >= 0) & (ends >= starts) & (ends < n)
+        mask = (starts >= 0) & (ends >= starts) & (ends < n)
         mask &= (starts + delays >= 0) & (ends + delays < n)
         return mask
 

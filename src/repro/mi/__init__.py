@@ -5,8 +5,11 @@ quantify statistical dependence between two windows of time series data:
 
 * :mod:`repro.mi.ksg` -- the Kraskov--Stoegbauer--Grassberger (KSG) k-nearest
   neighbor MI estimator (paper Eq. 2 / Eq. 3).
-* :mod:`repro.mi.neighbors` -- max-norm k-nearest-neighbor search backends
-  (vectorized brute force and a uniform grid index) plus marginal counting.
+* :mod:`repro.mi.stacked` -- the one KSG kernel: every estimate, of one
+  window or of a padded batch of mixed sizes, is a row of
+  :func:`~repro.mi.stacked.ksg_mi_many`.
+* :mod:`repro.mi.neighbors` -- the per-window reference that kernel is
+  gated against: brute-force max-norm k-NN search plus marginal counting.
 * :mod:`repro.mi.entropy` -- plug-in discrete entropy, binned continuous
   entropy and the Kozachenko--Leonenko differential entropy estimator.
 * :mod:`repro.mi.normalized` -- the normalized MI of paper Eq. (18) used to
@@ -18,8 +21,6 @@ quantify statistical dependence between two windows of time series data:
   on influenced regions (IR) and influenced marginal regions (IMR).
 * :mod:`repro.mi.digamma` -- the process-wide integer digamma lookup table
   every estimator draws from (the only sanctioned scipy digamma call site).
-* :mod:`repro.mi.kdtree` -- the k-d tree neighbor backend the paper's
-  Lemma-2 analysis invokes (Bentley 1975).
 * :mod:`repro.mi.histogram` / :mod:`repro.mi.kde` -- the classical MI
   estimators the paper's Section 3.1 compares KSG against.
 """
@@ -30,15 +31,12 @@ from repro.mi.entropy import binned_joint_entropy, discrete_entropy, kl_entropy
 from repro.mi.histogram import histogram_mi
 from repro.mi.incremental import SlidingKSG
 from repro.mi.kde import kde_mi
-from repro.mi.kdtree import KDTree, chebyshev_knn_kdtree
 from repro.mi.ksg import KSGEstimator, ksg_mi
 from repro.mi.mixture import mix_samples, theorem61_gap
 from repro.mi.neighbors import (
-    GridIndex,
     MarginalIndex,
     PairDistanceWorkspace,
     chebyshev_knn_bruteforce,
-    chebyshev_knn_grid,
     marginal_counts,
 )
 from repro.mi.normalized import normalized_mi
@@ -53,12 +51,8 @@ __all__ = [
     "histogram_mi",
     "kde_mi",
     "SlidingKSG",
-    "KDTree",
-    "chebyshev_knn_kdtree",
-    "GridIndex",
     "PairDistanceWorkspace",
     "chebyshev_knn_bruteforce",
-    "chebyshev_knn_grid",
     "marginal_counts",
     "discrete_entropy",
     "binned_joint_entropy",

@@ -77,7 +77,7 @@ class SlidingKSG:
     """
 
     def __init__(self, k: int = 4) -> None:
-        self._estimator = KSGEstimator(k=k, backend="bruteforce")
+        self._estimator = KSGEstimator(k=k)
         self.k = k
         # Parallel position-indexed storage (swap-pop on removal), backed
         # by preallocated numpy buffers so adds/removes never rebuild
@@ -87,7 +87,9 @@ class SlidingKSG:
         self._buf_x = np.empty(64)
         self._buf_y = np.empty(64)
         # Positional caches of each point's neighbor geometry, maintained
-        # alongside the neighbor table so mi() is pure vectorized work.
+        # alongside the neighbor table: the k-th neighbor distance is the
+        # Lemma-3 IR radius add() tests against, and the extents make
+        # mi() pure vectorized work.
         self._buf_kth = np.empty(64)
         self._buf_epsx = np.empty(64)
         self._buf_epsy = np.empty(64)
@@ -304,16 +306,10 @@ class SlidingKSG:
         self._maybe_rebuild()
         x = self._buf_x[:m]
         y = self._buf_y[:m]
-        geometry = KnnResult(
-            kth_distance=self._buf_kth[:m],
-            eps_x=self._buf_epsx[:m],
-            eps_y=self._buf_epsy[:m],
-            indices=np.empty((m, 0), dtype=np.int64),
-        )
         value = self._estimator.mi_from_geometry(
             x,
             y,
-            geometry,
+            KnnResult(eps_x=self._buf_epsx[:m], eps_y=self._buf_epsy[:m]),
             self.k,
             sorted_x=self._marginal_x.sorted_values(),
             sorted_y=self._marginal_y.sorted_values(),

@@ -26,67 +26,33 @@ import numpy as np
 from repro import contracts
 from repro._types import AnyArray, FloatArray, IntArray
 from repro.mi.digamma import shared_digamma_table
-from repro.mi.neighbors import (
-    KnnResult,
-    chebyshev_knn_bruteforce,
-    chebyshev_knn_grid,
-    marginal_counts,
-)
+from repro.mi.neighbors import KnnResult, marginal_counts
 from repro.mi.stacked import ksg_mi_many
 
 __all__ = ["KSGEstimator", "ksg_mi"]
-
-_BACKENDS = ("bruteforce", "grid", "kdtree", "auto")
-# Above this window size the grid index beats the O(m^2) vectorized scan.
-_GRID_CUTOVER = 4096
 
 
 @dataclass(frozen=True)
 class KSGEstimator:
     """Configurable KSG mutual information estimator.
 
+    Every estimate is a row of the stacked kernel
+    :func:`repro.mi.stacked.ksg_mi_many`, whose point blocks bound its
+    memory at any window size.  :meth:`mi_from_geometry` over
+    :func:`repro.mi.neighbors.chebyshev_knn_bruteforce` is the per-window
+    reference it is gated against, bit for bit.
+
     Attributes:
         k: number of nearest neighbors (paper default intent: a small
-            constant; 4 is the customary choice and our default).
-        backend: neighbor search backend, one of ``"bruteforce"``, ``"grid"``,
-            ``"kdtree"`` or ``"auto"`` (size-based choice between the first
-            two; the k-d tree is opt-in, best under heavy clustering).
+            constant; 4 is the customary choice and our default).  A
+            window of ``m <= k`` samples uses ``m - 1``.
     """
 
     k: int = 4
-    backend: str = "auto"
 
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.backend not in _BACKENDS:
-            raise ValueError(f"backend must be one of {_BACKENDS}, got {self.backend!r}")
-
-    def resolved_backend(self, m: int) -> str:
-        """The neighbor-search backend actually used for ``m`` samples."""
-        if self.backend == "auto":
-            return "grid" if m >= _GRID_CUTOVER else "bruteforce"
-        return self.backend
-
-    def bruteforce_mask(self, sizes: IntArray) -> np.ndarray:
-        """``resolved_backend(m) == "bruteforce"`` for each size in ``sizes``."""
-        if self.backend == "auto":
-            return sizes < _GRID_CUTOVER
-        return np.full(sizes.shape, self.backend == "bruteforce")
-
-    def _knn(self, x: FloatArray, y: FloatArray, k: int) -> KnnResult:
-        backend = self.resolved_backend(x.size)
-        if backend == "grid":
-            return chebyshev_knn_grid(x, y, k)
-        if backend == "kdtree":
-            from repro.mi.kdtree import chebyshev_knn_kdtree
-
-            return chebyshev_knn_kdtree(x, y, k)
-        return chebyshev_knn_bruteforce(x, y, k)
-
-    def effective_k(self, m: int) -> int:
-        """The neighbor count actually used for a window of ``m`` samples."""
-        return min(self.k, m - 1)
 
     def mi(self, x: AnyArray, y: AnyArray) -> float:
         """Estimate I(X; Y) in nats from paired samples.
@@ -112,17 +78,19 @@ class KSGEstimator:
             raise ValueError(f"need at least 2 samples, got {m}")
         if contracts.checks_enabled():
             contracts.check_series_shape(x, y, where="KSGEstimator.mi")
-        k = self.effective_k(m)
-        knn = self._knn(x, y, k)
-        return self.mi_from_geometry(x, y, knn, k)
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+            raise ValueError("x and y must be finite")
+        value = float(ksg_mi_many(np.stack((x, y))[:, None], self.k)[0])
+        if contracts.checks_enabled():
+            contracts.check_mi_finite(value, where="KSGEstimator.mi")
+        return value
 
     def mi_many(self, xs: AnyArray, ys: AnyArray) -> FloatArray:
         """Estimate I(X; Y) for ``W`` equal-size windows at once.
 
-        On the brute-force backend every row goes through one stacked pass
-        (:func:`repro.mi.stacked.ksg_mi_many`); other backends loop over
-        :meth:`mi`.  Either way row ``i`` is bit-identical to
-        ``self.mi(xs[i], ys[i])``.
+        Every row goes through one stacked pass
+        (:func:`repro.mi.stacked.ksg_mi_many`); row ``i`` is
+        bit-identical to ``self.mi(xs[i], ys[i])``.
 
         Args:
             xs: samples of the first series, shape ``(W, m)``.
@@ -139,13 +107,11 @@ class KSGEstimator:
         ys = np.asarray(ys, dtype=np.float64)
         if xs.ndim != 2 or xs.shape != ys.shape:
             raise ValueError(f"need equal (W, m) sample rows, got {xs.shape} and {ys.shape}")
-        w, m = xs.shape
+        m = xs.shape[1]
         if m < 2:
             raise ValueError(f"need at least 2 samples, got {m}")
         if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
             raise ValueError("x and y must be finite")
-        if w == 0 or self.resolved_backend(m) != "bruteforce":
-            return np.array([self.mi(x, y) for x, y in zip(xs, ys)], dtype=np.float64)
         out = ksg_mi_many(np.stack((xs, ys)), self.k)
         if contracts.checks_enabled():
             for value in out.tolist():
@@ -218,11 +184,6 @@ class KSGEstimator:
         return float(value)
 
 
-def ksg_mi(
-    x: AnyArray,
-    y: AnyArray,
-    k: int = 4,
-    backend: str = "auto",
-) -> float:
+def ksg_mi(x: AnyArray, y: AnyArray, k: int = 4) -> float:
     """Convenience wrapper: estimate I(X; Y) with a throwaway estimator."""
-    return KSGEstimator(k=k, backend=backend).mi(x, y)
+    return KSGEstimator(k=k).mi(x, y)

@@ -1,27 +1,28 @@
-"""k-nearest-neighbor search under the Chebyshev (max) norm.
+"""k-nearest-neighbor geometry under the Chebyshev (max) norm.
 
 The KSG estimator (paper Section 3.1) measures, for every sample point
 ``p_i = (x_i, y_i)``, the distance to its k-th nearest neighbor under the
 maximum norm ``d(p_i, p_j) = max(|x_i - x_j|, |y_i - y_j|)`` and then counts
 how many samples fall inside the marginal strips spanned by that distance.
 
-Two interchangeable backends are provided:
+Estimates run through the stacked kernel :func:`repro.mi.stacked.ksg_mi_many`.
+The first two functions here are the per-window reference that kernel is
+gated against:
 
-* :func:`chebyshev_knn_bruteforce` -- a fully vectorized O(m^2) search.
-  Fast in practice for the window sizes TYCOS evaluates (tens to a few
-  thousand samples) because the work is a handful of numpy kernels.
-* :func:`chebyshev_knn_grid` -- a uniform grid index (the "grid-based
-  structure for low dimensional data" of paper Section 5.1) with expected
-  O(m log m) behaviour on well-spread data.
-
-Marginal counts are computed with sorted projections and binary search
-(:func:`marginal_counts`), which is O(m log m) regardless of backend.
+* :func:`chebyshev_knn_bruteforce` -- a fully vectorized O(m^2) search
+  returning each point's k-NN rectangle extents;
+* :func:`marginal_counts` -- the marginal strip counts, from sorted
+  projections and binary search in O(m log m);
+* :class:`MarginalIndex` -- a sorted projection kept under add/remove
+  churn, which the incremental engine's recounts read;
+* :class:`PairDistanceWorkspace` -- the brute-force search over shared
+  union-span distance matrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -30,9 +31,7 @@ from repro._types import AnyArray, FloatArray, IntArray
 __all__ = [
     "KnnResult",
     "chebyshev_knn_bruteforce",
-    "chebyshev_knn_grid",
     "marginal_counts",
-    "GridIndex",
     "MarginalIndex",
     "PairDistanceWorkspace",
 ]
@@ -43,34 +42,14 @@ class KnnResult:
     """Per-point neighbor geometry needed by the KSG estimator.
 
     Attributes:
-        kth_distance: Chebyshev distance from each point to its k-th nearest
-            neighbor (shape ``(m,)``).
         eps_x: Largest ``|x_i - x_j|`` over each point's k nearest neighbors
             (the x-extent of the k-NN bounding rectangle, shape ``(m,)``).
         eps_y: Largest ``|y_i - y_j|`` over each point's k nearest neighbors
             (shape ``(m,)``).
-        indices: Indices of the k nearest neighbors per point
-            (shape ``(m, k)``); ordering within a row is unspecified.
     """
 
-    kth_distance: FloatArray
     eps_x: FloatArray
     eps_y: FloatArray
-    indices: IntArray
-
-
-def _validate_xy(x: AnyArray, y: AnyArray, k: int) -> Tuple[FloatArray, FloatArray]:
-    x = np.asarray(x, dtype=np.float64).ravel()
-    y = np.asarray(y, dtype=np.float64).ravel()
-    if x.shape != y.shape:
-        raise ValueError(f"x and y must have equal length, got {x.size} and {y.size}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if x.size <= k:
-        raise ValueError(f"need more than k={k} samples, got {x.size}")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise ValueError("x and y must be finite")
-    return x, y
 
 
 def chebyshev_knn_bruteforce(x: AnyArray, y: AnyArray, k: int) -> KnnResult:
@@ -82,22 +61,29 @@ def chebyshev_knn_bruteforce(x: AnyArray, y: AnyArray, k: int) -> KnnResult:
         k: number of neighbors (``1 <= k < m``).
 
     Returns:
-        A :class:`KnnResult` with the k-th neighbor distance and the
-        marginal extents of the k-NN rectangle for every point.
+        A :class:`KnnResult` with the marginal extents of the k-NN
+        rectangle of every point.
     """
-    x, y = _validate_xy(x, y, k)
-    m = x.size
+    x = np.asarray(x, dtype=np.float64).ravel()
+    y = np.asarray(y, dtype=np.float64).ravel()
+    if x.shape != y.shape:
+        raise ValueError(f"x and y must have equal length, got {x.size} and {y.size}")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if x.size <= k:
+        raise ValueError(f"need more than k={k} samples, got {x.size}")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise ValueError("x and y must be finite")
     dx = np.abs(x[:, None] - x[None, :])
     dy = np.abs(y[:, None] - y[None, :])
     dist = np.maximum(dx, dy)
     np.fill_diagonal(dist, np.inf)
 
     neighbor_idx = np.argpartition(dist, k - 1, axis=1)[:, :k]
-    rows = np.arange(m)[:, None]
-    kth_distance = dist[rows, neighbor_idx].max(axis=1)
+    rows = np.arange(x.size)[:, None]
     eps_x = dx[rows, neighbor_idx].max(axis=1)
     eps_y = dy[rows, neighbor_idx].max(axis=1)
-    return KnnResult(kth_distance=kth_distance, eps_x=eps_x, eps_y=eps_y, indices=neighbor_idx)
+    return KnnResult(eps_x=eps_x, eps_y=eps_y)
 
 
 class PairDistanceWorkspace:
@@ -179,137 +165,11 @@ class PairDistanceWorkspace:
         # Contiguous copy of all three layers at once; argpartition sees the
         # exact buffer the scalar kernel builds (identical values *and*
         # identical tie resolution), and one broadcast gather + one max
-        # replace three of each.
+        # serve both extents.
         sub = np.ascontiguousarray(self._full[:, sel, sel])
         neighbor_idx = sub[0].argpartition(k - 1, axis=1)[:, :k]
-        gathered = sub[:, self._rows[:m], neighbor_idx].max(axis=2)
-        return KnnResult(
-            kth_distance=gathered[0],
-            eps_x=gathered[1],
-            eps_y=gathered[2],
-            indices=neighbor_idx,
-        )
-
-
-class GridIndex:
-    """Uniform grid over 2-D points supporting Chebyshev k-NN queries.
-
-    The plane is partitioned into square cells whose side is chosen so the
-    average occupancy is a small constant.  A k-NN query expands rings of
-    cells around the query cell; a ring at radius ``r`` guarantees every
-    uncollected point is at Chebyshev distance > ``(r - 1) * cell``, which
-    gives a correct stopping rule.
-    """
-
-    def __init__(self, x: AnyArray, y: AnyArray, target_per_cell: float = 2.0) -> None:
-        x = np.asarray(x, dtype=np.float64).ravel()
-        y = np.asarray(y, dtype=np.float64).ravel()
-        if x.size != y.size:
-            raise ValueError("x and y must have equal length")
-        if x.size == 0:
-            raise ValueError("cannot index an empty point set")
-        self._x = x
-        self._y = y
-        m = x.size
-        span_x = float(x.max() - x.min())
-        span_y = float(y.max() - y.min())
-        span = max(span_x, span_y)
-        if span <= 0.0:
-            # All points coincide in at least one layout; one cell suffices.
-            self._cell = 1.0
-        else:
-            n_cells_per_axis = max(1, int(np.sqrt(m / target_per_cell)))
-            self._cell = span / n_cells_per_axis
-        self._x0 = float(x.min())
-        self._y0 = float(y.min())
-        self._buckets: Dict[Tuple[int, int], List[int]] = {}
-        cx = ((x - self._x0) / self._cell).astype(np.int64)
-        cy = ((y - self._y0) / self._cell).astype(np.int64)
-        for i in range(m):
-            self._buckets.setdefault((int(cx[i]), int(cy[i])), []).append(i)
-        self._cx = cx
-        self._cy = cy
-
-    def _ring_cells(self, cx: int, cy: int, r: int) -> Iterator[Tuple[int, int]]:
-        if r == 0:
-            yield (cx, cy)
-            return
-        for gx in range(cx - r, cx + r + 1):
-            yield (gx, cy - r)
-            yield (gx, cy + r)
-        for gy in range(cy - r + 1, cy + r):
-            yield (cx - r, gy)
-            yield (cx + r, gy)
-
-    def knn(self, i: int, k: int) -> Tuple[IntArray, FloatArray]:
-        """Return ``(indices, distances)`` of the k nearest neighbors of point i.
-
-        Distances are Chebyshev; the query point itself is excluded.
-        """
-        x, y = self._x, self._y
-        qx, qy = x[i], y[i]
-        cx, cy = int(self._cx[i]), int(self._cy[i])
-        seen = 0
-        r = 0
-        # Expand rings until the k-th best distance is certainly final,
-        # scoring only the candidates each new ring contributes and folding
-        # them into a running top-k (never re-scanning earlier rings).
-        best_idx = np.empty(0, dtype=np.int64)
-        best_dist = np.empty(0)
-        while True:
-            fresh: List[int] = []
-            for cell in self._ring_cells(cx, cy, r):
-                bucket = self._buckets.get(cell)
-                if bucket:
-                    fresh.extend(bucket)
-            if fresh:
-                cand = np.asarray([c for c in fresh if c != i], dtype=np.int64)
-                if cand.size:
-                    seen += cand.size
-                    d = np.maximum(np.abs(x[cand] - qx), np.abs(y[cand] - qy))
-                    merged_idx = np.concatenate((best_idx, cand))
-                    merged_dist = np.concatenate((best_dist, d))
-                    if merged_idx.size > k:
-                        order = np.argpartition(merged_dist, k - 1)[:k]
-                        best_idx = merged_idx[order]
-                        best_dist = merged_dist[order]
-                    else:
-                        best_idx = merged_idx
-                        best_dist = merged_dist
-            # Every point not yet visited lies in a ring at radius > r,
-            # hence at distance > (r) * cell - offset; the safe bound is
-            # (r) * cell because the query point can sit on a cell border.
-            if best_idx.size >= k and best_dist.max() <= r * self._cell:
-                break
-            r += 1
-            if r > 2 * max(1, int(np.sqrt(x.size))) + 2 and seen:
-                # Degenerate layouts (all points stacked in few cells):
-                # fall back to scanning the full point set.
-                cand = np.asarray([j for j in range(x.size) if j != i], dtype=np.int64)
-                d = np.maximum(np.abs(x[cand] - qx), np.abs(y[cand] - qy))
-                order = np.argpartition(d, k - 1)[:k]
-                best_idx = cand[order]
-                best_dist = d[order]
-                break
-        return best_idx, best_dist
-
-
-def chebyshev_knn_grid(x: AnyArray, y: AnyArray, k: int) -> KnnResult:
-    """Grid-index based k-NN search; same contract as the brute-force backend."""
-    x, y = _validate_xy(x, y, k)
-    m = x.size
-    index = GridIndex(x, y)
-    kth_distance = np.empty(m)
-    eps_x = np.empty(m)
-    eps_y = np.empty(m)
-    indices = np.empty((m, k), dtype=np.int64)
-    for i in range(m):
-        idx, dist = index.knn(i, k)
-        indices[i] = idx
-        kth_distance[i] = dist.max()
-        eps_x[i] = np.abs(x[idx] - x[i]).max()
-        eps_y[i] = np.abs(y[idx] - y[i]).max()
-    return KnnResult(kth_distance=kth_distance, eps_x=eps_x, eps_y=eps_y, indices=indices)
+        gathered = sub[1:, self._rows[:m], neighbor_idx].max(axis=2)
+        return KnnResult(eps_x=gathered[0], eps_y=gathered[1])
 
 
 def marginal_counts(

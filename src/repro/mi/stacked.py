@@ -11,8 +11,10 @@ delta-ring, seeding delay grid or set of noise probes is one call,
 whatever its mix of sizes; equal-size rows (``sizes=None``) are the same
 call with no padding.
 
-Every row is bit-identical to the per-window reference --
-:meth:`repro.mi.ksg.KSGEstimator.mi` on the brute-force backend and
+:meth:`repro.mi.ksg.KSGEstimator.mi` is one row of the same call, so
+this is the only KSG kernel.  Every row is bit-identical to the
+per-window reference -- :meth:`~repro.mi.ksg.KSGEstimator.mi_from_geometry`
+over :func:`repro.mi.neighbors.chebyshev_knn_bruteforce`, and
 :func:`repro.mi.entropy.binned_joint_entropy` -- and padding cannot
 change that:
 
@@ -246,15 +248,15 @@ def ksg_mi_many(xy: FloatArray, k: int, sizes: Optional[IntArray] = None) -> Flo
             window ``i``'s x samples and ``xy[1, i]`` the paired y samples,
             padded as :func:`gather_rows` pads them.
         k: configured neighbor count; a window of ``m`` samples uses
-            ``min(k, m - 1)``, as
-            :meth:`~repro.mi.ksg.KSGEstimator.effective_k` does.
+            ``min(k, m - 1)``.
         sizes: each row's sample count, non-decreasing; None when every
             row holds ``M`` samples.
 
     Returns:
-        ``(W,)`` float64 estimates, row ``i`` bit-identical to
-        ``KSGEstimator(k, backend="bruteforce").mi(x_i, y_i)``
-        on its ``sizes[i]`` real samples.
+        ``(W,)`` float64 estimates, row ``i`` bit-identical to the
+        per-window reference ``mi_from_geometry`` over
+        ``chebyshev_knn_bruteforce(x_i, y_i, min(k, m - 1))`` on its
+        ``sizes[i]`` real samples.
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")

@@ -153,6 +153,30 @@ class TestScoreManyEquality:
             assert batched.cache_hits == reference.cache_hits
 
 
+class TestLongWindows:
+    """Windows of 4,096 samples and more join the padded pass."""
+
+    @pytest.mark.parametrize("make_pair", [_coupled_pair, _tied_pair])
+    def test_value_many_equals_scalar_values(self, make_pair):
+        x, y = make_pair(n=4200)
+        config = TycosConfig(s_min=8, s_max=4150, td_max=6)
+        # One short window pads out to the longest row.
+        windows = [
+            TimeDelayWindow(start=20, end=20 + size - 1, delay=delay)
+            for size, delay in ((40, 1), (4000, -2), (4095, 3), (4096, 0), (4097, -6))
+        ]
+        scalar = BatchScorer(PairView(x, y), config)
+        batched = BatchScorer(PairView(x, y), config)
+
+        def unbatched(window):
+            raise AssertionError(f"{window} left the padded pass")
+
+        batched.score = unbatched
+        values = batched.value_many(*_arrays(windows))
+        assert [v.hex() for v in values.tolist()] == [scalar.value(w).hex() for w in windows]
+        assert batched.evaluations == scalar.evaluations == len(windows)
+
+
 class TestStackedRings:
     """``value_many`` on tied unjittered data equals sequential ``score()``."""
 

@@ -16,7 +16,7 @@ from repro.mi.ksg import ksg_mi
 def _batch(x, y, ids, k=4):
     xs = np.array([x[i] for i in sorted(ids)])
     ys = np.array([y[i] for i in sorted(ids)])
-    return ksg_mi(xs, ys, k=k, backend="bruteforce")
+    return ksg_mi(xs, ys, k=k)
 
 
 class TestSlidingBasics:

@@ -40,21 +40,11 @@ class TestKsgAccuracy:
         transformed = ksg_mi(np.exp(x / 3.0), y)
         assert transformed == pytest.approx(base, abs=0.12)
 
-    def test_backends_agree(self, correlated_gaussian):
-        x, y = correlated_gaussian
-        assert ksg_mi(x, y, backend="bruteforce") == pytest.approx(
-            ksg_mi(x, y, backend="grid"), abs=1e-10
-        )
-
 
 class TestKsgValidation:
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError, match="k must be"):
             KSGEstimator(k=0)
-
-    def test_rejects_bad_backend(self):
-        with pytest.raises(ValueError, match="backend"):
-            KSGEstimator(backend="quantum")
 
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(ValueError, match="equal length"):
@@ -65,11 +55,12 @@ class TestKsgValidation:
             ksg_mi(np.array([1.0]), np.array([1.0]))
 
     def test_small_sample_uses_reduced_k(self):
-        # 4 samples with default k=4: effective k shrinks to m-1 = 3.
-        est = KSGEstimator(k=4)
-        assert est.effective_k(4) == 3
-        value = est.mi(np.array([0.0, 1.0, 2.0, 3.0]), np.array([0.0, 1.1, 1.9, 3.2]))
+        # 4 samples with default k=4: the neighbor count shrinks to m-1 = 3.
+        x = np.array([0.0, 1.0, 2.0, 3.0])
+        y = np.array([0.0, 1.1, 1.9, 3.2])
+        value = KSGEstimator(k=4).mi(x, y)
         assert np.isfinite(value)
+        assert value == KSGEstimator(k=3).mi(x, y)
 
 
 class TestKsgProperties:

@@ -1,16 +1,11 @@
-"""Tests for the Chebyshev k-NN backends and marginal counting."""
+"""Tests for the brute-force Chebyshev k-NN reference and marginal counting."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mi.neighbors import (
-    GridIndex,
-    chebyshev_knn_bruteforce,
-    chebyshev_knn_grid,
-    marginal_counts,
-)
+from repro.mi.neighbors import chebyshev_knn_bruteforce, marginal_counts
 
 
 def _reference_knn(x, y, k):
@@ -29,30 +24,35 @@ class TestBruteforceKnn:
         y = rng.normal(size=40)
         result = chebyshev_knn_bruteforce(x, y, 3)
         expected = _reference_knn(x, y, 3)
-        np.testing.assert_allclose(result.kth_distance, expected)
+        # The k-th neighbor distance is the larger rectangle extent.
+        np.testing.assert_array_equal(np.maximum(result.eps_x, result.eps_y), expected)
 
     def test_eps_bounds_kth_distance(self, rng):
         x = rng.normal(size=60)
         y = rng.normal(size=60)
         r = chebyshev_knn_bruteforce(x, y, 4)
-        # The rectangle extents can never exceed the Chebyshev radius.
-        assert np.all(r.eps_x <= r.kth_distance + 1e-12)
-        assert np.all(r.eps_y <= r.kth_distance + 1e-12)
-        # And the radius is the max of the two extents.
-        np.testing.assert_allclose(np.maximum(r.eps_x, r.eps_y), r.kth_distance)
+        kth = _reference_knn(x, y, 4)
+        # The rectangle extents can never exceed the Chebyshev radius...
+        assert np.all(r.eps_x <= kth)
+        assert np.all(r.eps_y <= kth)
+        # ...and the radius is the max of the two extents.
+        np.testing.assert_array_equal(np.maximum(r.eps_x, r.eps_y), kth)
 
     def test_neighbor_indices_exclude_self(self, rng):
+        # Distinct points: a point counted as its own neighbor would put
+        # a zero-distance neighbor in every rectangle.
         x = rng.normal(size=30)
         y = rng.normal(size=30)
-        r = chebyshev_knn_bruteforce(x, y, 2)
-        for i in range(30):
-            assert i not in r.indices[i]
+        r = chebyshev_knn_bruteforce(x, y, 1)
+        assert np.all(np.maximum(r.eps_x, r.eps_y) > 0.0)
+        np.testing.assert_array_equal(np.maximum(r.eps_x, r.eps_y), _reference_knn(x, y, 1))
 
     def test_k_equals_one(self):
         x = np.array([0.0, 1.0, 3.0])
         y = np.array([0.0, 0.0, 0.0])
         r = chebyshev_knn_bruteforce(x, y, 1)
-        np.testing.assert_allclose(r.kth_distance, [1.0, 1.0, 2.0])
+        np.testing.assert_array_equal(np.maximum(r.eps_x, r.eps_y), [1.0, 1.0, 2.0])
+        np.testing.assert_array_equal(r.eps_y, [0.0, 0.0, 0.0])
 
     def test_rejects_k_too_large(self):
         with pytest.raises(ValueError, match="more than k"):
@@ -66,51 +66,6 @@ class TestBruteforceKnn:
         x = np.array([0.0, np.nan, 1.0, 2.0])
         with pytest.raises(ValueError, match="finite"):
             chebyshev_knn_bruteforce(x, np.arange(4.0), 2)
-
-
-class TestGridKnn:
-    def test_matches_bruteforce_on_random_data(self, rng):
-        x = rng.normal(size=200)
-        y = rng.normal(size=200)
-        a = chebyshev_knn_bruteforce(x, y, 4)
-        b = chebyshev_knn_grid(x, y, 4)
-        np.testing.assert_allclose(a.kth_distance, b.kth_distance)
-        np.testing.assert_allclose(a.eps_x, b.eps_x)
-        np.testing.assert_allclose(a.eps_y, b.eps_y)
-
-    def test_matches_bruteforce_on_clustered_data(self, rng):
-        # Heavy clustering stresses the ring-expansion stopping rule.
-        x = np.concatenate([rng.normal(scale=0.01, size=100), rng.normal(10, 1, size=50)])
-        y = np.concatenate([rng.normal(scale=0.01, size=100), rng.normal(-5, 1, size=50)])
-        a = chebyshev_knn_bruteforce(x, y, 5)
-        b = chebyshev_knn_grid(x, y, 5)
-        np.testing.assert_allclose(a.kth_distance, b.kth_distance)
-
-    def test_single_query(self, rng):
-        x = rng.normal(size=50)
-        y = rng.normal(size=50)
-        index = GridIndex(x, y)
-        idx, dist = index.knn(7, 3)
-        assert len(idx) == 3
-        full = np.maximum(np.abs(x - x[7]), np.abs(y - y[7]))
-        full[7] = np.inf
-        np.testing.assert_allclose(sorted(dist), sorted(np.sort(full)[:3]))
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError, match="empty"):
-            GridIndex(np.empty(0), np.empty(0))
-
-    @given(st.integers(min_value=10, max_value=80), st.integers(min_value=1, max_value=5))
-    @settings(max_examples=25, deadline=None)
-    def test_property_grid_equals_bruteforce(self, m, k):
-        rng = np.random.default_rng(m * 31 + k)
-        x = rng.uniform(-5, 5, size=m)
-        y = rng.uniform(-5, 5, size=m)
-        if m <= k:
-            return
-        a = chebyshev_knn_bruteforce(x, y, k)
-        b = chebyshev_knn_grid(x, y, k)
-        np.testing.assert_allclose(a.kth_distance, b.kth_distance)
 
 
 class TestMarginalCounts:

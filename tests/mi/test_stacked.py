@@ -1,10 +1,12 @@
 """Bit-exactness gate of the stacked KSG / binned-entropy kernels.
 
 ``repro.mi.stacked`` scores W windows in one pass, padded to the largest
-size; every row must equal the per-window reference -- ``KSGEstimator.mi``
-on the brute-force backend and ``binned_joint_entropy`` on its real
-samples -- to the last bit, so the comparisons below are on
-``float.hex()`` strings, not tolerances.
+size; every row must equal the per-window reference --
+``mi_from_geometry`` over ``chebyshev_knn_bruteforce``, and
+``binned_joint_entropy``, on its real samples -- to the last bit, so the
+comparisons below are on ``float.hex()`` strings, not tolerances.
+``KSGEstimator.mi`` is itself one row of the stacked kernel, so it is
+gated against the same reference rather than serving as one.
 """
 
 import numpy as np
@@ -58,9 +60,14 @@ def _hex(values):
     return [float(v).hex() for v in values]
 
 
+def _reference_mi(x, y, k):
+    """The per-window KSG reference: brute-force geometry, then Eq. (2)."""
+    k = min(k, x.size - 1)
+    return KSGEstimator().mi_from_geometry(x, y, chebyshev_knn_bruteforce(x, y, k), k)
+
+
 def _reference(xs, ys, k):
-    estimator = KSGEstimator(k=k, backend="bruteforce")
-    mis = [estimator.mi(x, y) for x, y in zip(xs, ys)]
+    mis = [_reference_mi(x, y, k) for x, y in zip(xs, ys)]
     entropies = [binned_joint_entropy(x, y) for x, y in zip(xs, ys)]
     return _hex(mis), _hex(entropies)
 
@@ -91,7 +98,8 @@ class TestStackedEqualsPerWindow:
         rng = np.random.default_rng(m * 10 + draw)
         xs, ys = _tied_rows(rng, 5, m)
         estimator = KSGEstimator(k=m - 1 + extra)
-        expected = _hex(estimator.mi(x, y) for x, y in zip(xs, ys))
+        expected = _hex(_reference_mi(x, y, m - 1) for x, y in zip(xs, ys))
+        assert _hex(estimator.mi(x, y) for x, y in zip(xs, ys)) == expected
         assert _hex(estimator.mi_many(xs, ys)) == expected
         assert _hex(ksg_mi_many(np.stack((xs, ys)), m - 1)) == expected
 
@@ -116,7 +124,7 @@ class TestStackedEqualsPerWindow:
         """Gathering from the shared table equals finishing each window
         from direct scipy digamma evaluations."""
         rng = np.random.default_rng(3)
-        estimator = KSGEstimator(k=4, backend="bruteforce")
+        estimator = KSGEstimator(k=4)
         for m in (24, 60):  # both marginal-count constructions
             xs, ys = _tied_rows(rng, 9, m)
             direct = np.asarray(digamma_direct(np.arange(1, m + 1)), dtype=np.float64)
@@ -170,9 +178,8 @@ class TestMixedSizes:
     def test_rows_match_reference_bits(self, sizes, rows, draw):
         pairs = _mixed_rows(rows, self.SIZES[sizes], len(sizes) + draw)
         xy, lengths = _padded(pairs)
-        estimator = KSGEstimator(k=4, backend="bruteforce")
         pairs = [(x, y) for x, y in sorted(pairs, key=lambda xy: len(xy[0]))]
-        expected_mi = _hex(estimator.mi(x, y) for x, y in pairs)
+        expected_mi = _hex(_reference_mi(x, y, 4) for x, y in pairs)
         expected_h = _hex(binned_joint_entropy(x, y) for x, y in pairs)
         assert _hex(ksg_mi_many(xy, 4, lengths)) == expected_mi
         assert _hex(binned_joint_entropy_many(xy, lengths)) == expected_h
@@ -185,7 +192,7 @@ class TestMixedSizes:
         pairs = _mixed_rows("tied", [5, 9, 12, 18, 21], 17)[:11]
         xy, lengths = _padded(pairs)
         pairs = sorted(pairs, key=lambda xy: len(xy[0]))
-        expected = _hex(KSGEstimator(k=4).mi(x, y) for x, y in pairs)
+        expected = _hex(_reference_mi(x, y, 4) for x, y in pairs)
         monkeypatch.setattr(stacked, "CHUNK_ELEMENTS", budget)
         assert _hex(ksg_mi_many(xy, 4, lengths)) == expected
 
@@ -263,14 +270,23 @@ class TestMarginalCountsMany:
         assert np.array_equal(marginal_counts_many(values, radii), expected)
 
 
-class TestEstimatorMiMany:
-    def test_other_backends_loop_over_mi(self):
-        rng = np.random.default_rng(5)
-        xs, ys = _continuous_rows(rng, 4, 40)
-        estimator = KSGEstimator(k=4, backend="kdtree")
-        expected = _hex(estimator.mi(x, y) for x, y in zip(xs, ys))
-        assert _hex(estimator.mi_many(xs, ys)) == expected
+class TestEstimatorMi:
+    """``KSGEstimator.mi`` -- one row of the stacked kernel -- equals the
+    per-window reference."""
 
+    # 31 / 33 straddle the m = 32 marginal-count switch; a single row of
+    # 200 or 400 samples spans 2 or 5 point blocks.
+    @pytest.mark.parametrize("m", [2, 5, 31, 33, 200, 400])
+    @pytest.mark.parametrize("rows", sorted(ROWS))
+    def test_mi_matches_reference_bits(self, m, rows):
+        rng = np.random.default_rng(m * 10 + 5)
+        xs, ys = ROWS[rows](rng, 3, m)
+        estimator = KSGEstimator(k=4)
+        expected = _hex(_reference_mi(x, y, 4) for x, y in zip(xs, ys))
+        assert _hex(estimator.mi(x, y) for x, y in zip(xs, ys)) == expected
+
+
+class TestEstimatorMiMany:
     def test_empty_batch(self):
         out = KSGEstimator().mi_many(np.empty((0, 12)), np.empty((0, 12)))
         assert out.shape == (0,)

@@ -86,7 +86,9 @@ FAST_PATH_GATES: Dict[str, str] = {
     "repro.mi.digamma": "direct scipy.special.digamma evaluation",
     "repro.mi.neighbors": "per-window np.sort / scalar KSG geometry",
     "repro.mi.incremental": "full KSG re-estimation per window",
-    "repro.mi.stacked": "per-window KSGEstimator.mi + binned_joint_entropy",
+    "repro.mi.stacked": (
+        "per-window chebyshev_knn_bruteforce + mi_from_geometry + binned_joint_entropy"
+    ),
     "repro.core.thresholds": "scalar per-window scoring path",
     "repro.core.pyramid": "exact full-resolution coordinate mapping",
     "repro.analysis.parallel": "the serial pairwise scan",
