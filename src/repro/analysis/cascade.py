@@ -22,6 +22,8 @@ cost and most pairs are obviously unrelated.  This module prunes pairs
    count.
 2. **Coarse NMI screen** (:func:`coarse_nmi_score`): the repository's
    one coarse-NMI filtering mechanism, run only on stage-1 survivors.
+   It stops at the first stacked row of probes that reaches its cut,
+   so only the pairs it prunes pay for every probe.
 3. **Full TYCOS search**: :func:`repro.analysis.pairwise.scan_pairs`
    (serial or pooled) on pairs that passed both screens, in the
    original pair order.
@@ -68,7 +70,7 @@ from repro.baselines.mass import mass_distance_profile
 from repro.baselines.pearson import sliding_pcc_band
 from repro.core.config import TycosConfig
 from repro.core.tycos import Tycos
-from repro.mi.normalized import normalized_mi
+from repro.mi.normalized import normalized_mi, normalized_mi_many
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.analysis.planner import SearchPlan
@@ -92,6 +94,7 @@ def coarse_nmi_score(
     probe: int = 128,
     stride: int = 3,
     td_max: int = 0,
+    cut: float = float("inf"),
 ) -> float:
     """A cheap relatedness score: best normalized MI over coarse probes.
 
@@ -100,7 +103,9 @@ def coarse_nmi_score(
     flat noise is unlikely to reward a full TYCOS run.  When ``td_max``
     is positive every delay in ``[-td_max, td_max]`` is probed at each
     position, because a lagged coupling carries *no* aligned information
-    at all.
+    at all.  Each position's ``2 * td_max + 1`` probes are one stacked
+    :func:`repro.mi.normalized.normalized_mi_many` pass, bit-identical
+    to scoring them one by one.
 
     Args:
         x: first series.
@@ -108,13 +113,20 @@ def coarse_nmi_score(
         probe: probe window size.
         stride: number of probe positions (evenly spaced).
         td_max: largest |delay| to probe.
+        cut: stop after the first position whose best probe reaches it.
+            The default ``inf`` scores every position.
 
     Returns:
-        The maximum normalized MI over all probes.  Series too short for
-        one probe at every delay get the aligned NMI of their whole
-        length when ``td_max`` is 0, and ``inf`` otherwise: an aligned
-        score says nothing about a lagged coupling, so the screen
-        abstains rather than prune on it.
+        The maximum normalized MI over the probes scored: over all of
+        them when none reaches ``cut``, so ``score < cut`` exactly when
+        the full maximum is below ``cut``.  Series too short for one
+        probe at every delay get the aligned NMI of their whole length
+        when ``td_max`` is 0, and ``inf`` otherwise: an aligned score
+        says nothing about a lagged coupling, so the screen abstains
+        rather than prune on it.
+
+    Raises:
+        ValueError: when a scored probe holds a NaN or an ``inf``.
     """
     n = min(x.size, y.size)
     if n < probe + 2 * td_max:
@@ -123,10 +135,12 @@ def coarse_nmi_score(
         return normalized_mi(x[:n], y[:n]) if n >= 8 else 0.0
     best = 0.0
     positions = np.linspace(td_max, n - probe - td_max, stride).astype(int)
-    for s in positions:
-        xw = x[s : s + probe]
-        for tau in range(-td_max, td_max + 1):
-            best = max(best, normalized_mi(xw, y[s + tau : s + tau + probe]))
+    lagged = np.lib.stride_tricks.sliding_window_view(y[:n], probe)
+    for s in positions.tolist():
+        xs = np.broadcast_to(x[s : s + probe], (2 * td_max + 1, probe))
+        best = max(best, float(normalized_mi_many(xs, lagged[s - td_max : s + td_max + 1]).max()))
+        if best >= cut:
+            break
     return best
 
 
@@ -355,7 +369,7 @@ def cascade_scan(
         if min(x.size, y.size) < 8:
             return "search"  # too short for any NMI probe: the screen abstains
         try:
-            nmi_score = coarse_nmi_score(x, y, td_max=config.td_max)
+            nmi_score = coarse_nmi_score(x, y, td_max=config.td_max, cut=nmi_cut)
         except Exception:  # noqa: BLE001 - a crashed screen abstains
             nmi_score = float("inf")
         if nmi_score < nmi_cut:

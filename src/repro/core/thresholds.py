@@ -35,6 +35,10 @@ from repro.mi.stacked import binned_joint_entropy_many, gather_rows, ksg_mi_many
 
 __all__ = ["WindowScore", "BatchScorer", "IncrementalScorer", "TopKFilter", "make_scorer"]
 
+#: A memo entry: the ``(mi, nmi, ratio)`` fields of a :class:`WindowScore`.
+ScoreTuple = Tuple[float, float, float]
+
+
 @dataclass(frozen=True)
 class WindowScore:
     """MI readings of one window.
@@ -54,9 +58,11 @@ class WindowScore:
 class BatchScorer:
     """Scores windows by running the KSG estimator from scratch each time.
 
-    The memo table is a capped LRU (``config.cache_capacity``): long
-    multi-restart searches revisit mostly recent windows, so bounding the
-    table costs no meaningful hit rate while keeping memory flat.
+    The memo table is a capped LRU (``config.cache_capacity``) of plain
+    ``(mi, nmi, ratio)`` tuples, which :meth:`score` wraps in a
+    :class:`WindowScore` on the way out: long multi-restart searches
+    revisit mostly recent windows, so bounding the table costs no
+    meaningful hit rate while keeping memory flat.
 
     :meth:`score` estimates one window at a time (the scalar reference);
     :meth:`value_many` scores a whole window set in one pass of the
@@ -72,7 +78,7 @@ class BatchScorer:
         self._pair = pair
         self._config = config
         self._estimator = KSGEstimator(k=config.k)
-        self._cache: "OrderedDict[WindowKey, WindowScore]" = OrderedDict()
+        self._cache: "OrderedDict[WindowKey, ScoreTuple]" = OrderedDict()
         self._cache_capacity = config.cache_capacity
         self.evaluations = 0
         self.cache_hits = 0
@@ -92,7 +98,7 @@ class BatchScorer:
         hit = self._cache_get(window.key())
         if hit is not None:
             self.cache_hits += 1
-            return hit
+            return WindowScore(*hit)
         return self._evaluate(window)
 
     def value(self, window: TimeDelayWindow) -> float:
@@ -116,52 +122,70 @@ class BatchScorer:
         :func:`~repro.mi.stacked.binned_joint_entropy_many` call, then
         normalized as arrays.  One walk in input order then stores each
         such new window and serves each memo hit, a repeat inside the
-        batch included.  Everything else goes through :meth:`score` in
-        that walk: windows outside the series (which raise there),
-        on-trajectory engine evaluations in the incremental subclass, and
-        hits evicted since the peek.
+        batch included, as plain score tuples.  Everything else goes
+        through :meth:`value` in that walk: windows outside the series
+        (which raise there), on-trajectory engine evaluations in the
+        incremental subclass, and hits evicted since the peek.
         """
         starts, ends, delays = (np.asarray(a, dtype=np.int64) for a in (starts, ends, delays))
         stackable = self._batch_mask(starts, ends, delays).tolist()
         keys: List[WindowKey] = list(zip(starts.tolist(), ends.tolist(), delays.tolist()))
+        cache = self._cache
         fresh: Dict[WindowKey, int] = {}
         for i, key in enumerate(keys):
-            if stackable[i] and key not in self._cache and key not in fresh:
+            if stackable[i] and key not in cache and key not in fresh:
                 fresh[key] = i
-        scores: Dict[WindowKey, WindowScore] = {}
+        scores: Dict[WindowKey, ScoreTuple] = {}
         if fresh:
             positions = np.fromiter(fresh.values(), dtype=np.intp, count=len(fresh))
             mi, entropy = self._stacked(starts[positions], ends[positions], delays[positions])
             nmi, ratio = normalize_ratios(mi, entropy)
-            scores = dict(zip(fresh, map(WindowScore, mi.tolist(), nmi.tolist(), ratio.tolist())))
-        normalized = self._config.use_normalized
+            scores = dict(zip(fresh, zip(mi.tolist(), nmi.tolist(), ratio.tolist())))
+        field = 2 if self._config.use_normalized else 0  # ratio or mi
+        take, get, refresh, store = scores.pop, cache.get, cache.move_to_end, self._store
         values: List[float] = []
+        hits = 0
         for key in keys:
-            score = scores.pop(key, None)
+            score = take(key, None)
             if score is not None:
-                self._store(key, score)
+                store(key, score)
             else:
-                score = self._cache_get(key)
+                score = get(key)
                 if score is None:
-                    score = self.score(TimeDelayWindow(*key))
-                else:
-                    self.cache_hits += 1
-            values.append(score.ratio if normalized else score.mi)
+                    self.cache_hits += hits
+                    hits = 0
+                    values.append(self.value(TimeDelayWindow(*key)))
+                    continue
+                refresh(key)
+                hits += 1
+            values.append(score[field])
+        self.cache_hits += hits
         return np.array(values, dtype=np.float64)
 
     # -- memo table (capped LRU) --------------------------------------- #
 
-    def _cache_get(self, key: WindowKey) -> Optional[WindowScore]:
+    def _cache_get(self, key: WindowKey) -> Optional[ScoreTuple]:
         hit = self._cache.get(key)
         if hit is not None:
             self._cache.move_to_end(key)
         return hit
 
-    def _cache_put(self, key: WindowKey, score: WindowScore) -> None:
-        self._cache[key] = score
-        self._cache.move_to_end(key)
-        if len(self._cache) > self._cache_capacity:
-            self._cache.popitem(last=False)
+    def _store(self, key: WindowKey, score: ScoreTuple) -> None:
+        """Contract-check, memoize and count one newly evaluated window.
+
+        The one memo write path: ``key`` is not in the memo, so it lands
+        at the most-recent end, and the least recent entry goes once the
+        memo outgrows its capacity.
+        """
+        if contracts.checks_enabled():
+            where = f"{type(self).__name__}.score"
+            contracts.check_mi_finite(score[0], where=where)
+            contracts.check_nmi_range(score[1], where=where)
+        cache = self._cache
+        cache[key] = score
+        if len(cache) > self._cache_capacity:
+            cache.popitem(last=False)
+        self.evaluations += 1
 
     # -- stacked scoring ------------------------------------------------ #
 
@@ -198,18 +222,9 @@ class BatchScorer:
 
     def _finish(self, window: TimeDelayWindow, mi: float, entropy: float) -> WindowScore:
         """Normalize, contract-check, memoize and count one evaluation."""
-        score = WindowScore(mi, normalize_value(mi, entropy), normalize_ratio(mi, entropy))
+        score = (mi, normalize_value(mi, entropy), normalize_ratio(mi, entropy))
         self._store(window.key(), score)
-        return score
-
-    def _store(self, key: WindowKey, score: WindowScore) -> None:
-        """Contract-check, memoize and count one evaluated window."""
-        if contracts.checks_enabled():
-            where = f"{type(self).__name__}.score"
-            contracts.check_mi_finite(score.mi, where=where)
-            contracts.check_nmi_range(score.nmi, where=where)
-        self._cache_put(key, score)
-        self.evaluations += 1
+        return WindowScore(*score)
 
 
 class IncrementalScorer(BatchScorer):
@@ -270,7 +285,7 @@ class IncrementalScorer(BatchScorer):
         hit = self._cache_get(window.key())
         if hit is not None:
             self.cache_hits += 1
-            return hit
+            return WindowScore(*hit)
         if window.size < self.min_engine_size or (
             self._trajectory_delay is not None and window.delay != self._trajectory_delay
         ):

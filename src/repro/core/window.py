@@ -86,14 +86,6 @@ class TimeDelayWindow:
         """True when the X intervals of the two windows intersect."""
         return self.start <= other.end and other.start <= self.end
 
-    def overlap_fraction(self, other: "TimeDelayWindow") -> float:
-        """Jaccard overlap of the two X intervals, in [0, 1]."""
-        inter = min(self.end, other.end) - max(self.start, other.start) + 1
-        if inter <= 0:
-            return 0.0
-        union = max(self.end, other.end) - min(self.start, other.start) + 1
-        return inter / union
-
     def is_consecutive_with(self, other: "TimeDelayWindow") -> bool:
         """Definition 6.2: ``other`` starts right after this window ends,
         with the same delay."""

@@ -23,8 +23,15 @@ from repro import contracts
 from repro._types import AnyArray, FloatArray
 from repro.mi.entropy import binned_joint_entropy
 from repro.mi.ksg import KSGEstimator
+from repro.mi.stacked import binned_joint_entropy_many
 
-__all__ = ["normalized_mi", "normalize_value", "normalize_ratio", "normalize_ratios"]
+__all__ = [
+    "normalized_mi",
+    "normalized_mi_many",
+    "normalize_value",
+    "normalize_ratio",
+    "normalize_ratios",
+]
 
 # Entropy floor: below this the window is essentially constant and carries
 # no usable information, so its normalized MI is defined as 0.
@@ -91,3 +98,33 @@ def normalized_mi(
     if contracts.checks_enabled():
         contracts.check_nmi_range(value, where="normalized_mi")
     return value
+
+
+def normalized_mi_many(xs: AnyArray, ys: AnyArray, k: int = 4) -> FloatArray:
+    """Normalized MI of ``W`` equal-size paired samples, one per row.
+
+    One stacked pass of :meth:`KSGEstimator.mi_many` and
+    :func:`repro.mi.stacked.binned_joint_entropy_many`, normalized by
+    :func:`normalize_ratios`; row ``i`` is bit-identical to
+    ``normalized_mi(xs[i], ys[i], k)``.
+
+    Args:
+        xs: samples of the first series, shape ``(W, m)``.
+        ys: paired samples of the second series, shape ``(W, m)``.
+        k: KSG neighbor count.
+
+    Returns:
+        ``(W,)`` float64 scores in [0, 1].
+
+    Raises:
+        ValueError: as :meth:`KSGEstimator.mi_many` -- on mismatched
+            shapes, fewer than 2 samples per row or non-finite values.
+    """
+    xs = np.asarray(xs, dtype=np.float64)
+    ys = np.asarray(ys, dtype=np.float64)
+    mi = KSGEstimator(k=k).mi_many(xs, ys)
+    values, _ = normalize_ratios(mi, binned_joint_entropy_many(np.stack((xs, ys))))
+    if contracts.checks_enabled():
+        for value in values.tolist():
+            contracts.check_nmi_range(value, where="normalized_mi_many")
+    return values

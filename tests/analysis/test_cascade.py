@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import repro.analysis.cascade as cascade_mod
-from repro.analysis.cascade import cascade_scan, fft_screen_score, main
+from repro.analysis.cascade import cascade_scan, coarse_nmi_score, fft_screen_score, main
 from repro.analysis.pairwise import scan_pairs
 from repro.analysis.planner import SearchPlan
 from repro.analysis.store import DATA_FILENAME, MANIFEST_FILENAME, SeriesStore
@@ -325,6 +325,95 @@ class TestScreens:
         assert len(reference.failures) == 7
         assert report.failures == reference.failures
         assert not [pair for pair in report.skipped if {"w1", "w3"} & set(pair)]
+
+
+def _probe_pair(plant, n=600, probe=128, td_max=4, seed=3):
+    """A white-noise pair, coupled at lag 2 at one of the three probe positions.
+
+    ``plant`` indexes the positions ``coarse_nmi_score`` probes (None
+    plants nothing): the noise probes score at most about 0.05, a
+    planted position about 0.8.
+    """
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=n)
+    y = rng.normal(size=n)
+    if plant is not None:
+        s = np.linspace(td_max, n - probe - td_max, 3).astype(int)[plant]
+        y[s + 2 : s + 2 + probe] = x[s : s + probe] + rng.normal(scale=0.2, size=probe)
+    return x, y
+
+
+class TestCoarseNmiCut:
+    """With a ``cut``, stage 2 stops at the first probe row that reaches it,
+    and decides ``score < cut`` exactly as the full maximum does."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        """The row count of every stacked probe pass ``coarse_nmi_score`` makes."""
+        calls = []
+        real = cascade_mod.normalized_mi_many
+
+        def counted(xs, ys, k=4):
+            calls.append(len(xs))
+            return real(xs, ys, k)
+
+        monkeypatch.setattr(cascade_mod, "normalized_mi_many", counted)
+        return calls
+
+    @pytest.mark.parametrize("plant, rows", [(0, 1), (1, 2), (2, 3), (None, 3)])
+    def test_verdict_matches_full_maximum(self, plant, rows, passes):
+        x, y = _probe_pair(plant)
+        full = coarse_nmi_score(x, y, td_max=4)
+        assert passes == [9, 9, 9]  # one 2 * td_max + 1 row per position
+        passes.clear()
+        score = coarse_nmi_score(x, y, td_max=4, cut=0.3)
+        assert (score < 0.3) == (full < 0.3) == (plant is None)
+        assert passes == [9] * rows
+        if plant is None:
+            assert score.hex() == full.hex()  # a pruned pair scores every probe
+
+    def test_cut_at_the_maximum_is_reached(self, passes):
+        x, y = _probe_pair(None)
+        full = coarse_nmi_score(x, y, td_max=4)
+        assert coarse_nmi_score(x, y, td_max=4, cut=full) == full
+        assert coarse_nmi_score(x, y, td_max=4, cut=np.nextafter(full, 1.0)) == full
+
+    @pytest.mark.parametrize("cut", [float("inf"), 0.3, 0.0])
+    def test_non_finite_probe_raises(self, cut):
+        # The cascade's stage 2 turns the raise into an abstention (see
+        # TestScreens::test_non_finite_series_are_never_pruned).
+        x, y = _probe_pair(0)
+        x[10] = np.nan  # inside the first position's probes
+        with pytest.raises(ValueError, match="finite"):
+            coarse_nmi_score(x, y, td_max=4, cut=cut)
+
+    @pytest.mark.parametrize("cut", [float("inf"), 0.3])
+    def test_too_short_lagged_series_abstain(self, cut):
+        x, y = np.random.default_rng(5).normal(size=(2, 135))
+        assert coarse_nmi_score(x, y, td_max=4, cut=cut) == float("inf")
+
+    def test_cascade_passes_the_stage_2_cut(self, collection, monkeypatch):
+        # Stage 1 passes every pair; each stage-2 verdict at the cut equals
+        # the verdict of the full maximum, and both kinds occur.
+        seen = []
+        real = cascade_mod.coarse_nmi_score
+
+        def spy(x, y, **kwargs):
+            score = real(x, y, **kwargs)
+            cut = kwargs["cut"]
+            seen.append((cut, score < cut, real(x, y, td_max=kwargs["td_max"]) < cut))
+            return score
+
+        monkeypatch.setattr(cascade_mod, "coarse_nmi_score", spy)
+        report = cascade_scan(
+            collection, _config(significance_permutations=0), screen_threshold=0.0,
+            nmi_threshold=0.3, screen_margin=0.25, screen_window=120,
+        )
+        assert len(seen) == report.pairs_screened == 28
+        assert {cut for cut, _, _ in seen} == {0.3 - 0.25}
+        assert all(pruned == reference for _, pruned, reference in seen)
+        assert report.pairs_pruned_nmi == sum(pruned for _, pruned, _ in seen) > 0
+        assert report.pairs_searched > 0
 
 
 class TestContainment:

@@ -7,6 +7,7 @@ from repro.core.config import TycosConfig
 from repro.core.tycos import Tycos
 from repro.core.window import TimeDelayWindow
 from repro.experiments.similarity import detects
+from tests.helpers import overlap_fraction
 
 
 def _config(**kwargs):
@@ -76,7 +77,7 @@ class TestSearchChunked:
         for r in chunked.windows:
             # Every chunked window corresponds to a region the global
             # search also flags (the converse can differ at restarts).
-            assert any(r.window.overlap_fraction(w) > 0 for w in whole_regions)
+            assert any(overlap_fraction(r.window, w) > 0 for w in whole_regions)
 
     def test_overlap_duplicates_resolved(self, rng):
         x, y = _long_pair(rng)

@@ -8,6 +8,7 @@ import pytest
 from repro.core.thresholds import BatchScorer
 from repro.core.window import TimeDelayWindow
 from repro.mi.ksg import KSGEstimator
+from repro.mi.neighbors import chebyshev_knn_bruteforce
 
 
 @pytest.fixture
@@ -36,15 +37,23 @@ def independent_pair(rng):
 def scalar_scoring(monkeypatch):
     """A context manager that scores one window per call while it is open.
 
-    It swaps ``BatchScorer.value_many`` and ``KSGEstimator.mi_many`` --
-    the stacked calls the search makes -- for per-window loops over
-    ``value`` and ``mi``: the scalar reference the stacked search paths
-    must reproduce exactly.
+    It swaps ``BatchScorer.value_many`` for a per-window loop over
+    ``value``, and ``KSGEstimator.mi`` -- one row of the stacked kernel --
+    for the per-window brute-force reference (``mi_from_geometry`` over
+    ``chebyshev_knn_bruteforce`` with ``min(k, m - 1)`` neighbours), with
+    ``KSGEstimator.mi_many`` a loop over it: the scalar reference the
+    stacked search paths must reproduce exactly.
     """
 
     def value_many(self, starts, ends, delays):
         keys = zip(*(np.asarray(a).tolist() for a in (starts, ends, delays)))
         return np.array([self.value(TimeDelayWindow(*key)) for key in keys], dtype=np.float64)
+
+    def mi(self, x, y):
+        x = np.asarray(x, dtype=np.float64).ravel()
+        y = np.asarray(y, dtype=np.float64).ravel()
+        k = min(self.k, x.size - 1)
+        return self.mi_from_geometry(x, y, chebyshev_knn_bruteforce(x, y, k), k)
 
     def mi_many(self, xs, ys):
         return np.array([self.mi(x, y) for x, y in zip(xs, ys)], dtype=np.float64)
@@ -53,6 +62,7 @@ def scalar_scoring(monkeypatch):
     def scalar():
         with monkeypatch.context() as patch:
             patch.setattr(BatchScorer, "value_many", value_many)
+            patch.setattr(KSGEstimator, "mi", mi)
             patch.setattr(KSGEstimator, "mi_many", mi_many)
             yield
 

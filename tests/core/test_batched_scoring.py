@@ -282,6 +282,37 @@ class TestEngineEquivalence:
         assert plain  # the tied pair does hold windows
         assert _counters(runs[0]) == _counters(runs[1])
 
+    @pytest.mark.parametrize("use_incremental", [False, True])
+    def test_small_memo_evicts_inside_one_batch(
+        self, use_incremental, scalar_scoring, monkeypatch
+    ):
+        # A 7-entry memo is smaller than a seeding delay grid or a ring,
+        # so value_many stores, evicts and re-scores evicted hits inside
+        # one call; the search still equals the per-window reference.
+        x, y = _coupled_pair(n=320)
+        config = TycosConfig(
+            sigma=0.3, s_min=8, s_max=48, td_max=8, jitter=1e-6, seed=2, cache_capacity=7
+        )
+        engine = Tycos(config, use_incremental=use_incremental)
+        with scalar_scoring():
+            plain = engine.search(x, y)
+        batch_sizes = []
+        real = BatchScorer.value_many
+
+        def recorded(self, starts, ends, delays):
+            batch_sizes.append(len(starts))
+            return real(self, starts, ends, delays)
+
+        monkeypatch.setattr(BatchScorer, "value_many", recorded)
+        batched = engine.search(x, y)
+        assert max(batch_sizes) > config.cache_capacity
+        assert plain.windows
+        assert [(r.window.key(), r.mi.hex()) for r in plain.windows] == [
+            (r.window.key(), r.mi.hex()) for r in batched.windows
+        ]
+        assert plain.stats.windows_evaluated == batched.stats.windows_evaluated
+        assert plain.stats.cache_hits == batched.stats.cache_hits
+
 
 class TestCappedMemo:
     def test_capacity_bounds_the_table(self):

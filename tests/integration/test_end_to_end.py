@@ -14,6 +14,7 @@ from repro.core.results import merge_overlapping
 from repro.data.composer import standard_pair
 from repro.data.energy import simulate_energy
 from repro.experiments.similarity import detects, window_set_similarity
+from tests.helpers import overlap_fraction
 
 
 class TestComposedPipeline:
@@ -63,7 +64,7 @@ class TestComposedPipeline:
         # Each top-K window lies in a region the fixed search also flagged.
         fixed_windows = [r.window for r in fixed.windows]
         for r in topk.windows:
-            assert any(r.window.overlap_fraction(w) > 0 for w in fixed_windows)
+            assert any(overlap_fraction(r.window, w) > 0 for w in fixed_windows)
 
 
 class TestSimulatedRealData:
@@ -106,4 +107,4 @@ class TestSimulatedRealData:
                 spans.append(biggest)
         anchor = spans[0]
         for other in spans[1:]:
-            assert anchor.overlap_fraction(other) > 0 or abs(anchor.start - other.start) < 200
+            assert overlap_fraction(anchor, other) > 0 or abs(anchor.start - other.start) < 200

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from repro import Tycos, TycosConfig, ksg_mi
 from repro.mi.histogram import histogram_mi
+from tests.helpers import overlap_fraction
 
 
 class TestMiInvariances:
@@ -97,5 +98,5 @@ class TestSearchEquivariance:
         assert a.windows and b.windows
         best_a = max(a.windows, key=lambda r: r.nmi).window
         best_b = max(b.windows, key=lambda r: r.nmi).window
-        assert best_a.overlap_fraction(best_b) > 0.3
+        assert overlap_fraction(best_a, best_b) > 0.3
         assert best_a.delay == best_b.delay

@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mi.normalized import normalize_ratio, normalize_value, normalized_mi
+from repro.mi.normalized import (
+    normalize_ratio,
+    normalize_value,
+    normalized_mi,
+    normalized_mi_many,
+)
 
 
 class TestNormalizeValue:
@@ -59,3 +64,46 @@ class TestNormalizedMi:
             a = rng.normal(size=m)
             b = rng.normal(size=m)
             assert 0.0 <= normalized_mi(a, b) <= 1.0
+
+
+def _rows(kind, m, rng):
+    """Seven ``(x, y)`` sample rows of ``m`` samples of one kind."""
+    if kind == "tied":
+        xs = rng.integers(0, 4, (7, m)).astype(float)
+        ys = np.roll(xs, 1, axis=1) + rng.integers(0, 2, (7, m))
+    elif kind == "continuous":
+        xs = rng.normal(size=(7, m))
+        ys = xs**2 + rng.normal(scale=0.3, size=(7, m))
+    else:  # constant: a flat x row against varying y, and one flat pair
+        xs = np.full((7, m), 2.5)
+        ys = rng.normal(size=(7, m))
+        ys[0] = -1.0
+    return xs, ys
+
+
+class TestNormalizedMiMany:
+    """Stacked rows against the per-window ``normalized_mi``, bit for bit."""
+
+    @pytest.mark.parametrize("k", [1, 4])
+    @pytest.mark.parametrize("m", [2, 5, 40, 128])
+    @pytest.mark.parametrize("kind", ["tied", "continuous", "constant"])
+    def test_rows_match_normalized_mi_bits(self, kind, m, k):
+        xs, ys = _rows(kind, m, np.random.default_rng(m))
+        got = normalized_mi_many(xs, ys, k=k)
+        assert got.shape == (7,)
+        expected = [normalized_mi(x, y, k=k).hex() for x, y in zip(xs, ys)]
+        assert [value.hex() for value in got.tolist()] == expected
+
+    def test_broadcast_rows(self, rng):
+        # The coarse NMI screen pairs one x window with many y windows.
+        x = rng.normal(size=60)
+        ys = rng.normal(size=(5, 60)) + x
+        got = normalized_mi_many(np.broadcast_to(x, ys.shape), ys)
+        assert [v.hex() for v in got.tolist()] == [normalized_mi(x, y).hex() for y in ys]
+
+    def test_non_finite_row_raises(self, rng):
+        xs = rng.normal(size=(3, 20))
+        ys = rng.normal(size=(3, 20))
+        ys[2, 7] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            normalized_mi_many(xs, ys)

@@ -89,6 +89,7 @@ FAST_PATH_GATES: Dict[str, str] = {
     "repro.mi.stacked": (
         "per-window chebyshev_knn_bruteforce + mi_from_geometry + binned_joint_entropy"
     ),
+    "repro.mi.normalized": "per-window normalized_mi",
     "repro.core.thresholds": "scalar per-window scoring path",
     "repro.core.pyramid": "exact full-resolution coordinate mapping",
     "repro.analysis.parallel": "the serial pairwise scan",
