@@ -7,7 +7,25 @@ TYCOS_LMN clearly beats plain TYCOS_L.
 
 import numpy as np
 
-from repro.experiments.fig9 import run_fig9
+from repro.experiments.fig9 import Fig9Result, run_fig9
+
+#: Interleaved ``run_fig9`` calls; each variant is timed by its fastest.
+ROUNDS = 3
+
+
+def _fastest_of_rounds(n, datasets):
+    """Run Fig. 9 ``ROUNDS`` times and keep each (dataset, variant)'s
+    fastest runtime.  A single raw wall clock is at the mercy of a slow
+    stretch of a shared host; the rounds interleave every variant, so a
+    stretch slows one round of each, not all rounds of one."""
+    rounds = [run_fig9(n=n, seed=0, datasets=datasets) for _ in range(ROUNDS)]
+    first = rounds[0]
+    fastest = Fig9Result(windows=first.windows, evaluations=first.evaluations)
+    for ds, times in first.runtimes.items():
+        fastest.runtimes[ds] = {
+            variant: min(r.runtimes[ds][variant] for r in rounds) for variant in times
+        }
+    return fastest
 
 
 def test_fig9_variant_runtimes(benchmark, scale):
@@ -18,7 +36,7 @@ def test_fig9_variant_runtimes(benchmark, scale):
         else ("synthetic1", "energy", "smartcity")
     )
     result = benchmark.pedantic(
-        run_fig9, kwargs=dict(n=n, seed=0, datasets=datasets), iterations=1, rounds=1
+        _fastest_of_rounds, kwargs=dict(n=n, datasets=datasets), iterations=1, rounds=1
     )
     print()
     print(result.to_text())

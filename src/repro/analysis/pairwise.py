@@ -46,7 +46,7 @@ from repro.analysis.parallel import (
 )
 from repro.core.config import TycosConfig
 from repro.core.tycos import Tycos, TycosResult
-from repro.experiments.reporting import format_table, title
+from repro.reporting import format_table, title
 
 __all__ = [
     "PairFinding",

@@ -24,7 +24,7 @@ import numpy as np
 from repro._types import AnyArray
 from repro.core.config import TycosConfig
 from repro.core.tycos import Tycos
-from repro.experiments.reporting import format_table, title
+from repro.reporting import format_table, title
 
 __all__ = ["SigmaSweepPoint", "SigmaSweep", "sigma_sweep", "suggest_sigma"]
 

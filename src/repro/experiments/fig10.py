@@ -18,7 +18,7 @@ from repro.core.brute_force import brute_force_search
 from repro.core.config import TycosConfig
 from repro.core.tycos import tycos_lmn
 from repro.experiments.datasets import dataset_pair
-from repro.experiments.reporting import format_table, title
+from repro.reporting import format_table, title
 
 __all__ = ["Fig10Result", "run_fig10", "METHODS"]
 

@@ -14,8 +14,8 @@ from typing import Dict, List, Sequence
 from repro.core.tycos import tycos_l, tycos_ln
 from repro.experiments.datasets import dataset_pair
 from repro.experiments.fig9 import make_config
-from repro.experiments.reporting import format_series, title
 from repro.experiments.similarity import window_set_similarity
+from repro.reporting import format_series, title
 
 __all__ = ["Fig11Result", "run_fig11"]
 

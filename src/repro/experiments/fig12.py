@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import List, Sequence
 
 from repro.experiments.fig11 import Fig11Result, run_fig11
-from repro.experiments.reporting import format_table, title
+from repro.reporting import format_table, title
 
 __all__ = ["Fig12Result", "run_fig12"]
 

@@ -21,7 +21,7 @@ import numpy as np
 from repro.core.config import TycosConfig
 from repro.core.tycos import tycos_lmn
 from repro.data.smartcity import simulate_smartcity
-from repro.experiments.reporting import format_table, title
+from repro.reporting import format_table, title
 
 __all__ = ["SweepPoint", "Fig13Result", "run_fig13_sigma", "run_fig13_smax", "run_fig13_tdmax"]
 

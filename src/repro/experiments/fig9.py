@@ -14,7 +14,7 @@ from typing import Dict, Sequence
 from repro.core.config import TycosConfig
 from repro.core.tycos import Tycos, tycos_l, tycos_lm, tycos_lmn, tycos_ln
 from repro.experiments.datasets import DATASET_NAMES, dataset_pair
-from repro.experiments.reporting import format_table, title
+from repro.reporting import format_table, title
 
 __all__ = ["Fig9Result", "run_fig9", "VARIANTS"]
 

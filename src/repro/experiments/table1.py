@@ -36,8 +36,8 @@ from repro.core.tycos import tycos_lmn
 from repro.core.window import TimeDelayWindow
 from repro.data.composer import ComposedPair, standard_pair
 from repro.data.relations import relation_names
-from repro.experiments.reporting import check, format_table, title
 from repro.experiments.similarity import detects
+from repro.reporting import check, format_table, title
 
 __all__ = ["Table1Result", "run_table1", "METHODS"]
 

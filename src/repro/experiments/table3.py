@@ -28,7 +28,7 @@ from repro.core.config import TycosConfig
 from repro.core.tycos import TycosResult, tycos_lmn
 from repro.data.energy import EXPECTED_COUPLINGS, simulate_energy
 from repro.data.smartcity import EXPECTED_CITY_COUPLINGS, simulate_smartcity
-from repro.experiments.reporting import format_table, title
+from repro.reporting import format_table, title
 
 __all__ = ["Table3Row", "Table3Result", "run_table3", "COUPLING_PLANS"]
 

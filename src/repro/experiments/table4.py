@@ -29,8 +29,8 @@ from repro.core.results import merge_overlapping
 from repro.core.tycos import tycos_l, tycos_ln
 from repro.data.energy import simulate_energy
 from repro.experiments.datasets import synthetic_pair
-from repro.experiments.reporting import format_table, title
 from repro.experiments.similarity import window_set_similarity
+from repro.reporting import format_table, title
 
 __all__ = ["Table4Row", "Table4Result", "run_table4"]
 

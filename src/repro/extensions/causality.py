@@ -26,8 +26,8 @@ import numpy as np
 
 from repro.core.tycos import TycosResult
 from repro.core.window import PairView, TimeDelayWindow
-from repro.experiments.reporting import format_table, title
 from repro.mi.cmi import transfer_entropy
+from repro.reporting import format_table, title
 
 __all__ = ["DirectionVerdict", "WindowDirection", "CausalityReport", "analyze_directions"]
 

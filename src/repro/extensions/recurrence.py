@@ -18,7 +18,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from repro.core.results import WindowResult
-from repro.experiments.reporting import format_table, title
+from repro.reporting import format_table, title
 
 __all__ = ["RecurringPattern", "RecurrenceReport", "mine_recurrence"]
 

@@ -25,7 +25,7 @@ import numpy as np
 from repro.core.config import TycosConfig
 from repro.core.tycos import Tycos
 from repro.data.spatial import SpatialDataset, Station
-from repro.experiments.reporting import format_table, title
+from repro.reporting import format_table, title
 
 __all__ = ["SpatialFinding", "SpatialReport", "spatial_scan", "estimate_propagation"]
 

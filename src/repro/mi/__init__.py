@@ -20,7 +20,9 @@ quantify statistical dependence between two windows of time series data:
 * :mod:`repro.mi.incremental` -- the Section 7 incremental KSG engine based
   on influenced regions (IR) and influenced marginal regions (IMR).
 * :mod:`repro.mi.digamma` -- the process-wide integer digamma lookup table
-  every estimator draws from (the only sanctioned scipy digamma call site).
+  every estimator draws from, a cephes port checked bit for bit against
+  scipy (whose digamma it calls only in the tests' reference,
+  :func:`~repro.mi.digamma.digamma_direct`).
 * :mod:`repro.mi.histogram` / :mod:`repro.mi.kde` -- the classical MI
   estimators the paper's Section 3.1 compares KSG against.
 """

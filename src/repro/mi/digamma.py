@@ -2,28 +2,52 @@
 
 Every digamma evaluation in the KSG formula (paper Eq. 2) takes a small
 positive *integer* argument -- ``k``, the window size ``m``, or a marginal
-neighbor count ``n_x``/``n_y`` bounded by ``m``.  Evaluating scipy's
+neighbor count ``n_x``/``n_y`` bounded by ``m``.  Evaluating a
 transcendental per window is therefore pure waste: the same few thousand
-integers recur millions of times across a search.  This module hosts the
-one place in the codebase where ``scipy.special.digamma`` may be called
-directly (machine-enforced by tycoslint rule TY007): a lazily grown table
-of ``digamma(i)`` for ``i = 1..capacity`` shared by every estimator,
-scorer and engine in the process.
+integers recur millions of times across a search.  This module hosts a
+lazily grown table of ``digamma(i)`` for ``i = 1..capacity`` shared by
+every estimator, scorer and engine in the process, and the one place in
+the codebase where ``scipy.special.digamma`` may be called directly
+(machine-enforced by tycoslint rule TY007): :func:`digamma_direct`, the
+tests' reference.
 
-Exactness: every table entry is the *same* scipy evaluation a direct call
-would perform (same float64 input, same function), so routing through the
-table never changes an estimate -- tests assert bit-equality against
-direct ``scipy.special.digamma`` calls.
+Exactness: the table is a cephes port checked bit for bit against scipy.
+At a positive integer, scipy's digamma is cephes ``psi``: up to 10 a
+running sum of ``1 / i`` minus Euler's constant, above it the asymptotic
+series.  :func:`_evaluate` repeats each operation in cephes' order and
+takes ``log`` from libm through :func:`math.log`, as scipy does (numpy's
+SIMD ``np.log`` rounds differently at some integers).  Routing through the
+table therefore never changes an estimate -- tests assert bit-equality
+against ``scipy.special.digamma`` on every integer in ``1..2**20`` -- and
+importing this module does not import scipy.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.special import digamma as _scipy_digamma
 
 from repro._types import AnyArray, FloatArray, IntArray
 
 __all__ = ["DigammaTable", "digamma_direct", "shared_digamma_table"]
+
+#: Euler's constant as cephes spells it (``EUL``).
+_EULER = 0.57721566490153286061
+
+#: cephes ``psi_A``: the asymptotic series coefficients, highest power first.
+_PSI_A = (
+    8.33333333333333333333e-2,
+    -2.10927960927960927961e-2,
+    7.57575757575757575758e-3,
+    -4.16666666666666666667e-3,
+    3.96825396825396825397e-3,
+    -8.33333333333333333333e-3,
+    8.33333333333333333333e-2,
+)
+
+#: Largest integer cephes ``psi`` sums directly instead of expanding.
+_SUMMED = 10
 
 
 def digamma_direct(values: AnyArray) -> AnyArray:
@@ -31,16 +55,30 @@ def digamma_direct(values: AnyArray) -> AnyArray:
 
     Exists so code that must *bypass* the table (the exactness tests, or
     non-integer arguments) still routes through this module, keeping
-    tycoslint rule TY007 exception-free.
+    tycoslint rule TY007 exception-free.  scipy is imported here, on
+    first call, so the table never pays for it.
     """
-    return _scipy_digamma(values)
+    from scipy.special import digamma
+
+    return digamma(values)
 
 
 def _evaluate(size: int) -> FloatArray:
     """``digamma(i)`` for ``i = 1..size`` as a read-only float64 array."""
-    table = np.asarray(
-        _scipy_digamma(np.arange(1, size + 1, dtype=np.float64)), dtype=np.float64
-    )
+    table = np.empty(size, dtype=np.float64)
+    harmonic = 0.0
+    for i in range(1, min(size, _SUMMED) + 1):
+        table[i - 1] = harmonic - _EULER
+        harmonic += 1.0 / i
+    if size > _SUMMED:
+        ns = np.arange(_SUMMED + 1, size + 1, dtype=np.float64)
+        z = 1.0 / (ns * ns)
+        poly = np.full_like(z, _PSI_A[0])
+        for coefficient in _PSI_A[1:]:
+            poly *= z
+            poly += coefficient
+        logs = np.fromiter(map(math.log, ns.tolist()), dtype=np.float64, count=ns.size)
+        table[_SUMMED:] = logs - 0.5 / ns - z * poly
     table.flags.writeable = False
     return table
 
@@ -49,8 +87,8 @@ class DigammaTable:
     """Lazily grown lookup table with ``table[i - 1] == digamma(i)``.
 
     The table doubles on demand and is recomputed wholesale on growth
-    (one vectorized scipy call), so each integer is evaluated through
-    scipy O(log max_seen) times over the process lifetime instead of
+    (a cephes port checked bit for bit against scipy), so each integer is
+    evaluated O(log max_seen) times over the process lifetime instead of
     once per window.  Growth races between threads are benign: both
     winners compute identical values.
 

@@ -142,8 +142,9 @@ class KSGEstimator:
                 ``i = 1..len(table)`` (``table[i - 1] == digamma(i)``,
                 length >= ``m``); every digamma argument here is a positive
                 integer ``<= m``, so a caller evaluating many windows can
-                share one table.  The table values are exact scipy
-                evaluations, so supplying it never changes the estimate.
+                share one table.  The table values are bit-identical to
+                ``scipy.special.digamma``, so supplying it never changes
+                the estimate.
                 When omitted, the process-wide shared table is used.
             sorted_x: optional ascending float64 realization of exactly the
                 multiset of ``x`` (see :func:`marginal_counts` presorted);

@@ -1,7 +1,10 @@
-"""Plain-text reporting helpers for the experiment harness.
+"""Plain-text reporting helpers.
 
-Every experiment runner renders its outcome through these utilities so the
-console output mirrors the rows/series of the paper's tables and figures.
+The experiment runners, the pairwise-scan and tuning reports and the
+extensions render their outcome through these utilities, so the console
+output mirrors the rows/series of the paper's tables and figures.  The
+module lives at the package root, not in :mod:`repro.experiments`, so a
+scan report does not import the experiment harness.
 """
 
 from __future__ import annotations

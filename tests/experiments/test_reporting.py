@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments.reporting import check, format_series, format_table, title
+from repro.reporting import check, format_series, format_table, title
 
 
 class TestFormatTable:

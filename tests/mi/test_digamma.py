@@ -15,6 +15,32 @@ def test_table_bit_matches_scipy():
         assert table.value(n) == float(scipy_digamma(float(n)))
 
 
+@pytest.mark.parametrize("initial", [1, 4, 16])
+def test_every_integer_to_2_20_bit_matches_scipy_at_each_growth(initial):
+    """The table is a cephes port, so it matches scipy only where each
+    operation does (with numpy 2.4 on x86-64, numpy's SIMD ``np.log``
+    first differs from libm ``log`` at n = 9,170).  Every table the
+    doublings build, up to 2**20 entries, must equal scipy on all of its
+    integers."""
+    top = 2**20
+    expected = scipy_digamma(np.arange(1, top + 1, dtype=np.float64))
+    table = DigammaTable(initial=initial)
+    assert np.array_equal(table.prefix(initial), expected[:initial])
+    while table.size < top:
+        grown = table.prefix(table.size + 1)
+        assert np.array_equal(grown, expected[: grown.size])
+    assert table.size == top
+
+
+@pytest.mark.parametrize("size", [10, 11])
+def test_branch_boundary_bit_matches_scipy(size):
+    """cephes sums ``1/i`` up to n = 10 and switches to the asymptotic
+    series at n = 11; tables ending on either side of the switch match."""
+    table = DigammaTable(initial=size)
+    assert table.size == size
+    assert np.array_equal(table.prefix(size), scipy_digamma(np.arange(1.0, size + 1.0)))
+
+
 def test_values_bit_match_scipy_vectorized():
     table = DigammaTable(initial=8)
     ns = np.array([1, 5, 12, 300, 2, 2, 999], dtype=np.int64)

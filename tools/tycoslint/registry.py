@@ -49,9 +49,9 @@ __all__ = [
 #: Modules allowed to own (and mutate) process-wide mutable state.
 CACHE_MODULES: FrozenSet[str] = frozenset(
     {
-        # DigammaTable._SHARED: append-only; every entry is the same scipy
-        # evaluation a direct call would produce, so a worker re-growing
-        # its copy after fork computes identical values.
+        # DigammaTable._SHARED: append-only; every entry is a deterministic
+        # cephes port, bit-identical to scipy's digamma, so a worker
+        # re-growing its copy after fork computes identical values.
         "repro.mi.digamma",
         # lru_cache'd default_bins: pure-function memo, fork-safe.
         "repro.mi.entropy",
@@ -73,7 +73,7 @@ REPORT_MODULES: FrozenSet[str] = frozenset(
         "repro.analysis.serialization",
         "repro.analysis.csvio",
         "repro.analysis.cascade",
-        "repro.experiments.reporting",
+        "repro.reporting",
         "repro.experiments.summary",
     }
 )
