@@ -8,8 +8,6 @@
 * :mod:`repro.analysis.planner` -- how one pair is searched: plain, with
   its timeline sharded into stitched segments (``segments=K``), or
   coarse-to-fine (``coarse=F``: locate on a PAA level, refine exactly).
-* :mod:`repro.analysis.chunked` -- chunked search over series too long for
-  one in-memory pass.
 * :mod:`repro.analysis.cascade` -- all-pairs prescreen cascade (FFT +
   coarse-NMI screens before any KSG estimate) and the ``tycos-scan``
   command-line tool.
@@ -20,13 +18,6 @@
 """
 
 from repro.analysis.cascade import cascade_scan, coarse_nmi_score, fft_screen_score
-
-from repro.analysis.chunked import (
-    ChunkedResult,
-    chunk_pair,
-    default_chunk_overlap,
-    search_chunked,
-)
 from repro.analysis.consolidate import consolidate_windows
 from repro.analysis.csvio import read_csv_series
 from repro.analysis.inspect import WindowInspection, ascii_scatter, inspect_window
@@ -57,10 +48,6 @@ __all__ = [
     "SeriesStore",
     "SearchPlan",
     "execute_plan",
-    "search_chunked",
-    "chunk_pair",
-    "default_chunk_overlap",
-    "ChunkedResult",
     "read_csv_series",
     "consolidate_windows",
     "inspect_window",

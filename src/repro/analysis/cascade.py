@@ -232,14 +232,12 @@ def _screen_scores(
     geometry: ScreenGeometry,
     n_jobs: Optional[int],
     store_path: Optional[Union[str, Path]],
-    force_parallel: bool,
 ) -> List[float]:
     """Stage-1 screen scores of every pair, blocked and optionally pooled.
 
     Pairs are scored in blocks of :data:`_SCREEN_BLOCK` through
     :func:`repro.analysis.screen_state.batched_screen_scores`, fanned
-    over the process pool when ``n_jobs`` asks for workers (with the
-    usual 1-core serial fallback of
+    over the process pool when ``n_jobs`` asks for workers (sized by
     :func:`repro.analysis.parallel.effective_workers`).  Scores come
     back in original pair order and are bit-identical to per-pair
     :func:`fft_screen_score` at every worker count.  A block whose
@@ -252,12 +250,7 @@ def _screen_scores(
         (start, pair_idx[start : start + _SCREEN_BLOCK])
         for start in range(0, len(pair_idx), _SCREEN_BLOCK)
     ]
-    workers, _ = effective_workers(
-        1 if n_jobs is None else n_jobs,
-        len(blocks),
-        force_parallel=force_parallel,
-        what="cascade screen",
-    )
+    workers = effective_workers(1 if n_jobs is None else n_jobs, len(blocks))
     scores = [float("inf")] * len(pair_idx)
     if workers > 1:
         for start, block_scores in pooled_map(
@@ -295,7 +288,6 @@ def cascade_scan(
     engine: Optional[Tycos] = None,
     n_jobs: Optional[int] = None,
     store_path: Optional[Union[str, Path]] = None,
-    force_parallel: bool = False,
     plan: Union["SearchPlan", str, None] = None,
 ) -> PairwiseReport:
     """Run the prescreen cascade over every pair of a collection.
@@ -333,15 +325,13 @@ def cascade_scan(
             §13 for tuning.
         engine: optional preconfigured engine for stage 3.
         n_jobs: worker processes for both the stage-1 screen blocks and
-            the stage-3 searches (see
+            the stage-3 searches, each pool capped at the host's cores
+            and at its task count (see
             :func:`~repro.analysis.pairwise.scan_pairs`).
         store_path: directory of the series store the collection was
             attached from.  Pool workers of both stage 1 and stage 3
             then memory-map the store instead of receiving copies of
             the series.
-        force_parallel: run the requested pools of stage 1 and stage 3
-            even on a 1-core host, where the default falls back to serial
-            (see :func:`repro.analysis.parallel.effective_workers`).
         plan: how stage 3 searches the survivors.  ``None`` (the
             default) keeps the plain full-resolution search, preserving
             byte-identity with PR-9 cascades.  A
@@ -384,9 +374,7 @@ def cascade_scan(
             fft_scores = [float("inf")] * len(pair_list)  # nothing to screen
         else:
             geometry = ScreenGeometry(length=length, window=window, td_max=config.td_max)
-            fft_scores = _screen_scores(
-                series, pair_list, geometry, n_jobs, store_path, force_parallel
-            )
+            fft_scores = _screen_scores(series, pair_list, geometry, n_jobs, store_path)
         return [
             (pair, "fft" if score < fft_cut else _stage2(*pair))
             for pair, score in zip(pair_list, fft_scores)
@@ -409,7 +397,6 @@ def cascade_scan(
             n_jobs=n_jobs,
             store_path=store_path,
             plan=stage3_plan,
-            force_parallel=force_parallel,
         )
     )
     report.skipped.extend(pair for pair, stage in decisions if stage != "search")

@@ -105,7 +105,6 @@ def _build_config(args: argparse.Namespace) -> TycosConfig:
         significance_permutations=args.permutations,
         seed=args.seed,
         init_delay_step=args.delay_step,
-        refine_margin=args.refine_margin,
     )
 
 
@@ -161,13 +160,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--n-jobs", type=int, default=1,
         help="worker processes: pairs for --all-pairs, timeline segments for "
-             "--x/--y with --plan segments=K (-1: all cores; default: serial)",
-    )
-    parser.add_argument(
-        "--refine-margin", type=int, default=None,
-        help="full-resolution samples added around each coarse hit before "
-             "a --plan coarse=F search refines it (default: s_max + td_max, "
-             "one maximal window footprint)",
+             "--x/--y with --plan segments=K, capped at the host's cores "
+             "(-1: all cores; default: serial)",
     )
     parser.add_argument(
         "--profile", action="store_true",
@@ -236,9 +230,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     for r in result.windows:
         w = r.window
         print(f"  [{w.start}, {w.end}] delay={w.delay:+d} nmi={r.nmi:.2f} mi={r.mi:.3f}")
-    if result.stats.serial_fallback:
-        print("(note: n_jobs served serially: 1-core host, pool dispatch "
-              "would only add overhead)")
     if args.profile:
         _print_profile(result.stats)
     return 0

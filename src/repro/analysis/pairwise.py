@@ -116,12 +116,8 @@ class PairFailure:
 class PairwiseReport:
     """Ranked findings of a pairwise scan.
 
-    ``notes`` records execution advisories that don't affect the results
-    themselves -- e.g. that a parallel request was served serially on a
-    single-core host -- so a scan's performance is attributable from the
-    report alone.  ``metadata`` records which search plan produced the
-    findings (``plan``, the plan's spec) when a plan ran, and is empty
-    otherwise.
+    ``metadata`` records which search plan produced the findings
+    (``plan``, the plan's spec) when a plan ran, and is empty otherwise.
 
     The ``pairs_*`` counters are the pruning ledger of a cascade scan
     (:func:`repro.analysis.cascade.cascade_scan`): how many pairs the
@@ -132,17 +128,15 @@ class PairwiseReport:
 
     ``phase_seconds`` is the wall-clock side of that ledger: per-phase
     durations (``"screen"``, ``"search"``) a cascade records so
-    screen-vs-search cost is attributable from the report alone.  Like
-    ``notes`` it never affects results; the default :meth:`to_text`
-    rendering omits it so byte-compared report payloads stay
-    clock-free (pass ``include_timings=True``, or ``--profile`` on the
-    CLI, to see it).
+    screen-vs-search cost is attributable from the report alone.  It
+    never affects results; the default :meth:`to_text` rendering omits
+    it so byte-compared report payloads stay clock-free (pass
+    ``include_timings=True``, or ``--profile`` on the CLI, to see it).
     """
 
     findings: List[PairFinding] = field(default_factory=list)
     skipped: List[Tuple[str, str]] = field(default_factory=list)
     failures: List[PairFailure] = field(default_factory=list)
-    notes: List[str] = field(default_factory=list)
     metadata: Dict[str, str] = field(default_factory=dict)
     pairs_screened: int = 0
     pairs_pruned_fft: int = 0
@@ -192,7 +186,6 @@ class PairwiseReport:
             if self.pairs_screened
             else ""
         )
-        notes = "".join(f"\n(note: {note})" for note in self.notes)
         timings = ""
         if include_timings and self.phase_seconds:
             timings = "".join(
@@ -201,7 +194,7 @@ class PairwiseReport:
             )
         return (
             title("Pairwise correlation scan")
-            + "\n" + body + failed + cascade + notes + timings
+            + "\n" + body + failed + cascade + timings
         )
 
 
@@ -303,7 +296,6 @@ def scan_pairs(
     n_jobs: Optional[int] = None,
     store_path: Optional[Union[str, Path]] = None,
     plan: Union[planner.SearchPlan, str, None] = None,
-    force_parallel: bool = False,
 ) -> PairwiseReport:
     """Run TYCOS over every pair of a series collection.
 
@@ -318,11 +310,11 @@ def scan_pairs(
             process; ``-1`` uses every available core; ``N > 1`` maps the
             pairs over a process pool in about four chunks per worker
             (:func:`repro.analysis.parallel.pooled_map`).  The worker
-            count is clamped to the number of pairs, and a 1-core host
-            scans serially and says so in ``report.notes`` (see
-            :func:`repro.analysis.parallel.effective_workers`).  Results
-            are merged in submission order, so the report is identical
-            for every worker count.
+            count is capped at the host's cores and at the number of
+            pairs (:func:`repro.analysis.parallel.effective_workers`);
+            one worker is the serial path.  Results are merged in
+            submission order, so the report is identical for every
+            worker count.
         store_path: directory of the :class:`repro.analysis.store`
             store ``series`` was attached from, when it has one; pool
             workers then memory-map the store instead of receiving a
@@ -337,8 +329,6 @@ def scan_pairs(
             string is the CLI plan spelling (e.g. ``"coarse=8"``).
             When a plan runs, its spec lands in
             ``report.metadata["plan"]``.
-        force_parallel: run the pool even on a 1-core host, where the
-            default is the serial fallback.
 
     Returns:
         A :class:`PairwiseReport` with one finding per scanned pair.  A
@@ -350,12 +340,7 @@ def scan_pairs(
         engine = Tycos(config)
     series_len = next((values.size for values in series.values()), 0)
     resolved = resolve_plan(plan, config, series_len, len(pair_list), n_jobs)
-    workers, fell_back = effective_workers(
-        1 if n_jobs is None else n_jobs,
-        len(pair_list),
-        force_parallel=force_parallel,
-        what="scan_pairs",
-    )
+    workers = effective_workers(1 if n_jobs is None else n_jobs, len(pair_list))
 
     if workers == 1:
         outcomes = [
@@ -387,9 +372,4 @@ def scan_pairs(
             report.findings.append(outcome)
         else:
             report.failures.append(outcome)
-    if fell_back:
-        report.notes.append(
-            f"n_jobs={n_jobs} served serially: 1-core host, pool dispatch "
-            "would only add overhead"
-        )
     return report

@@ -23,13 +23,12 @@ exactly once:
   :func:`repro.analysis.planner.execute_plan`,
   :func:`repro.analysis.cascade.cascade_scan`).
 
-:func:`effective_workers` sizes every fan-out, with the single-core
-serial fallback.
+:func:`effective_workers` sizes every fan-out by one rule: the request,
+capped by the host's cores and by the task count.
 """
 
 from __future__ import annotations
 
-import logging
 import os
 from concurrent.futures import ProcessPoolExecutor
 from multiprocessing import shared_memory
@@ -50,8 +49,6 @@ __all__ = [
     "attach_series",
     "attach_untracked",
 ]
-
-logger = logging.getLogger(__name__)
 
 # One (name, offset, length) entry per series inside the shared block,
 # offsets in *elements* of float64.
@@ -87,8 +84,8 @@ def resolve_n_jobs(n_jobs: int) -> int:
     overhead: each extra process pays interpreter spin-up, engine
     unpickling and scheduler churn without adding CPU time (an n_jobs=4
     scan of 28 pairs on a 1-core host ran at 0.57x serial for exactly
-    this reason).  :func:`effective_workers` additionally clamps the
-    count to the number of tasks.
+    this reason), so :func:`effective_workers` caps the count at the
+    host's cores and at the number of tasks.
     """
     if n_jobs == -1:
         return max(1, os.cpu_count() or 1)
@@ -97,37 +94,16 @@ def resolve_n_jobs(n_jobs: int) -> int:
     return n_jobs
 
 
-def effective_workers(
-    n_jobs: int, n_tasks: int, *, force_parallel: bool = False, what: str = "scan"
-) -> Tuple[int, bool]:
-    """Resolve a fan-out's worker count, with the single-core fallback.
+def effective_workers(n_jobs: int, n_tasks: int) -> int:
+    """The worker count of one fan-out: the request, capped by cores and tasks.
 
-    Clamps the :func:`resolve_n_jobs` request to the task count (idle
-    workers still pay pool spin-up), then -- when the host has exactly
-    one CPU and more than one worker survived the clamp -- falls back to
-    one worker: on a single core a process pool adds dispatch and
-    unpickling overhead without adding CPU time (a 28-pair scan measured
-    n_jobs=2 at 0.93x serial on a 1-core host).  The fallback is logged
-    and reported to the caller so results stay attributable;
-    ``force_parallel`` disables it for tests and benchmarks that exercise
-    the pool machinery itself.  Results are unaffected either way: every
-    parallel path reproduces its serial reference bit-exactly.
-
-    Returns:
-        ``(workers, fell_back)`` -- the worker count to use and whether
-        the single-core fallback fired.
+    Workers beyond the host's cores add overhead without adding CPU time
+    (see :func:`resolve_n_jobs`), and workers beyond the task count sit
+    idle after paying pool spin-up.  A count of 1 is the in-process
+    serial path.  Results are unaffected either way: every parallel path
+    reproduces its serial reference bit-exactly.
     """
-    workers = min(resolve_n_jobs(n_jobs), max(1, n_tasks))
-    if workers > 1 and not force_parallel and (os.cpu_count() or 1) == 1:
-        logger.warning(
-            "%s requested %d workers on a 1-core host; running serially "
-            "(pool dispatch would only add overhead; pass force_parallel=True "
-            "to override)",
-            what,
-            workers,
-        )
-        return 1, True
-    return workers, False
+    return min(resolve_n_jobs(n_jobs), os.cpu_count() or 1, max(1, n_tasks))
 
 
 def pack_series(series: Dict[str, FloatArray]) -> Tuple[shared_memory.SharedMemory, _Layout]:

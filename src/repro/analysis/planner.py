@@ -431,7 +431,6 @@ def _segmented_search(
     y: AnyArray,
     n_segments: int,
     n_jobs: int,
-    force_parallel: bool,
 ) -> TycosResult:
     """The segment split: search every span, in-process or pooled, then stitch."""
     cfg = engine.config
@@ -439,10 +438,8 @@ def _segmented_search(
     pair = PairView(x, y, jitter=cfg.jitter, seed=cfg.seed)
     spans = segment_spans(pair.n, n_segments, cfg.segment_overlap())
     span_engine = _jitter_free(engine)
-    workers, fell_back = effective_workers(
-        n_jobs, len(spans), force_parallel=force_parallel, what="segmented search"
-    )
-    if workers <= 1:
+    workers = effective_workers(n_jobs, len(spans))
+    if workers == 1:
         per_segment = [
             span_engine._search_whole(pair.x[lo:hi], pair.y[lo:hi]) for lo, hi in spans
         ]
@@ -454,9 +451,7 @@ def _segmented_search(
             series={"x": pair.x, "y": pair.y},
             extra_state={"engine": span_engine},
         )
-    result = _stitch(engine, pair, spans, per_segment, started)
-    result.stats.serial_fallback = fell_back
-    return result
+    return _stitch(engine, pair, spans, per_segment, started)
 
 
 def _cell_scan_hook(cells: Sequence[Span], s_min: int) -> Callable[[int], Optional[int]]:
@@ -557,7 +552,6 @@ def execute_plan(
     engine: Optional[Tycos] = None,
     plan: Optional[SearchPlan] = None,
     n_jobs: int = 1,
-    force_parallel: bool = False,
 ) -> TycosResult:
     """Search one pair the way ``plan`` says.
 
@@ -569,14 +563,12 @@ def execute_plan(
             stage inherits (default: TYCOS_LMN over ``config``).
         plan: the plan to run (default: ``plain``).
         n_jobs: worker processes for the spans of a ``segments=K`` plan
-            (``-1``: all cores).  1 runs the sequential reference
-            stitcher; any other count returns a bit-identical result.
-            The other shapes are sequential: the coarse refinement's
-            restart phase chains through the timeline, which is what
-            makes it reproduce the exhaustive restart sequence.
-        force_parallel: run the pool even on a 1-core host, where the
-            default is the serial fallback recorded in
-            ``stats.serial_fallback``.
+            (``-1``: all cores), capped at the host's cores and at the
+            span count.  1 runs the sequential reference stitcher; any
+            other count returns a bit-identical result.  The other
+            shapes are sequential: the coarse refinement's restart phase
+            chains through the timeline, which is what makes it
+            reproduce the exhaustive restart sequence.
 
     Returns:
         A :class:`~repro.core.tycos.TycosResult`; ``stats.plan`` records
@@ -595,7 +587,7 @@ def execute_plan(
     if plan.coarse > 1:
         result = _coarse_search(engine, x, y, plan.coarse)
     elif plan.segments > 1:
-        result = _segmented_search(engine, x, y, plan.segments, n_jobs, force_parallel)
+        result = _segmented_search(engine, x, y, plan.segments, n_jobs)
     else:
         result = engine._search_whole(x, y)
     result.stats.plan = plan.spec()

@@ -21,13 +21,13 @@ import numpy as np
 
 from repro.core.config import TycosConfig
 from repro.core.results import WindowResult, merge_overlapping
-from repro.core.thresholds import WindowScore
+from repro.core.thresholds import BatchScorer
 from repro.core.tycos import SearchStats, TycosResult
 from repro.core.window import PairView, TimeDelayWindow
 from repro.mi.entropy import binned_joint_entropy
 from repro.mi.incremental import SlidingKSG
 from repro.mi.ksg import KSGEstimator
-from repro.mi.normalized import normalize_ratio, normalize_value
+from repro.mi.normalized import normalize_value
 
 __all__ = ["brute_force_search"]
 
@@ -88,24 +88,16 @@ def brute_force_search(
 
     if aggregate and raw:
         merged = merge_overlapping([r.window for r in raw], n=n)
+        scorer = BatchScorer(pair, config)
         out: List[WindowResult] = []
         for w in merged:
-            score = _score(pair, w, estimator)
+            score = scorer.score(w)
             out.append(WindowResult(window=w, mi=score.mi, nmi=score.nmi))
         windows = out
     else:
         windows = sorted(raw, key=lambda r: r.window.key())
     stats.runtime_seconds = time.perf_counter() - started
     return TycosResult(windows=windows, stats=stats)
-
-
-def _score(pair: PairView, window: TimeDelayWindow, estimator: KSGEstimator) -> WindowScore:
-    xw, yw = pair.extract(window)
-    mi = estimator.mi(xw, yw)
-    entropy = binned_joint_entropy(xw, yw)
-    return WindowScore(
-        mi=mi, nmi=normalize_value(mi, entropy), ratio=normalize_ratio(mi, entropy)
-    )
 
 
 def _evaluate(

@@ -44,23 +44,6 @@ class TycosConfig:
             within-window shuffles of Y (a permutation test against the
             independence null).  Guards against the small-window false
             positives any finite-sample MI estimator produces; 0 disables.
-        cache_capacity: upper bound on entries in a scorer's window-score
-            memo table.  The table is an LRU: long multi-restart searches
-            revisit mostly *recent* windows, so a generous cap keeps the
-            hit rate intact while bounding memory on big inputs.
-        segment_margin: extra overlap between consecutive segments of a
-            ``segments=K`` plan (:mod:`repro.analysis.planner`) on top
-            of the ``s_max + td_max`` the containment lemma requires
-            (:mod:`repro.core.segmentation`).  Defaults to ``s_min`` so
-            noise probes and LAHC rings near a window's footprint keep
-            some context past it.
-        refine_margin: full-resolution samples added on each side of a
-            coarse hit's footprint before a ``coarse=F`` plan
-            (:mod:`repro.analysis.planner`) refines it, absorbing coarse
-            LAHC positioning error.  Defaults to ``s_max + td_max`` (one
-            maximal window footprint), which empirically preserves 100%
-            recall on the tracked bench; smaller values prune harder at
-            some recall risk.
         coarse_sigma_ratio: fraction of ``sigma`` used as the acceptance
             threshold of a ``coarse=F`` plan's locate pass.  Block-mean
             aggregation dilutes MI, so the coarse pass must under-bid the
@@ -90,9 +73,6 @@ class TycosConfig:
     jitter: float = 0.0
     seed: int = 0
     significance_permutations: int = 0
-    cache_capacity: int = 100_000
-    segment_margin: Optional[int] = None
-    refine_margin: Optional[int] = None
     coarse_sigma_ratio: float = 0.5
     init_delay_step: Optional[int] = None
 
@@ -126,12 +106,6 @@ class TycosConfig:
             raise ValueError(f"max_idle must be >= 1, got {self.max_idle}")
         if self.jitter < 0:
             raise ValueError(f"jitter must be >= 0, got {self.jitter}")
-        if self.cache_capacity < 1:
-            raise ValueError(f"cache_capacity must be >= 1, got {self.cache_capacity}")
-        if self.segment_margin is not None and self.segment_margin < 0:
-            raise ValueError(f"segment_margin must be >= 0, got {self.segment_margin}")
-        if self.refine_margin is not None and self.refine_margin < 0:
-            raise ValueError(f"refine_margin must be >= 0, got {self.refine_margin}")
         if not 0 < self.coarse_sigma_ratio <= 1:
             raise ValueError(
                 f"coarse_sigma_ratio must be in (0, 1], got {self.coarse_sigma_ratio}"
@@ -159,22 +133,19 @@ class TycosConfig:
         ``s_max + td_max`` is the largest footprint a feasible window can
         have, so that much overlap makes every feasible window fully
         contained in at least one segment (the containment lemma of
-        :mod:`repro.core.segmentation`); ``segment_margin`` (default
-        ``s_min``) adds working context on top.
+        :mod:`repro.core.segmentation`); ``s_min`` more keeps some working
+        context past a footprint for the noise probes and LAHC rings
+        near it.
         """
-        margin = self.segment_margin if self.segment_margin is not None else self.s_min
-        return self.s_max + self.td_max + margin
+        return self.s_max + self.td_max + self.s_min
 
     def refinement_margin(self) -> int:
         """Samples added around a coarse hit's footprint before refining.
 
-        Defaults to ``s_max + td_max`` -- one maximal window footprint --
-        so a coarse LAHC that settled a whole window away from the true
-        optimum still leaves the optimum inside the refinement cell.
-        ``refine_margin`` overrides the default outright.
+        ``s_max + td_max`` -- one maximal window footprint -- so a coarse
+        LAHC that settled a whole window away from the true optimum still
+        leaves the optimum inside the refinement cell.
         """
-        if self.refine_margin is not None:
-            return self.refine_margin
         return self.s_max + self.td_max
 
     def scaled(self, **changes: Any) -> "TycosConfig":

@@ -235,5 +235,4 @@ def coarse_config(config: TycosConfig, factor: int) -> TycosConfig:
         jitter=0.0,
         significance_permutations=0,
         init_delay_step=None if step is None else max(1, -(-step // factor)),
-        refine_margin=None,
     )

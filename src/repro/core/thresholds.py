@@ -38,6 +38,9 @@ __all__ = ["WindowScore", "BatchScorer", "IncrementalScorer", "TopKFilter", "mak
 #: A memo entry: the ``(mi, nmi, ratio)`` fields of a :class:`WindowScore`.
 ScoreTuple = Tuple[float, float, float]
 
+#: Entries a scorer's memo table holds before evicting the least recent.
+CACHE_CAPACITY = 100_000
+
 
 @dataclass(frozen=True)
 class WindowScore:
@@ -58,7 +61,7 @@ class WindowScore:
 class BatchScorer:
     """Scores windows by running the KSG estimator from scratch each time.
 
-    The memo table is a capped LRU (``config.cache_capacity``) of plain
+    The memo table is an LRU capped at :data:`CACHE_CAPACITY` plain
     ``(mi, nmi, ratio)`` tuples, which :meth:`score` wraps in a
     :class:`WindowScore` on the way out: long multi-restart searches
     revisit mostly recent windows, so bounding the table costs no
@@ -79,7 +82,7 @@ class BatchScorer:
         self._config = config
         self._estimator = KSGEstimator(k=config.k)
         self._cache: "OrderedDict[WindowKey, ScoreTuple]" = OrderedDict()
-        self._cache_capacity = config.cache_capacity
+        self._memo_capacity = CACHE_CAPACITY
         self.evaluations = 0
         self.cache_hits = 0
 
@@ -183,7 +186,7 @@ class BatchScorer:
             contracts.check_nmi_range(score[1], where=where)
         cache = self._cache
         cache[key] = score
-        if len(cache) > self._cache_capacity:
+        if len(cache) > self._memo_capacity:
             cache.popitem(last=False)
         self.evaluations += 1
 

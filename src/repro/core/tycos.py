@@ -92,9 +92,6 @@ class SearchStats:
             estimator.  For exhaustive search this equals
             ``windows_evaluated``; for a ``coarse=F`` plan it is the
             quantity the pruning ratio is measured on.
-        serial_fallback: True when a parallel request (``n_jobs > 1``)
-            was served serially because the host has a single CPU and
-            pool dispatch would only add overhead.
         phase_seconds: wall-clock seconds per search phase, keyed by the
             canonical phase names of
             :class:`repro.analysis.planner.Phase` (``seeding`` /
@@ -126,7 +123,6 @@ class SearchStats:
     refined_cells: int = 0
     cells_pruned: int = 0
     full_windows_evaluated: int = 0
-    serial_fallback: bool = False
     phase_seconds: Dict[str, float] = field(default_factory=dict)
     plan: str = ""
     runtime_seconds: float = 0.0

@@ -213,34 +213,22 @@ class TestCounterAccounting:
 
 
 class TestForcedPool:
-    def test_force_parallel_pools_stage_3_on_one_core(self, collection, monkeypatch):
-        """``force_parallel`` reaches the stage-3 searches, not only stage 1."""
-        import repro.analysis.parallel as parallel_mod
+    """``many_cores`` reports four cores, so ``n_jobs=2`` pools on any host."""
 
+    def test_stage_3_runs_on_the_pool(self, collection, many_cores, pool_sizes):
+        """``n_jobs`` reaches the stage-3 searches, not only stage 1."""
         series = {name: collection[name] for name in ("coupled0", "coupled1", "coupled2", "noise0")}
         serial = cascade_scan(series, _config(), screen_window=120)
-        pools = []
-        real_executor = parallel_mod.ProcessPoolExecutor
-
-        class RecordingExecutor(real_executor):  # type: ignore[valid-type, misc]
-            def __init__(self, *args, **kwargs):
-                pools.append(kwargs["max_workers"])
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", RecordingExecutor)
-        monkeypatch.setattr(parallel_mod.os, "cpu_count", lambda: 1)
-        report = cascade_scan(
-            series, _config(), screen_window=120, n_jobs=2, force_parallel=True
-        )
-        assert report.notes == []
+        assert pool_sizes == []
+        report = cascade_scan(series, _config(), screen_window=120, n_jobs=2)
         assert report.findings == serial.findings
         assert report.skipped == serial.skipped
         # The 6 pairs fit one screen block, so stage 1 runs in process and
         # the one pool is stage 3's.
-        assert pools == [2]
+        assert pool_sizes == [2]
 
     def test_store_backed_pooled_screen_matches_serial(
-        self, collection, tmp_path, monkeypatch
+        self, collection, tmp_path, monkeypatch, many_cores, pool_sizes
     ):
         """Pool workers attached to a store build their screen states from
         its views: the report equals the serial in-memory cascade, and the
@@ -254,9 +242,10 @@ class TestForcedPool:
             _config(),
             screen_window=120,
             n_jobs=2,
-            force_parallel=True,
             store_path=store.path,
         )
+        # One pool for the stage-1 blocks, one for the stage-3 searches.
+        assert pool_sizes == [2, 2]
         assert _snapshot(pooled) == _snapshot(serial)
         assert _ledger(pooled) == _ledger(serial)
         assert sorted(p.name for p in store.path.iterdir()) == [MANIFEST_FILENAME, DATA_FILENAME]

@@ -174,8 +174,6 @@ class TestStatsLedger:
         x = np.zeros(100)
         with pytest.raises(ValueError, match="coarse"):
             SearchPlan(coarse=0)
-        with pytest.raises(ValueError, match="refine_margin"):
-            _config(refine_margin=-1)
         with pytest.raises(ValueError, match="config or an engine"):
             execute_plan(x, x, plan=SearchPlan(coarse=2))
 

@@ -9,8 +9,9 @@ one poisoned pair never aborts the scan.
 import numpy as np
 import pytest
 
+import repro.analysis.parallel as parallel_mod
 from repro.analysis.pairwise import PairFailure, scan_pairs
-from repro.analysis.parallel import resolve_n_jobs
+from repro.analysis.parallel import effective_workers, resolve_n_jobs
 from repro.core.config import TycosConfig
 
 
@@ -43,16 +44,17 @@ def serial_report(collection):
 
 
 class TestParallelDeterminism:
-    def test_two_workers_match_serial(self, collection, serial_report):
+    def test_two_workers_match_serial(self, collection, serial_report, many_cores, pool_sizes):
         # 6 pairs over 2 workers: four chunks per worker rounds up to
         # one pair per chunk.
-        parallel = scan_pairs(collection, _config(), n_jobs=2, force_parallel=True)
+        parallel = scan_pairs(collection, _config(), n_jobs=2)
+        assert pool_sizes == [2]
         assert _snapshot(parallel) == _snapshot(serial_report)
 
-    def test_pickle_transport_matches_serial(self, collection, serial_report, monkeypatch):
+    def test_pickle_transport_matches_serial(
+        self, collection, serial_report, many_cores, monkeypatch
+    ):
         """Without a shared block (no /dev/shm), series are pickled instead."""
-        import repro.analysis.parallel as parallel_mod
-
         calls = []
 
         def no_shared_memory(series):
@@ -60,7 +62,7 @@ class TestParallelDeterminism:
             raise OSError("shared memory unavailable")
 
         monkeypatch.setattr(parallel_mod, "pack_series", no_shared_memory)
-        parallel = scan_pairs(collection, _config(), n_jobs=2, force_parallel=True)
+        parallel = scan_pairs(collection, _config(), n_jobs=2)
         assert calls == [list(collection)]
         assert _snapshot(parallel) == _snapshot(serial_report)
 
@@ -130,28 +132,18 @@ class TestNJobsHandling:
         with pytest.raises(ValueError, match="share a length"):
             scan_pairs(series, _config(), n_jobs=2)
 
-    def test_workers_clamped_to_pair_count(self, collection, monkeypatch):
+    def test_workers_clamped_to_pair_count(self, collection, many_cores, pool_sizes):
         """Asking for more workers than pairs must not spawn idle workers."""
-        import repro.analysis.parallel as parallel_mod
-
-        recorded = []
-        real_executor = parallel_mod.ProcessPoolExecutor
-
-        class RecordingExecutor(real_executor):  # type: ignore[valid-type, misc]
-            def __init__(self, *args, **kwargs):
-                recorded.append(kwargs["max_workers"])
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", RecordingExecutor)
         pairs = [("a", "b"), ("c", "d")]
-        report = scan_pairs(collection, _config(), pairs=pairs, n_jobs=6, force_parallel=True)
-        assert recorded == [2]
+        report = scan_pairs(collection, _config(), pairs=pairs, n_jobs=6)
+        assert pool_sizes == [2]
         serial = scan_pairs(collection, _config(), pairs=pairs)
         assert _snapshot(report) == _snapshot(serial)
 
-    def test_single_pair_with_many_workers_runs_serially(self, collection, monkeypatch):
+    def test_single_pair_with_many_workers_runs_serially(
+        self, collection, many_cores, monkeypatch
+    ):
         """One pair clamps to one worker, which is the in-process serial path."""
-        import repro.analysis.parallel as parallel_mod
 
         def fail(*args, **kwargs):  # pragma: no cover - must never run
             raise AssertionError("a process pool was spawned for a single pair")
@@ -163,42 +155,43 @@ class TestNJobsHandling:
         assert _snapshot(report) == _snapshot(serial)
 
 
-class TestOneCoreSerialFallback:
-    """On a 1-core host a pool only adds dispatch overhead, so parallel
-    requests are served serially -- loudly (a logged warning plus a report
-    note), identically (same findings), and overridably (force_parallel)."""
+class TestWorkerCount:
+    """One rule sizes every pool: the request, capped by cores and tasks."""
 
-    def _one_core(self, monkeypatch):
-        import repro.analysis.parallel as parallel_mod
+    def _cores(self, monkeypatch, count):
+        monkeypatch.setattr(parallel_mod.os, "cpu_count", lambda: count)
 
-        monkeypatch.setattr(parallel_mod.os, "cpu_count", lambda: 1)
+    def test_capped_by_cores(self, monkeypatch):
+        self._cores(monkeypatch, 1)
+        assert effective_workers(4, 10) == 1
+        self._cores(monkeypatch, 2)
+        assert effective_workers(4, 10) == 2
+        assert effective_workers(1, 10) == 1
 
-    def test_effective_workers_falls_back_on_one_core(self, monkeypatch):
-        from repro.analysis.parallel import effective_workers
+    def test_capped_by_tasks(self, monkeypatch):
+        self._cores(monkeypatch, 8)
+        assert effective_workers(4, 10) == 4
+        assert effective_workers(4, 3) == 3
+        assert effective_workers(4, 1) == 1
+        assert effective_workers(4, 0) == 1
 
-        self._one_core(monkeypatch)
-        assert effective_workers(4, 10) == (1, True)
+    def test_minus_one_means_all_cores(self, monkeypatch):
+        self._cores(monkeypatch, 3)
+        assert effective_workers(-1, 10) == 3
+        self._cores(monkeypatch, None)  # undeterminable: one core
+        assert effective_workers(-1, 10) == 1
 
-    def test_effective_workers_single_task_is_not_a_fallback(self, monkeypatch):
-        """Clamping to one task is ordinary sizing, not the 1-core fallback."""
-        from repro.analysis.parallel import effective_workers
+    def test_rejects_zero_and_negatives(self):
+        with pytest.raises(ValueError, match="n_jobs"):
+            effective_workers(0, 10)
+        with pytest.raises(ValueError, match="n_jobs"):
+            effective_workers(-2, 10)
 
-        self._one_core(monkeypatch)
-        assert effective_workers(4, 1) == (1, False)
+    def test_one_core_scan_runs_in_process(self, collection, serial_report, monkeypatch):
+        def fail(*args, **kwargs):  # pragma: no cover - must never run
+            raise AssertionError("a process pool was spawned on a 1-core host")
 
-    def test_force_parallel_overrides_one_core(self, monkeypatch):
-        from repro.analysis.parallel import effective_workers
-
-        self._one_core(monkeypatch)
-        assert effective_workers(4, 10, force_parallel=True) == (4, False)
-
-    def test_fallback_scan_matches_serial_and_is_noted(
-        self, collection, serial_report, monkeypatch, caplog
-    ):
-        self._one_core(monkeypatch)
-        with caplog.at_level("WARNING", logger="repro.analysis.parallel"):
-            report = scan_pairs(collection, _config(), n_jobs=2)
+        self._cores(monkeypatch, 1)
+        monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", fail)
+        report = scan_pairs(collection, _config(), n_jobs=2)
         assert _snapshot(report) == _snapshot(serial_report)
-        assert any("1-core host" in note for note in report.notes)
-        assert "(note:" in report.to_text()
-        assert any("1-core host" in rec.message for rec in caplog.records)

@@ -275,18 +275,13 @@ class TestCascadeIntegration:
             assert report.pairs_pruned_fft == first.pairs_pruned_fft
             assert report.pairs_pruned_nmi == first.pairs_pruned_nmi
 
-    def test_pooled_screen_matches_serial(self, monkeypatch):
+    def test_pooled_screen_matches_serial(self, monkeypatch, many_cores, pool_sizes):
         series = _collection(6, n=240, seed=9)
         serial = cascade_scan(series, self._config(), screen_window=120)
         # Blocks of 4 split the 15 pairs into several stage-1 pool tasks.
         monkeypatch.setattr(cascade_mod, "_SCREEN_BLOCK", 4)
-        pooled = cascade_scan(
-            series,
-            self._config(),
-            screen_window=120,
-            n_jobs=2,
-            force_parallel=True,
-        )
+        pooled = cascade_scan(series, self._config(), screen_window=120, n_jobs=2)
+        assert pool_sizes[0] == 2  # stage 1's pool
         assert pooled.findings == serial.findings
         assert pooled.skipped == serial.skipped
         assert pooled.pairs_pruned_fft == serial.pairs_pruned_fft

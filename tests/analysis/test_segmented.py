@@ -53,6 +53,18 @@ def _run_segments(x, y, config=None, *, n_segments, **kwargs):
     return execute_plan(x, y, config, plan=SearchPlan(segments=n_segments), **kwargs)
 
 
+def _one_span(x, y, config):
+    """A prefix of the pair, and ``config`` with the overlap reaching its length.
+
+    ``segment_overlap()`` is ``s_max + td_max + s_min``, so a split of a
+    series no longer than that is one span covering the whole of it.
+    """
+    n = 200
+    wide = config.scaled(s_max=n - config.td_max - config.s_min)
+    assert wide.segment_overlap() == n
+    return x[:n], y[:n], wide
+
+
 class TestSingleSegmentEquivalence:
     def test_n_segments_1_matches_plain_search(self, rng):
         x, y = _coupled_pair(rng)
@@ -64,9 +76,10 @@ class TestSingleSegmentEquivalence:
         assert seg.stats.segments == 0
         # A split whose one span covers the whole series runs the
         # stitcher over that span and still reproduces the plain search.
-        wide = cfg.scaled(segment_margin=x.size)
+        x, y, wide = _one_span(x, y, cfg)
         one_span = _run_segments(x, y, wide, n_segments=4)
-        assert _signature(one_span) == _signature(plain)
+        assert one_span.windows
+        assert _signature(one_span) == _signature(Tycos(wide).search(x, y))
         assert one_span.stats.segments == 1
         assert one_span.stats.stitch_dedups == 0
         assert one_span.stats.stitch_rescores == 0
@@ -74,25 +87,28 @@ class TestSingleSegmentEquivalence:
 
 class TestSequentialParallelEquivalence:
     @pytest.mark.parametrize("n_segments", [2, 4, 7])
-    def test_parallel_matches_sequential_reference(self, rng, n_segments):
+    def test_parallel_matches_sequential_reference(
+        self, rng, n_segments, many_cores, pool_sizes
+    ):
         x, y = _coupled_pair(rng)
         cfg = _config()
         reference = _run_segments(x, y, cfg, n_segments=n_segments, n_jobs=1)
-        parallel = _run_segments(
-            x, y, cfg, n_segments=n_segments, n_jobs=2, force_parallel=True
-        )
+        parallel = _run_segments(x, y, cfg, n_segments=n_segments, n_jobs=2)
+        assert pool_sizes == [2]
         assert _signature(parallel) == _signature(reference)
         assert parallel.stats.segments == reference.stats.segments
         assert parallel.stats.stitch_dedups == reference.stats.stitch_dedups
         assert parallel.stats.stitch_rescores == reference.stats.stitch_rescores
 
-    def test_pickle_transport_matches_shared_memory(self, rng, monkeypatch):
+    def test_pickle_transport_matches_shared_memory(
+        self, rng, monkeypatch, many_cores, pool_sizes
+    ):
         """Without a shared block (no /dev/shm), the pair is pickled instead."""
         import repro.analysis.parallel as parallel_mod
 
         x, y = _coupled_pair(rng)
         cfg = _config()
-        shm = _run_segments(x, y, cfg, n_segments=2, n_jobs=2, force_parallel=True)
+        shm = _run_segments(x, y, cfg, n_segments=2, n_jobs=2)
         calls = []
 
         def no_shared_memory(series):
@@ -100,21 +116,21 @@ class TestSequentialParallelEquivalence:
             raise OSError("shared memory unavailable")
 
         monkeypatch.setattr(parallel_mod, "pack_series", no_shared_memory)
-        pickled = _run_segments(x, y, cfg, n_segments=2, n_jobs=2, force_parallel=True)
+        pickled = _run_segments(x, y, cfg, n_segments=2, n_jobs=2)
         assert calls == [["x", "y"]]
+        assert pool_sizes == [2, 2]
         assert _signature(pickled) == _signature(shm)
 
-    def test_one_core_fallback_matches_reference_and_sets_flag(self, rng, monkeypatch):
+    def test_one_core_matches_reference(self, rng, monkeypatch, pool_sizes):
         import repro.analysis.parallel as parallel_mod
 
         x, y = _coupled_pair(rng)
         cfg = _config()
         reference = _run_segments(x, y, cfg, n_segments=3, n_jobs=1)
         monkeypatch.setattr(parallel_mod.os, "cpu_count", lambda: 1)
-        fallback = _run_segments(x, y, cfg, n_segments=3, n_jobs=2)
-        assert _signature(fallback) == _signature(reference)
-        assert fallback.stats.serial_fallback is True
-        assert reference.stats.serial_fallback is False
+        one_core = _run_segments(x, y, cfg, n_segments=3, n_jobs=2)
+        assert pool_sizes == []
+        assert _signature(one_core) == _signature(reference)
 
 
 class TestBoundaryContainment:
@@ -190,11 +206,10 @@ class TestEntryPoints:
     def test_engine_variant_flags_inherited(self, rng):
         """A non-default engine's flags survive segmentation untouched.
 
-        The margin makes the one span cover the whole series, so the span
+        The overlap makes the one span cover the whole series, so the span
         engine must reproduce the engine's own search exactly.
         """
-        x, y = _coupled_pair(rng)
-        cfg = _config(segment_margin=x.size)
+        x, y, cfg = _one_span(*_coupled_pair(rng), _config())
         engine = Tycos(cfg, use_noise=False, use_incremental=False)
         reference = engine.search(x, y)
         seg = execute_plan(x, y, engine=engine, plan=SearchPlan(segments=2))

@@ -1,6 +1,7 @@
 """Tests for JSON result serialization."""
 
 import json
+import re
 from dataclasses import fields
 
 import pytest
@@ -18,6 +19,10 @@ from repro.core.config import TycosConfig
 from repro.core.results import WindowResult
 from repro.core.tycos import SearchStats, TycosResult
 from repro.core.window import TimeDelayWindow
+
+#: Fields (with their defaults) every config block saved before their
+#: retirement still names.
+RETIRED_FIELDS = {"cache_capacity": 100_000, "segment_margin": None, "refine_margin": None}
 
 
 def _sample_result():
@@ -74,8 +79,7 @@ class TestConfigRoundTrip:
         config = TycosConfig(
             sigma=0.35, epsilon_ratio=0.3, s_min=24, s_max=300, td_max=17, delta=2,
             history_length=7, max_idle=4, k=5, use_normalized=False, jitter=1e-4,
-            seed=11, significance_permutations=9, cache_capacity=500, segment_margin=3,
-            refine_margin=40, coarse_sigma_ratio=0.85, init_delay_step=3,
+            seed=11, significance_permutations=9, coarse_sigma_ratio=0.85, init_delay_step=3,
         )
         payload = json.loads(json.dumps(config_to_dict(config)))
         assert config_from_dict(payload) == config
@@ -90,6 +94,22 @@ class TestConfigRoundTrip:
         payload["fancy_mode"] = True
         with pytest.raises(ValueError, match="unknown config fields"):
             config_from_dict(payload)
+
+    def test_retired_fields_are_refused_by_name(self):
+        payload = {**config_to_dict(TycosConfig()), **RETIRED_FIELDS}
+        with pytest.raises(ValueError, match=re.escape(str(sorted(RETIRED_FIELDS)))):
+            config_from_dict(payload)
+
+    def test_result_saved_with_retired_fields_still_loads(self, tmp_path):
+        # A result file written before three config knobs were retired:
+        # its config block names them, but loading never rebuilds it.
+        payload = result_to_dict(_sample_result())
+        payload["config"] = {**config_to_dict(TycosConfig()), **RETIRED_FIELDS}
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(payload, indent=2, sort_keys=True))
+        restored = load_result(path)
+        assert restored.windows == _sample_result().windows
+        assert restored.stats.windows_evaluated == _sample_result().stats.windows_evaluated
 
     def test_end_to_end_with_real_search(self, tmp_path, rng):
         x = rng.uniform(0, 1, 200)

@@ -180,17 +180,14 @@ class TestPoolAttach:
     """Pool workers attach a store by path: the report must be
     byte-identical to the serial scan over the in-memory collection."""
 
-    def test_store_transport_matches_serial(self, tmp_path, collection):
+    def test_store_transport_matches_serial(
+        self, tmp_path, collection, many_cores, pool_sizes
+    ):
         config = TycosConfig(sigma=0.3, s_min=8, s_max=40, td_max=6, jitter=1e-6, seed=1)
         store = SeriesStore.write(tmp_path / "store", collection)
         serial = scan_pairs(collection, config)
-        pooled = scan_pairs(
-            store.series(),
-            config,
-            n_jobs=2,
-            force_parallel=True,
-            store_path=store.path,
-        )
+        pooled = scan_pairs(store.series(), config, n_jobs=2, store_path=store.path)
+        assert pool_sizes == [2]
         assert (pooled.findings, pooled.skipped, pooled.failures) == (
             serial.findings,
             serial.skipped,

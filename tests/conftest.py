@@ -5,6 +5,7 @@ import contextlib
 import numpy as np
 import pytest
 
+import repro.analysis.parallel as parallel_mod
 from repro.core.thresholds import BatchScorer
 from repro.core.window import TimeDelayWindow
 from repro.mi.ksg import KSGEstimator
@@ -67,3 +68,29 @@ def scalar_scoring(monkeypatch):
             yield
 
     return scalar
+
+
+@pytest.fixture
+def many_cores(monkeypatch):
+    """Report four cores, so ``n_jobs=2`` runs a 2-worker pool on any host.
+
+    :func:`repro.analysis.parallel.effective_workers` caps every pool at
+    ``os.cpu_count()``; without this a 1-core host would take the serial
+    path in every pool test.
+    """
+    monkeypatch.setattr(parallel_mod.os, "cpu_count", lambda: 4)
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The ``max_workers`` of every process pool started during the test."""
+    sizes = []
+    real_executor = parallel_mod.ProcessPoolExecutor
+
+    class RecordingExecutor(real_executor):  # type: ignore[valid-type, misc]
+        def __init__(self, *args, **kwargs):
+            sizes.append(kwargs["max_workers"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", RecordingExecutor)
+    return sizes

@@ -12,6 +12,7 @@ themselves are gated in ``tests/mi/test_stacked.py``.
 import numpy as np
 import pytest
 
+import repro.core.thresholds as thresholds
 from repro.core.config import TycosConfig
 from repro.core.neighborhood import neighborhood
 from repro.core.thresholds import BatchScorer, IncrementalScorer
@@ -134,12 +135,13 @@ class TestScoreManyEquality:
             scorer.value_many(*_arrays([infeasible]))
 
     @pytest.mark.parametrize("scorer_cls", [BatchScorer, IncrementalScorer])
-    def test_memo_order_matches_reference(self, scorer_cls):
+    def test_memo_order_matches_reference(self, scorer_cls, monkeypatch):
         # A memo smaller than a batch: hits, repeats and evictions inside
         # one call leave the same table, in the same order, as calling
         # value() on each window in input order.
+        monkeypatch.setattr(thresholds, "CACHE_CAPACITY", 5)
         x, y = _coupled_pair()
-        config = TycosConfig(s_min=8, s_max=60, td_max=6, cache_capacity=5)
+        config = TycosConfig(s_min=8, s_max=60, td_max=6)
         rng = np.random.default_rng(8)
         ring = _ring(rng, len(x), 9, delay=1, td_max=6)
         batches = [ring[:4], ring[2:] + ring[:2], ring[3:6] + ring[3:6] + ring[7:]]
@@ -289,10 +291,9 @@ class TestEngineEquivalence:
         # A 7-entry memo is smaller than a seeding delay grid or a ring,
         # so value_many stores, evicts and re-scores evicted hits inside
         # one call; the search still equals the per-window reference.
+        monkeypatch.setattr(thresholds, "CACHE_CAPACITY", 7)
         x, y = _coupled_pair(n=320)
-        config = TycosConfig(
-            sigma=0.3, s_min=8, s_max=48, td_max=8, jitter=1e-6, seed=2, cache_capacity=7
-        )
+        config = TycosConfig(sigma=0.3, s_min=8, s_max=48, td_max=8, jitter=1e-6, seed=2)
         engine = Tycos(config, use_incremental=use_incremental)
         with scalar_scoring():
             plain = engine.search(x, y)
@@ -305,7 +306,7 @@ class TestEngineEquivalence:
 
         monkeypatch.setattr(BatchScorer, "value_many", recorded)
         batched = engine.search(x, y)
-        assert max(batch_sizes) > config.cache_capacity
+        assert max(batch_sizes) > thresholds.CACHE_CAPACITY
         assert plain.windows
         assert [(r.window.key(), r.mi.hex()) for r in plain.windows] == [
             (r.window.key(), r.mi.hex()) for r in batched.windows
@@ -315,17 +316,19 @@ class TestEngineEquivalence:
 
 
 class TestCappedMemo:
-    def test_capacity_bounds_the_table(self):
+    def test_capacity_bounds_the_table(self, monkeypatch):
+        monkeypatch.setattr(thresholds, "CACHE_CAPACITY", 5)
         x, y = _coupled_pair()
-        config = TycosConfig(s_min=8, s_max=60, td_max=6, cache_capacity=5)
+        config = TycosConfig(s_min=8, s_max=60, td_max=6)
         scorer = BatchScorer(PairView(x, y), config)
         for start in range(20, 60):
             scorer.score(TimeDelayWindow(start=start, end=start + 20, delay=0))
         assert len(scorer._cache) == 5
 
-    def test_lru_evicts_oldest_first(self):
+    def test_lru_evicts_oldest_first(self, monkeypatch):
+        monkeypatch.setattr(thresholds, "CACHE_CAPACITY", 2)
         x, y = _coupled_pair()
-        config = TycosConfig(s_min=8, s_max=60, td_max=6, cache_capacity=2)
+        config = TycosConfig(s_min=8, s_max=60, td_max=6)
         scorer = BatchScorer(PairView(x, y), config)
         w1 = TimeDelayWindow(start=20, end=40, delay=0)
         w2 = TimeDelayWindow(start=30, end=50, delay=0)
@@ -339,10 +342,6 @@ class TestCappedMemo:
         assert scorer.evaluations == evaluations  # still cached
         scorer.score(w2)
         assert scorer.evaluations == evaluations + 1  # was evicted
-
-    def test_config_rejects_nonpositive_capacity(self):
-        with pytest.raises(ValueError, match="cache_capacity"):
-            TycosConfig(cache_capacity=0)
 
 
 class TestTopKStats:

@@ -105,9 +105,8 @@ class TestConfigKnobs:
     def test_segment_overlap_formula(self):
         config = TycosConfig(s_min=8, s_max=60, td_max=10)
         assert config.segment_overlap() == 60 + 10 + 8
-        assert config.scaled(segment_margin=0).segment_overlap() == 70
-        assert config.scaled(segment_margin=25).segment_overlap() == 95
+        assert config.scaled(s_min=20).segment_overlap() == 90
 
-    def test_validation(self):
-        with pytest.raises(ValueError, match="segment_margin"):
-            TycosConfig(segment_margin=-1)
+    def test_refinement_margin_formula(self):
+        config = TycosConfig(s_min=8, s_max=60, td_max=10)
+        assert config.refinement_margin() == 60 + 10

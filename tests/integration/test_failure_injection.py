@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro import PairView, Tycos, TycosConfig, brute_force_search, ksg_mi, normalized_mi
-from repro.analysis import chunk_pair, scan_pairs
+from repro.analysis import scan_pairs
 from repro.baselines.amic import amic_search
 from repro.baselines.mass import mass_distance_profile
 from repro.baselines.matrix_profile import matrix_profile_ab
@@ -101,10 +101,6 @@ class TestStructuralMisuse:
         x = rng.normal(size=30)
         # A delay that leaves no aligned samples yields an empty profile.
         assert sliding_pcc(x, x, window=10, delay=29).size == 0
-
-    def test_chunking_misuse(self, rng):
-        with pytest.raises(ValueError, match="exceed overlap"):
-            list(chunk_pair(rng.normal(size=10), rng.normal(size=10), chunk=3, overlap=3))
 
     def test_scan_pairs_with_empty_collection(self):
         cfg = TycosConfig(sigma=0.3, s_min=8, s_max=20, td_max=1)

@@ -7,12 +7,14 @@ import sys
 
 import pytest
 
+import tools.tycoslint.sanitize as sanitize_mod
 from tools.tycoslint.sanitize import (
     REPO_ROOT,
     build_payload,
     canonical_bytes,
     field_diff,
     main,
+    run_matrix,
 )
 
 WORKER_LENGTH = 300
@@ -117,3 +119,15 @@ def test_worker_mode_requires_out():
     with pytest.raises(SystemExit) as excinfo:
         main(["--worker"])
     assert excinfo.value.code == 2
+
+
+def test_matrix_refuses_a_one_core_host(tmp_path, monkeypatch):
+    # Pools are capped at the cores, so one core would diff serial
+    # against serial: the gate must fail instead of passing vacuously.
+    def no_child(*args, **kwargs):  # pragma: no cover - must never run
+        raise AssertionError("a variant ran on a 1-core host")
+
+    monkeypatch.setattr(sanitize_mod.os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(sanitize_mod, "_run_child", no_child)
+    with pytest.raises(SystemExit, match="at least 2 cores"):
+        run_matrix(300, 0, False, tmp_path)

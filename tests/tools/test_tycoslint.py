@@ -128,6 +128,18 @@ def test_ty004_silent_on_honest_exports():
     assert "TY004" not in codes(src, OTHER_PATH)
 
 
+def test_ty004_reads_an_annotated_dunder_all():
+    # An empty list needs an annotation under mypy; it is still a declaration.
+    src = "from typing import List\n__all__: List[str] = []\n"
+    assert "TY004" not in codes(src, OTHER_PATH)
+    found = lint_source(
+        "from typing import List\n__all__: List[str] = ['ghost']\n",
+        OTHER_PATH,
+        resolve_rules(select=["TY004"]),
+    )
+    assert len(found) == 1 and "ghost" in found[0].message
+
+
 def test_ty004_exempts_private_modules_and_non_repro_paths():
     assert "TY004" not in codes("def f():\n    return 1\n", Path("src/repro/core/_util.py"))
     assert "TY004" not in codes("def f():\n    return 1\n", Path("examples/demo.py"))

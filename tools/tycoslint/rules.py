@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import Iterator, List, Optional, Set, Tuple
+from typing import Iterator, List, Optional, Set, Tuple, Union
 
 from tools.tycoslint.engine import Rule, Violation, is_test_path, register
 
@@ -261,12 +261,20 @@ class DunderAllRule(Rule):
         return names, has_star
 
     @staticmethod
-    def _find_all(tree: ast.Module) -> Optional[ast.Assign]:
+    def _find_all(tree: ast.Module) -> Optional[Union[ast.Assign, ast.AnnAssign]]:
+        """The top-level ``__all__`` assignment, annotated or not."""
         for node in tree.body:
             if isinstance(node, ast.Assign):
                 for target in node.targets:
                     if isinstance(target, ast.Name) and target.id == "__all__":
                         return node
+            elif (
+                isinstance(node, ast.AnnAssign)
+                and isinstance(node.target, ast.Name)
+                and node.target.id == "__all__"
+                and node.value is not None
+            ):
+                return node
         return None
 
     def check(self, tree: ast.Module, path: Path) -> Iterator[Violation]:

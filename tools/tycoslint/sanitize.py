@@ -9,8 +9,10 @@ scheduled.  Each variant runs in a fresh child interpreter because
 
 * ``PYTHONHASHSEED`` 0 vs 4242 -- catches anything whose output order
   leaks from ``str`` hashing (set/dict iteration feeding results);
-* ``n_jobs`` 1 vs 2 (``force_parallel``, so the 1-core fallback does not
-  quietly serialize the pool path) -- catches scheduling-order leaks;
+* ``n_jobs`` 1 vs 2 -- catches scheduling-order leaks.  Pools are capped
+  at the host's cores, so on one core the ``n_jobs=2`` variants would
+  run serially and the gate would compare serial against serial: the
+  matrix refuses to run on fewer than 2 cores;
 * ``n_segments`` 1 vs 3 (the ``plain`` and ``segments=3`` plans),
   compared *within* each segment count -- segmenting legitimately
   changes which restarts are attempted (``segments=k`` differs from
@@ -111,9 +113,8 @@ def build_payload(
 ) -> Dict[str, Any]:
     """Run the pinned workload and distill a canonical, clock-free payload.
 
-    Wall-clock values (``runtime_seconds``, per-phase timings) and
-    execution advisories (``report.notes``) are deliberately excluded:
-    they attribute a run, they are not results.
+    Wall-clock values (``runtime_seconds``, per-phase timings) are
+    deliberately excluded: they attribute a run, they are not results.
     """
     from repro.analysis.pairwise import scan_pairs
     from repro.analysis.planner import SearchPlan, execute_plan
@@ -138,7 +139,6 @@ def build_payload(
         config,
         plan=SearchPlan(segments=n_segments),
         n_jobs=n_jobs,
-        force_parallel=n_jobs > 1,
     )
     payload["search"] = {
         "windows": [
@@ -149,7 +149,7 @@ def build_payload(
         "stitch_rescores": result.stats.stitch_rescores,
     }
 
-    report = scan_pairs(series, config, n_jobs=n_jobs, force_parallel=n_jobs > 1)
+    report = scan_pairs(series, config, n_jobs=n_jobs)
     payload["scan"] = {
         "findings": [
             {
@@ -260,8 +260,16 @@ def run_matrix(
     """Run every variant; returns ``(ok, human-readable problem lines)``.
 
     Byte-compares payloads within each ``n_segments`` class, and the
-    scan section (segment-independent) across every variant.
+    scan section (segment-independent) across every variant.  Exits
+    non-zero on a host with fewer than 2 cores, where the ``n_jobs=2``
+    variants would not pool.
     """
+    cores = os.cpu_count() or 1
+    if cores < 2:
+        raise SystemExit(
+            f"sanitize: needs at least 2 cores, this host has {cores}; on one "
+            "core the n_jobs=2 variants would not run a process pool"
+        )
     problems: List[str] = []
     payloads: Dict[Tuple[int, str, int], bytes] = {}
     for n_segments in SEGMENT_CLASSES:
